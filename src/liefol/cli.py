@@ -18,9 +18,11 @@ dxn`` also accepted); map components are comma-separated.
 Every subcommand prints a single JSON report to standard output —
 ``{"op": ..., "inputs": ..., "result": ..., "status": "ok"}`` on
 success, ``{"op": ..., "status": "error", "error": msg}`` with exit
-code 1 otherwise.  All symbolic values appear in the canonical text
-form, which re-parses to the same object; ``anosov`` floats are rounded
-to 12 significant digits so reports are byte-stable for a fixed seed.
+code 1 otherwise; a failure that is a defect of the program itself
+carries a message starting with ``internal:``.  All symbolic values
+appear in the canonical text form, which re-parses to the same object;
+``anosov`` floats are rounded to 12 significant digits so reports are
+byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -478,6 +480,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         return _fail(args.op, str(exc))
+    except Exception as exc:  # a defect, still reported as JSON
+        return _fail(args.op, f"internal: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -112,7 +112,13 @@ class _Parser:
         return tok
 
     def parse(self) -> Poly:
-        p = self.expression()
+        try:
+            p = self.expression()
+        except RecursionError:
+            tok = self.peek()
+            raise ParseError(
+                "expression nests too deeply", tok.pos if tok is not None else self.length
+            ) from None
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)

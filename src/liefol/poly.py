@@ -13,11 +13,14 @@ package are fixed here:
 * rational functions are reduced pairs whose denominator carries that
   same normalization.
 
-The GCD is a primitive polynomial remainder sequence in a chosen main
-variable, recursing on the coefficient ring.  That is entirely adequate
-at the degrees this package works with, and it keeps every operation
-exact; there is deliberately no factorization and no Groebner machinery
-here.
+The GCD is the heuristic GCDHEU of Char, Geddes and Gonnet: evaluate
+both polynomials at large integers, take the integer gcd and read the
+candidate back from its digits.  A candidate is accepted only if it
+divides both inputs exactly, which proves it is the gcd; otherwise, or
+when the integers would grow too long, a primitive polynomial remainder
+sequence (PRS) in a chosen main variable, recursing on the coefficient
+ring, computes it instead.  Both keep every operation exact; there is
+deliberately no factorization and no Groebner machinery here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from functools import reduce
+from operator import add, sub
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -91,6 +96,16 @@ def _as_fraction(value: Coeff) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
+def _scaled_numerators(p: "Poly") -> Tuple[int, List[Tuple[Exponents, int]]]:
+    """(d, [(exponents, d * coefficient)]) for the least common denominator d."""
+    den = 1
+    for c in p.terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+
+
 def glex_key(exponents: Exponents) -> Tuple[int, Exponents]:
     """Sort key for graded lexicographic order (larger key = larger monomial)."""
     return (sum(exponents), exponents)
@@ -126,12 +141,25 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, chart: Chart, terms: Dict[Exponents, Fraction]) -> "Poly":
+        """Wrap a term dict built inside this module, skipping validation.
+
+        The caller guarantees what ``__init__`` would check: exponent
+        tuples of the chart's width with no negative entry, and nonzero
+        ``Fraction`` coefficients.  The dict is taken over, not copied.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "chart", chart)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    @classmethod
     def zero(cls, chart: Chart) -> "Poly":
-        return cls(chart, {})
+        return cls._trusted(chart, {})
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
-        return cls.constant(chart, 1)
+        return cls._trusted(chart, {chart.zero_exponents(): Fraction(1)})
 
     @classmethod
     def constant(cls, chart: Chart, value: Coeff) -> "Poly":
@@ -152,7 +180,10 @@ class Poly:
         return all(sum(e) == 0 for e in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {self.chart.zero_exponents(): Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        ((exps, coeff),) = self.terms.items()
+        return coeff == 1 and not any(exps)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -202,17 +233,21 @@ class Poly:
         self._require_chart(other)
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = acc.get(exps, Fraction(0)) + coeff
-            if s:
-                acc[exps] = s
+            s = acc.get(exps)
+            if s is None:
+                acc[exps] = coeff
             else:
-                acc.pop(exps, None)
-        return Poly(self.chart, acc)
+                s += coeff
+                if s:
+                    acc[exps] = s
+                else:
+                    del acc[exps]
+        return Poly._trusted(self.chart, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Coeff]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -229,20 +264,23 @@ class Poly:
             c = _as_fraction(other)
             if not c:
                 return Poly.zero(self.chart)
-            return Poly(self.chart, {e: k * c for e, k in self.terms.items()})
+            return Poly._trusted(self.chart, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_chart(other)
-        acc: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return Poly(self.chart, acc)
+        # multiply integer numerators over a common denominator: exact, and
+        # far cheaper than one Fraction product and sum per pair of terms
+        den1, terms1 = _scaled_numerators(self)
+        den2, terms2 = _scaled_numerators(other)
+        acc: Dict[Exponents, int] = {}
+        for e1, n1 in terms1:
+            for e2, n2 in terms2:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + n1 * n2
+        den = den1 * den2
+        if den == 1:
+            return Poly._trusted(self.chart, {e: Fraction(n) for e, n in acc.items() if n})
+        return Poly._trusted(self.chart, {e: Fraction(n, den) for e, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -283,10 +321,12 @@ class Poly:
             e = list(exps)
             e[k] -= 1
             acc[tuple(e)] = coeff * exps[k]
-        return Poly(self.chart, acc)
+        return Poly._trusted(self.chart, acc)
 
     def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.chart, {e: c for e, c in self.terms.items() if sum(e) == degree})
+        return Poly._trusted(
+            self.chart, {e: c for e, c in self.terms.items() if sum(e) == degree}
+        )
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.chart.size:
@@ -407,7 +447,7 @@ def _coeff_in(p: Poly, k: int, d: int) -> Poly:
             e = list(exps)
             e[k] = 0
             acc[tuple(e)] = coeff
-    return Poly(p.chart, acc)
+    return Poly._trusted(p.chart, acc)
 
 
 def _shift(p: Poly, k: int, d: int) -> Poly:
@@ -419,7 +459,7 @@ def _shift(p: Poly, k: int, d: int) -> Poly:
         e = list(exps)
         e[k] += d
         acc[tuple(e)] = coeff
-    return Poly(p.chart, acc)
+    return Poly._trusted(p.chart, acc)
 
 
 def _pseudo_rem(f: Poly, g: Poly, k: int) -> Poly:
@@ -483,6 +523,124 @@ def _gcd_impl(p: Poly, q: Poly) -> Poly:
     return c * g
 
 
+# GCDHEU gives up after this many evaluation points and leaves the gcd
+# to the PRS ...
+_HEU_ATTEMPTS = 6
+# ... and never evaluates to integers longer than this many bits (the
+# bit length of a variable's evaluation point times its degree bound):
+# integer gcd and base-xi digit extraction are quadratic in it.
+_HEU_MAX_BITS = 1 << 16
+
+
+def _integer_terms(p: Poly) -> Dict[Exponents, int]:
+    """The coefficients of p / rational_content(p): coprime integers."""
+    _, terms = _scaled_numerators(p)
+    unit = reduce(math.gcd, (n for _, n in terms))
+    return {e: n // unit for e, n in terms}
+
+
+def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
+    """Normalized gcd of two non-constant polynomials by GCDHEU, or None.
+
+    Heuristic gcd of Char, Geddes and Gonnet (1989).  Both inputs are
+    scaled to integer-primitive form f, g and evaluated one variable at a
+    time: x_1 = xi_1, then x_2 = xi_2, and so on, each xi_k above
+    xi_(k-1) and at least 2 * |f| + 29 for the smaller nonzero sup-norm
+    |f| of the two partly evaluated polynomials.  The integer gcd of
+    f(xi) and g(xi), read back in symmetric base-xi_k digits from the
+    last variable to the first, is a candidate h.  With points that
+    large, a primitive h that divides both f and g *is* their gcd: a
+    further common factor k would have |k(xi)| > xi_1 / 2, while k(xi)
+    divides the content of h, whose digits are at most xi_1 / 2.  A
+    candidate that fails the division is discarded and the points grow.
+    None means no candidate passed (or the integers would grow too
+    long), and the caller falls back to the PRS.
+
+    Evaluating at separate points, rather than substituting powers of one
+    X for all variables (Kronecker), matters for forms: binary forms have
+    no constant term, so their Kronecker images share a power of X that
+    no common factor explains, and every candidate would fail.
+    """
+    f, g = _integer_terms(p), _integer_terms(q)
+    bounds = [max(a, b) + 1 for a, b in zip(_degree_vector(p), _degree_vector(q))]
+    floor = 0
+    for _ in range(_HEU_ATTEMPTS):
+        points = []
+        xi = floor
+        fk, gk = f, g
+        for bound in bounds:
+            norm = min(n for n in (_sup_norm(fk), _sup_norm(gk)) if n)
+            xi = max(xi, 2 * norm + 29)
+            if xi.bit_length() * bound > _HEU_MAX_BITS:
+                return None
+            points.append(xi)
+            fk, gk = _evaluate_first(fk, xi), _evaluate_first(gk, xi)
+            # keep the next point off simple functions of this one: at y = x,
+            # x - 3*y + 1 and 2*y - 1 agree up to sign, at y = x + 1 so do
+            # 2*x + 2*y - 1 and 4*y - 3, on every retry, and the integer gcd
+            # carries a factor that no polynomial gcd explains
+            xi += math.isqrt(xi) + 1
+        h = _interpolate(math.gcd(fk.get((), 0), gk.get((), 0)), points)
+        unit = reduce(math.gcd, h.values())
+        if h[max(h, key=glex_key)] < 0:
+            unit = -unit
+        candidate = Poly._trusted(p.chart, {e: Fraction(c // unit) for e, c in h.items()})
+        if divides(candidate, p) and divides(candidate, q):
+            return candidate
+        floor = 73794 * points[0] * math.isqrt(math.isqrt(points[0])) // 27011
+    return None
+
+
+def _degree_vector(p: Poly) -> List[int]:
+    return [max(col) for col in zip(*p.terms)]
+
+
+def _sup_norm(f: Dict[Exponents, int]) -> int:
+    return max(map(abs, f.values()), default=0)
+
+
+def _evaluate_first(f: Dict[Exponents, int], xi: int) -> Dict[Exponents, int]:
+    """f with its first variable set to xi, on the remaining ones."""
+    out: Dict[Exponents, int] = {}
+    for e, c in f.items():
+        rest = e[1:]
+        out[rest] = out.get(rest, 0) + c * xi ** e[0]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(value: int, points: Sequence[int]) -> Dict[Exponents, int]:
+    """The polynomial h with h(points) = value whose digits, read in base
+    points[k] from the last variable to the first, lie in (-xi/2, xi/2]."""
+    terms: Dict[Exponents, int] = {(): value}
+    for xi in reversed(points):
+        half = xi // 2
+        digits: Dict[Exponents, int] = {}
+        for rest, v in terms.items():
+            e = 0
+            while v:
+                v, d = divmod(v, xi)
+                if d > half:
+                    d -= xi
+                    v += 1
+                if d:
+                    digits[(e,) + rest] = d
+                e += 1
+        terms = digits
+    return terms
+
+
+def _gcd(p: Poly, q: Poly) -> Poly:
+    """Normalized gcd of two polynomials on one chart: GCDHEU, else the PRS."""
+    if p.is_zero():
+        return normalize(q)
+    if q.is_zero():
+        return normalize(p)
+    if p.is_constant() or q.is_constant():
+        return Poly.one(p.chart)
+    h = _heu_gcd(p, q)
+    return h if h is not None else normalize(_gcd_impl(p, q))
+
+
 def gcd(p: Poly, q: Poly) -> Poly:
     """Normalized greatest common divisor in Q[chart].
 
@@ -491,9 +649,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     """
     if p.chart != q.chart:
         raise ChartMismatchError("gcd operands on different charts")
-    if p.is_zero() and q.is_zero():
-        return p
-    return normalize(_gcd_impl(p, q))
+    return _gcd(p, q)
 
 
 def content(polys: Sequence[Poly]) -> Poly:
@@ -518,24 +674,29 @@ def divexact(f: Poly, g: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.is_constant():
         return f * (1 / g.constant_value())
-    quotient: Dict[Exponents, Fraction] = {}
     ge, gc = g.leading_term()
-    r = f
-    while not r.is_zero():
-        re_, rc = r.leading_term()
-        qe = tuple(a - b for a, b in zip(re_, ge))
-        if any(e < 0 for e in qe):
+    rest = [(e, c) for e, c in g.terms.items() if e != ge]
+    quotient: Dict[Exponents, Fraction] = {}
+    r = dict(f.terms)
+    while r:
+        re_ = max(r, key=glex_key)
+        qe = tuple(map(sub, re_, ge))
+        if min(qe) < 0:
             raise ExactDivisionError(f"({g}) does not divide ({f})")
-        qc = rc / gc
+        qc = r.pop(re_) / gc
         quotient[qe] = qc
-        r = r - _shift_mono(g, qe) * qc
-    return Poly(f.chart, quotient)
-
-
-def _shift_mono(p: Poly, exps: Exponents) -> Poly:
-    if all(e == 0 for e in exps):
-        return p
-    return Poly(p.chart, {tuple(a + b for a, b in zip(e, exps)): c for e, c in p.terms.items()})
+        for e, c in rest:
+            e = tuple(map(add, e, qe))
+            v = r.get(e)
+            if v is None:
+                r[e] = -qc * c
+            else:
+                v -= qc * c
+                if v:
+                    r[e] = v
+                else:
+                    del r[e]
+    return Poly._trusted(f.chart, quotient)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -565,10 +726,10 @@ def squarefree_part(p: Poly) -> Poly:
         return Poly.one(p.chart)
     g = p
     for k in range(p.chart.size):
-        g = _gcd_impl(g, p.partial(k))
+        g = _gcd(g, p.partial(k))
         if g.is_constant():
             break
-    return normalize(divexact(p, normalize(g)))
+    return normalize(divexact(p, g))
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -629,6 +790,24 @@ def resultant(p: Poly, q: Poly, var: Union[str, int]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _unit_normalized(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """Scale a coprime pair by a rational unit so that the denominator is
+    integer-primitive with positive leading coefficient, and exactly 1
+    when it is constant or the numerator is zero."""
+    if num.is_zero():
+        return num, Poly.one(num.chart)
+    if den.is_constant():
+        if den.is_one():
+            return num, den
+        return num * (1 / den.constant_value()), Poly.one(num.chart)
+    unit = rational_content(den)
+    if den.leading_coefficient() < 0:
+        unit = -unit
+    if unit == 1:
+        return num, den
+    return num * (1 / unit), den * (1 / unit)
+
+
 class RatFunc:
     """A reduced fraction of polynomials on a shared chart.
 
@@ -647,26 +826,12 @@ class RatFunc:
             raise ChartMismatchError("numerator and denominator on different charts")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.chart)
-        elif den.is_one():
-            pass
-        else:
-            if not den.is_constant():
-                g = gcd(num, den)
-                if not g.is_constant():
-                    num = divexact(num, g)
-                    den = divexact(den, g)
-            if den.is_constant():
-                num = num * (1 / den.constant_value())
-                den = Poly.one(num.chart)
-            else:
-                unit = rational_content(den)
-                if den.leading_coefficient() < 0:
-                    unit = -unit
-                if unit != 1:
-                    num = num * (1 / unit)
-                    den = den * (1 / unit)
+        if not num.is_zero() and not den.is_constant():
+            g = gcd(num, den)
+            if not g.is_constant():
+                num = divexact(num, g)
+                den = divexact(den, g)
+        num, den = _unit_normalized(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -684,19 +849,7 @@ class RatFunc:
         on those paths.
         """
         obj = object.__new__(cls)
-        if num.is_zero():
-            den = Poly.one(num.chart)
-        elif den.is_constant():
-            if not den.is_one():
-                num = num * (1 / den.constant_value())
-                den = Poly.one(num.chart)
-        else:
-            unit = rational_content(den)
-            if den.leading_coefficient() < 0:
-                unit = -unit
-            if unit != 1:
-                num = num * (1 / unit)
-                den = den * (1 / unit)
+        num, den = _unit_normalized(num, den)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
         return obj

@@ -290,3 +290,27 @@ class TestErrorReporting:
         code, report = run(capsys, "bracket", "-")
         assert code == 0
         assert report["result"]["coefficients"] == ["0", "0"]
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        curve = "(" * 3000 + "x" + ")" * 3000
+        path.write_text(f"vars: x y\nfield v = x*dx + y*dy\ncurve C = {curve}\n")
+        code, report = run(capsys, "planar", str(path))
+        assert code == 1
+        assert report["status"] == "error"
+        assert "line 3" in report["error"] and "nests too deeply" in report["error"]
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("liefol.cli.lie_bracket", broken)
+        path = tmp_path / "p.txt"
+        path.write_text(BASIC)
+        code, report = run(capsys, "bracket", str(path))
+        assert code == 1
+        assert report == {
+            "op": "bracket",
+            "status": "error",
+            "error": "internal: RuntimeError: boom",
+        }

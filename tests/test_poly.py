@@ -6,6 +6,7 @@ inputs; printed forms are frozen strings computed by hand.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,8 +34,19 @@ from liefol import (
     resultant,
     squarefree_part,
 )
+from liefol import poly as poly_module
+from liefol.expr import parse_polynomial
+from liefol.poly import _gcd_impl
 
 X, Y = XY.vars()
+CHARTS = [Chart(tuple("xyzw"[:n])) for n in range(1, 5)]
+
+
+@st.composite
+def _gcd_triples(draw):
+    """p, q, h on one chart of 1-4 variables, degree <= 3, |coefficients| <= 10^6."""
+    poly = poly_strategy(draw(st.sampled_from(CHARTS)), max_degree=3, coeff_bound=10**6)
+    return draw(poly), draw(poly), draw(poly)
 
 
 class TestChart:
@@ -168,6 +180,67 @@ class TestGcd:
         x, y, z = XYZ.vars()
         h = x * y - z**2 + 1
         assert gcd(h * (x + y), h * (x - z)) == normalize(h)
+
+    @given(_gcd_triples())
+    def test_matches_prs(self, triple):
+        """GCDHEU (or its fallback) returns the normalized PRS gcd."""
+        p, q, h = triple
+        a, b = p * h, q * h
+        assert gcd(a, b) == normalize(_gcd_impl(a, b))
+
+    def test_forced_fallback_gives_same_result(self, monkeypatch):
+        x, y, z = XYZ.vars()
+        h = 3 * x * y - z**2 + 7
+        pairs = [
+            (h * (x + y), h * (x - z)),
+            ((x - y) ** 2 * (x + 2 * z), (x - y) * (x + 2 * z) ** 2),
+            (x**3 - y * z, 5 * x**2 + 1),
+            (h * x**2, h * h),
+        ]
+        fast = [gcd(a, b) for a, b in pairs]
+        assert all(poly_module._heu_gcd(a, b) is not None for a, b in pairs)
+        monkeypatch.setattr(poly_module, "_heu_gcd", lambda p, q: None)
+        assert [gcd(a, b) for a, b in pairs] == fast
+        assert squarefree_part(h**2 * x) == normalize(h * x)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # a binary form and its derivative: a Kronecker substitution
+            # leaves both with a spurious power of X
+            (
+                1044 * X**3 + 3 * X**2 * Y - 4 * X * Y**2 + 3 * Y**3,
+                3132 * X**2 + 6 * X * Y - 4 * Y**2,
+            ),
+            # forms that agree when y = x or y = x + 1
+            (8 * Y - 4, (X - 3 * Y + 1) ** 2),
+            (4 * Y - 3, (2 * X + 2 * Y - 1) ** 2),
+        ],
+    )
+    def test_structured_inputs_take_the_heuristic(self, f, g):
+        assert poly_module._heu_gcd(f, g) == Poly.one(XY)
+
+    def test_oversized_evaluation_goes_to_prs(self):
+        (t,) = Chart(("t",)).vars()
+        a, b = t**20000 - 1, t**15000 - 1
+        assert poly_module._heu_gcd(a, b) is None
+        assert gcd(a, b) == t**5000 - 1
+
+    def test_planted_factor_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        chart = Chart(("x", "y", "z", "w"))
+        rng = random.Random(7)
+        monomials = [e for e in itertools.product(range(3), repeat=4) if sum(e) <= 2]
+
+        def dense():
+            return Poly(chart, {e: rng.randint(-9, 9) or 1 for e in monomials})
+
+        a, b, h = dense(), dense(), dense()
+        f, g = a * h, b * h
+        expected = sympy.gcd(*(sympy.sympify(str(p).replace("^", "**")) for p in (f, g)))
+        expected_text = str(sympy.expand(expected)).replace("**", "^")
+        assert gcd(f, g) == normalize(parse_polynomial(expected_text, chart))
+        assert gcd(f, g) == normalize(h)
 
     def test_content(self):
         assert content([X**2, X * Y]) == X
