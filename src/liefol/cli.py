@@ -19,10 +19,11 @@ Every subcommand prints a single JSON report to standard output —
 ``{"op": ..., "inputs": ..., "result": ..., "status": "ok"}`` on
 success, ``{"op": ..., "status": "error", "error": msg}`` with exit
 code 1 otherwise; a failure that is a defect of the program itself
-carries a message starting with ``internal:``.  All symbolic values
-appear in the canonical text form, which re-parses to the same object;
-``anosov`` floats are rounded to 12 significant digits so reports are
-byte-stable for a fixed seed.
+carries a message starting with ``internal:``.  A numeric flag outside
+``FLAG_RANGES`` is reported as an error before any work is done.  All
+symbolic values appear in the canonical text form, which re-parses to
+the same object; ``anosov`` floats are rounded to 12 significant digits
+so reports are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ from .planar import PlanarField, infinity_analysis, invariant_curve_constraint
 from .poly import Chart, Poly
 
 _KINDS = ("field", "map", "foliation", "curve")
+
+# Accepted ranges of the numeric flags, checked before any work.  The
+# bounds keep every call within a few seconds: leaf density walks
+# 8 * arc_length / epsilon steps twice, and the Anosov bounds cost grows
+# with samples * t_max.
+FLAG_RANGES: Dict[str, Tuple[float, float]] = {
+    "order": (0, 30),
+    "samples": (1, 200),
+    "t_max": (2, 300),
+    "epsilon": (0.02, 1.0),
+    "arc_length": (1.0, 5000.0),
+}
 
 
 class ProblemError(ValueError):
@@ -471,10 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flag_ranges(args: argparse.Namespace) -> None:
+    for name, (low, high) in FLAG_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not low <= value <= high:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must lie in [{low}, {high}], got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_ranges(args)
         return args.handler(args)
     except BrokenPipeError:  # pragma: no cover
         return 1

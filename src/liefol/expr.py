@@ -3,7 +3,8 @@
 The grammar is deliberately small: integers, rational literals ``p/q``,
 variable names, ``+ - * ^`` with non-negative integer exponents, and
 parentheses; whitespace is insignificant.  ``/`` is only legal between
-two integer literals, so every expression denotes a polynomial.
+two integer literals, so every expression denotes a polynomial.  A power
+``base ^ n`` may reach total degree at most ``MAX_POWER_DEGREE``.
 
 Vector-field expressions use the same grammar over the chart extended
 by basis names: ``d<var>`` for each chart variable, with ``dx1 .. dxn``
@@ -18,6 +19,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Chart, Poly
+
+# Largest total degree a power ``base ^ n`` may reach; checked before the
+# power is expanded, so a huge exponent is a parse error, not a hang.
+MAX_POWER_DEGREE = 100
 
 
 class ParseError(ValueError):
@@ -166,7 +171,13 @@ class _Parser:
         exp = self.take()
         if exp.kind != "num" or exp.value is None or exp.value.denominator != 1 or exp.value < 0:
             raise ParseError("exponents must be non-negative integers", exp.pos)
-        return base ** int(exp.value)
+        n = int(exp.value)
+        degree = base.total_degree() * n
+        if degree > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power of degree {degree} exceeds the limit {MAX_POWER_DEGREE}", exp.pos
+            )
+        return base ** n
 
     def atom(self) -> Poly:
         tok = self.take()

@@ -19,13 +19,24 @@ infinity must land among those singular points; concretely the
 squarefree part of the top form of C has to divide the squarefree part
 of Q.  ``invariant_curve_constraint`` reports whether that necessary
 condition is met ("consistent") or violated ("excluded").
+
+The rational singular points [1 : t] come from the rational roots of P.
+``rational_roots`` finds them by exact real-root isolation: a Sturm
+sequence of the squarefree part separates the real roots in dyadic
+intervals, each interval is split by sign until at most one fraction
+with a small enough denominator can be its root, and that fraction is
+checked by exact evaluation.  Everything runs on integers, and the
+number of steps grows with the bit lengths of the coefficients, not
+with their magnitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liecalc import VectorField
 from .foliation import saturate_rank1
@@ -37,7 +48,6 @@ from .poly import (
     content,
     divexact,
     divides,
-    normalize,
     squarefree_part,
 )
 
@@ -126,36 +136,158 @@ def _restrict_to_line(p: Poly) -> Poly:
     return Poly(LINE_CHART, acc)
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign of the polynomial with ascending integer ``coeffs`` at num/den, den > 0.
+
+    Evaluates den^d * f(num/den) by homogeneous Horner, in integers only.
+    """
+    acc = 0
+    power = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_sequence(f: List[int]) -> List[List[int]]:
+    """Sturm sequence of a squarefree f: f, f' and the negated remainders.
+
+    Each remainder comes from integer pseudo-division and is divided by
+    its content; only positive factors are dropped, so every sign, and
+    hence every variation count, is that of the classical sequence.
+    """
+    seq = [f, [k * c for k, c in enumerate(f)][1:]]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        sign = -1  # the sign of the factor that turns r into -rem(a, b)
+        while len(r) >= len(b):
+            lead_r = r.pop()
+            shift = len(r) - len(b) + 1
+            r = [b[-1] * c for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= lead_r * c
+            if b[-1] < 0:
+                sign = -sign
+            while r and r[-1] == 0:
+                r.pop()
+        g = reduce(math.gcd, r, 0)
+        seq.append([sign * c // g for c in r])
+    return seq
+
+
+def _variations(seq: List[List[int]], num: int, den: int) -> int:
+    """Sign changes along the Sturm sequence at num/den, zeros skipped."""
+    count = 0
+    last = 0
+    for g in seq:
+        s = _sign_at(g, num, den)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
+    return count
+
+
+def _split(lo: int, hi: int, k: int) -> Tuple[int, int, int, int]:
+    """Split the dyadic interval (lo/2^k, hi/2^k); returns (lo, mid, hi, k) on one scale.
+
+    The split is at 0 when the interval spans it, and at a power of two
+    near the geometric mean when one end is more than 4 times the other,
+    so that a root is found in O(log bits) steps whatever its magnitude;
+    otherwise it is the midpoint.
+    """
+    if lo < 0 < hi:
+        return lo, 0, hi, k
+    small, large = sorted((abs(lo), abs(hi)))
+    if large > 4 * max(small, 1):
+        mid = 1 << ((small.bit_length() + large.bit_length()) // 2)
+        return lo, mid if hi > 0 else -mid, hi, k
+    return 2 * lo, lo + hi, 2 * hi, k + 1
+
+
+def _refine(f: List[int], lo: int, hi: int, k: int) -> List[Fraction]:
+    """The rational root, if any, of f in (lo/2^k, hi/2^k).
+
+    The interval must hold exactly one root of the squarefree f and no
+    root at its ends.  Distinct rationals with denominators at most
+    ``lead = f[-1]`` lie at least 1/lead^2 apart, so once the interval
+    is narrower than 1/(2 lead^2) the only such rational near the
+    midpoint that can be the root is ``limit_denominator(lead)`` of it.
+    It still has to lie inside the interval: a rational root of f just
+    outside it may be that close to an irrational root inside.
+    """
+    lead = f[-1]
+    s_lo = _sign_at(f, lo, 1 << k)
+    while (hi - lo) * 2 * lead * lead >= 1 << k:
+        lo, mid, hi, k = _split(lo, hi, k)
+        s_mid = _sign_at(f, mid, 1 << k)
+        if s_mid == 0:
+            return [Fraction(mid, 1 << k)]
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    cand = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
+    inside = Fraction(lo, 1 << k) < cand < Fraction(hi, 1 << k)
+    if inside and _sign_at(f, cand.numerator, cand.denominator) == 0:
+        return [cand]
+    return []
 
 
 def rational_roots(p: Poly) -> List[Fraction]:
-    """All rational roots of a nonzero univariate polynomial, sorted."""
+    """All rational roots of a nonzero univariate polynomial, sorted.
+
+    Exact real-root isolation on the squarefree part f (integer, primitive,
+    positive leading coefficient ``lead``).  A Sturm sequence counts the
+    roots in dyadic intervals, split (see ``_split``) from the Cauchy
+    bound until each interval holds one root; a split point that is itself
+    a root is recorded and stepped around.  Each one-root interval is then
+    split by sign below width 1/(2 lead^2), where at most one fraction
+    with denominator <= lead can be the root; it is kept only if it lies
+    in the interval and f vanishes there.
+
+    Cost: all arithmetic is on integers.  Finding a root's magnitude takes
+    O(log bits) splits, and refining it about log2(|root| * lead^2) more
+    sign evaluations of f, so the time grows with the bit lengths of the
+    coefficients and of the root separations, not with their magnitudes.
+    """
     if p.chart.size != 1:
         raise ValueError("rational root search needs one variable")
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    if p.is_constant():
+    sqf = squarefree_part(p)
+    degree = sqf.total_degree()
+    if degree == 0:
         return []
+    f = [sqf.coefficient((k,)).numerator for k in range(degree + 1)]
+    seq = _sturm_sequence(f)
+    # Cauchy: every root has |r| < 1 + max|c_i| / lead < 2^bits
+    bits = (max(abs(c) for c in f) // f[-1] + 2).bit_length()
+    lo, hi = -(1 << bits), 1 << bits
     roots: List[Fraction] = []
-    low = min(e[0] for e in p.terms)
-    if low > 0:
-        roots.append(Fraction(0))
-        p = Poly(p.chart, {(e[0] - low,): c for e, c in p.terms.items()})
-    scaled = normalize(p)  # integer coefficients, content 1
-    const = scaled.coefficient((0,)).numerator
-    lead = scaled.leading_coefficient().numerator
-    seen = set(roots)
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand not in seen and scaled.evaluate([cand]) == 0:
-                    seen.add(cand)
-                    roots.append(cand)
+    # dyadic intervals (lo/2^k, hi/2^k) with their end variations; no end is a root
+    stack = [(lo, hi, 0, _variations(seq, lo, 1), _variations(seq, hi, 1))]
+    while stack:
+        lo, hi, k, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 1:
+            roots.extend(_refine(f, lo, hi, k))
+        if count <= 1:
+            continue
+        lo, mid, hi, k = _split(lo, hi, k)
+        if _sign_at(f, mid, 1 << k) != 0:
+            v_mid = _variations(seq, mid, 1 << k)
+            stack += [(lo, mid, k, v_lo, v_mid), (mid, hi, k, v_mid, v_hi)]
+            continue
+        roots.append(Fraction(mid, 1 << k))
+        # halve the gap around the root until it is the only one inside
+        while True:
+            mid, lo, hi, k = 2 * mid, 2 * lo, 2 * hi, k + 1
+            v_left = _variations(seq, mid - 1, 1 << k)
+            v_right = _variations(seq, mid + 1, 1 << k)
+            if v_left - v_right == 1 and _sign_at(f, mid - 1, 1 << k) != 0:
+                break
+        stack += [(lo, mid - 1, k, v_lo, v_left), (mid + 1, hi, k, v_right, v_hi)]
     return sorted(roots)
 
 

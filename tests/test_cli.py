@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from liefol.cli import ProblemError, main, parse_problem
+from liefol.cli import FLAG_RANGES, ProblemError, build_parser, main, parse_problem
 
 BASIC = """\
 # a pair of fields on the plane
@@ -314,3 +315,60 @@ class TestErrorReporting:
             "status": "error",
             "error": "internal: RuntimeError: boom",
         }
+
+
+class TestBudgets:
+    def test_large_coefficient_at_infinity(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("vars: x y\nfield v = x*dx + (2*y - 1000000000000*x)*dy\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "planar", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and report["status"] == "ok"
+        assert ["1", "1000000000000"] in report["result"]["rational_infinity_points"]
+
+    def test_huge_power_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "power.txt"
+        path.write_text("vars: x y\nfield v = x*dx + y*dy\ncurve C = (x+y+1)^200000\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "planar", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and report["status"] == "error"
+        assert "line 3" in report["error"] and "exceeds the limit" in report["error"]
+        assert "column 9" in report["error"]  # the exponent, counted in the payload
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anosov", "--arc-length", "1e9"],
+            ["anosov", "--arc-length", "0"],
+            ["anosov", "--samples", "100000000"],
+            ["anosov", "--samples", "0"],
+            ["anosov", "--t-max", "1000"],
+            ["anosov", "--epsilon", "0"],
+            ["anosov", "--epsilon", "1e-9"],
+            ["anosov", "--epsilon", "nan"],
+            ["flow-series", "PROBLEM", "C", "--order", "100000"],
+            ["flow-series", "PROBLEM", "C", "--order", "-1"],
+        ],
+    )
+    def test_out_of_range_flag(self, argv, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the flags were checked")
+
+        monkeypatch.setattr("liefol.cli.hyperbolic.verify_anosov_bounds", no_work)
+        monkeypatch.setattr("liefol.cli.flow_series_function", no_work)
+        path = tmp_path / "p.txt"
+        path.write_text(BASIC)
+        argv = [str(path) if a == "PROBLEM" else a for a in argv]
+        code, report = run(capsys, *argv)
+        assert code == 1 and report["status"] == "error"
+        assert report["error"].startswith(argv[-2] + " must lie in")
+
+    def test_defaults_lie_in_range(self):
+        parser = build_parser()
+        for argv in (["anosov"], ["flow-series", "p.txt", "C"]):
+            args = parser.parse_args(argv)
+            for name, (low, high) in FLAG_RANGES.items():
+                if hasattr(args, name):
+                    assert low <= getattr(args, name) <= high

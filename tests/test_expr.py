@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import XY, XYZ, poly_strategy
 from liefol import ParseError, Poly, format_poly, parse_field_coefficients, parse_polynomial
-from liefol.expr import basis_names, format_field
+from liefol.expr import MAX_POWER_DEGREE, basis_names, format_field
 
 X, Y = XY.vars()
 
@@ -52,6 +52,18 @@ def test_error_carries_position():
     else:  # pragma: no cover
         pytest.fail("expected a ParseError")
 
+
+
+def test_power_degree_budget():
+    n = MAX_POWER_DEGREE
+    assert parse_polynomial(f"x^{n}", XY) == X**n
+    assert parse_polynomial(f"(x*y)^{n // 2}", XY).total_degree() == n
+    assert parse_polynomial("7^300", XY) == Poly.constant(XY, 7**300)  # degree 0
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse_polynomial(f"1 + (x + y + 1)^{n + 1}", XY)
+    assert err.value.position == len("1 + (x + y + 1)^")
+    with pytest.raises(ParseError, match=f"power of degree {2 * n}"):
+        parse_polynomial(f"(x*y)^{n}", XY)
 
 @given(poly_strategy(XY))
 def test_print_parse_roundtrip(p):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import XY, random_poly
 from liefol import (
@@ -18,10 +21,12 @@ from liefol import (
     apply_derivation,
     infinity_analysis,
     invariant_curve_constraint,
+    normalize,
     q_polynomial,
     rational_roots,
     to_infinity_chart,
 )
+from liefol import planar
 from liefol.planar import INFINITY_CHART, LINE_CHART
 
 X, Y = XY.vars()
@@ -123,6 +128,137 @@ class TestRationalRoots:
     def test_no_real_roots(self):
         t = LINE_CHART.var("t")
         assert rational_roots(t**2 + 1) == []
+
+    def test_root_on_a_bisection_point(self):
+        t = LINE_CHART.var("t")
+        # the one root of 2t - 1 in (-4, 4) is met by bisection while refining
+        assert rational_roots(2 * t - 1) == [Fraction(1, 2)]
+        # t^3 - t splits at 0, itself a root, and has roots at 1 and -1
+        assert rational_roots(t**3 - t) == [Fraction(-1), Fraction(0), Fraction(1)]
+        assert rational_roots((4 * t - 3) * (t - 2) * (t + 8)) == [
+            Fraction(-8),
+            Fraction(3, 4),
+            Fraction(2),
+        ]
+
+    def test_irrational_root_next_to_a_rational_one(self):
+        t = LINE_CHART.var("t")
+        # lead 1: t^2 - 100 t - 1 has a root near -1/100, well within
+        # 1/lead^2 of the root 0, whose interval must not report 0 again
+        assert rational_roots(t * (t**2 - 100 * t - 1)) == [Fraction(0)]
+        u = t - 1
+        assert rational_roots(u * (u**2 - 100 * u - 1)) == [Fraction(1)]
+        # lead 27: a root near 1/3 - 1/3000, within 1/27^2 of the root 1/3
+        u = 3 * t - 1
+        assert rational_roots(u * (u**2 - 1000 * u - 1)) == [Fraction(1, 3)]
+
+    def test_repeated_roots(self):
+        t = LINE_CHART.var("t")
+        p = (t - 2) ** 3 * (3 * t + 1) ** 2 * (t**2 - 3)
+        assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
+
+    def test_root_at_zero_with_multiplicity(self):
+        t = LINE_CHART.var("t")
+        assert rational_roots(t**5 * (t + 4)) == [Fraction(-4), Fraction(0)]
+        assert rational_roots(7 * t**3) == [Fraction(0)]
+
+    def test_constant_has_no_roots(self):
+        assert rational_roots(Poly.constant(LINE_CHART, 5)) == []
+
+    def test_rejects_zero_and_several_variables(self):
+        with pytest.raises(ValueError):
+            rational_roots(Poly.zero(LINE_CHART))
+        with pytest.raises(ValueError):
+            rational_roots(X + 1)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(-12, 12)), min_size=1, max_size=5
+        ),
+        st.lists(st.integers(-6, 6), min_size=0, max_size=4),
+    )
+    def test_matches_divisor_search(self, linear, other):
+        t = LINE_CHART.var("t")
+        p = Poly.one(LINE_CHART)
+        for den, num in linear:
+            p = p * (den * t - num)
+        if other:  # a factor with small coefficients and, mostly, no rational root
+            p = p * (t ** len(other) + Poly(LINE_CHART, {(k,): c for k, c in enumerate(other)}))
+        assert rational_roots(p) == _divisor_search(p)
+
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=7))
+    def test_matches_divisor_search_on_dense_polys(self, coeffs):
+        p = Poly(LINE_CHART, {(k,): c for k, c in enumerate(coeffs)})
+        if p.is_zero():
+            return
+        assert rational_roots(p) == _divisor_search(p)
+
+    @pytest.mark.parametrize("magnitude", [10**12, 10**40])
+    def test_large_constants_against_sympy(self, magnitude):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(magnitude)
+        t = LINE_CHART.var("t")
+        s = sympy.Symbol("s")
+        for _ in range(25):
+            p = Poly.one(LINE_CHART)
+            for _ in range(rng.randint(1, 3)):
+                lead = rng.choice([1, 2, 3, 7, 12, rng.randint(2, 10**6)])
+                p = p * (lead * t - rng.randint(-magnitude, magnitude))
+            quadratic = rng.randint(1, 9) * t**2 + rng.randint(-9, 9) * t
+            p = p * (quadratic + rng.randint(magnitude // 2, magnitude) * rng.choice((1, -1)))
+            if rng.random() < 0.5:
+                p = p + rng.randint(1, magnitude)  # usually no rational root left
+            expected = sympy.Poly(
+                [int(p.coefficient((k,))) for k in range(p.total_degree(), -1, -1)], s
+            ).ground_roots()
+            assert rational_roots(p) == sorted(Fraction(int(r.p), int(r.q)) for r in expected)
+
+    def test_cost_grows_with_bit_length_not_magnitude(self, monkeypatch):
+        t = LINE_CHART.var("t")
+        calls = []
+        sign_at = planar._sign_at
+        monkeypatch.setattr(
+            planar, "_sign_at", lambda *args: calls.append(1) or sign_at(*args)
+        )
+
+        def sign_evaluations(magnitude: int) -> int:
+            calls.clear()
+            p = (7 * t - magnitude) * (t**2 - 2) * (3 * t + 1) * (t**2 + magnitude)
+            start = time.perf_counter()
+            assert rational_roots(p) == [Fraction(-1, 3), Fraction(magnitude, 7)]
+            assert time.perf_counter() - start < 2.0
+            return len(calls)
+
+        # 13 times the bits, 10^37 times the magnitude
+        assert sign_evaluations(10**40) <= 4 * sign_evaluations(10**3)
+
+
+def _divisor_search(p: Poly) -> list:
+    """The rational-root test by trial division: every +-num/den with num
+    dividing the constant and den the leading coefficient (after factoring
+    out t^low), checked by exact evaluation.  Its cost grows with the
+    magnitude of those coefficients; it is the reference for small ones."""
+    roots = []
+    low = min(e[0] for e in p.terms)
+    if low > 0:
+        roots.append(Fraction(0))
+        p = Poly(p.chart, {(e[0] - low,): c for e, c in p.terms.items()})
+    scaled = normalize(p)
+    if scaled.is_constant():
+        return roots
+    const = scaled.coefficient((0,)).numerator
+    lead = scaled.leading_coefficient().numerator
+
+    def divisors(n: int) -> list:
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for num in divisors(const):
+        for den in divisors(lead):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, den)
+                if cand not in roots and scaled.evaluate([cand]) == 0:
+                    roots.append(cand)
+    return sorted(roots)
 
 
 class TestInfinityAnalysis:
