@@ -19,7 +19,9 @@ Every subcommand prints a single JSON report to standard output —
 ``{"op": ..., "inputs": ..., "result": ..., "status": "ok"}`` on
 success, ``{"op": ..., "status": "error", "error": msg}`` with exit
 code 1 otherwise; a failure that is a defect of the program itself
-carries a message starting with ``internal:``.  A numeric flag outside
+carries a message starting with ``internal:``.  A malformed command line
+(unknown subcommand, bad or missing argument) is such an error too, with
+``op`` null when no subcommand was recognized, and a numeric flag outside
 ``FLAG_RANGES`` is reported as an error before any work is done.  All
 symbolic values appear in the canonical text form, which re-parses to
 the same object; ``anosov`` floats are rounded to 12 significant digits
@@ -32,7 +34,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import hyperbolic
 from .expr import ParseError, parse_field_coefficients, parse_polynomial
@@ -52,9 +54,9 @@ from .poly import Chart, Poly
 _KINDS = ("field", "map", "foliation", "curve")
 
 # Accepted ranges of the numeric flags, checked before any work.  The
-# bounds keep every call within a few seconds: leaf density walks
-# 8 * arc_length / epsilon steps twice, and the Anosov bounds cost grows
-# with samples * t_max.
+# bounds keep every call within a few seconds: the Anosov bounds check
+# costs samples * t_max roof-crossing checks, and leaf density steps once
+# per gridline crossing, at most about 1.4 * arc_length / epsilon times.
 FLAG_RANGES: Dict[str, Tuple[float, float]] = {
     "order": (0, 30),
     "samples": (1, 200),
@@ -185,7 +187,7 @@ def _ok(op: str, inputs: Dict[str, object], result: Dict[str, object]) -> int:
     return 0
 
 
-def _fail(op: str, message: str) -> int:
+def _fail(op: Optional[str], message: str) -> int:
     _emit({"op": op, "status": "error", "error": message})
     return 1
 
@@ -433,8 +435,25 @@ def _cmd_anosov(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """A malformed command line; ``op`` is the subcommand, when known."""
+
+    def __init__(self, op: Optional[str], message: str):
+        super().__init__(message)
+        self.op = op
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises `UsageError` where argparse would print usage and exit 2,
+    so that `main` reports a bad command line as a JSON error."""
+
+    def error(self, message: str) -> NoReturn:
+        # a subcommand's parser is named "liefol <op>"
+        raise UsageError(self.prog.partition(" ")[2] or None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="liefol",
         description="Lie calculus, foliations, and the hyperbolic suspension bench.",
     )
@@ -494,7 +513,12 @@ def _check_flag_ranges(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise UsageError(args.op, f"unrecognized arguments: {' '.join(extra)}")
+    except UsageError as exc:
+        return _fail(exc.op, str(exc))
     try:
         _check_flag_ranges(args)
         return args.handler(args)

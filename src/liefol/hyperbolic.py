@@ -17,6 +17,14 @@ carries the directions exactly in Q(sqrt 5) (pairs of Fractions), applies
 the exact cocycle, and only then takes logarithms, using the algebraic
 conjugate to dodge catastrophic cancellation.  The regression that
 estimates the contraction rate never consults the claimed eigenvalues.
+
+Along a closed orbit the return differential is CAT^k (+) 1, k the
+number of roof crossings in one period, so the invariant lines and
+planes are read off the same exact eigendata: eigenvalues lambda^|k| in
+Q(sqrt 5), the two eigenvectors (swapped for k < 0) and the flow line.
+Leaf density is an exact grid traversal (Amanatides & Woo, 1987) that
+steps once per gridline crossing.  The module needs no package outside
+the standard library.
 """
 
 from __future__ import annotations
@@ -25,9 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 CAT: Tuple[Tuple[int, int], Tuple[int, int]] = ((2, 1), (1, 1))
 CAT_INV: Tuple[Tuple[int, int], Tuple[int, int]] = ((1, -1), (-1, 2))
@@ -259,12 +265,14 @@ def _regress_slope(points: List[Tuple[float, float]]) -> float:
     return num / den
 
 
-def _measure_rate(direction: Tuple[_Q5, _Q5], matrix, t_max, states) -> Tuple[float, List[float]]:
-    """Pooled log-norm growth of an exact direction under an integer cocycle.
+def _measure_rate(direction: Tuple[_Q5, _Q5], matrix, t_max) -> Tuple[float, List[float]]:
+    """Log-norm growth of an exact direction under an integer cocycle.
 
     Returns the least-squares slope and the per-time log norms relative
-    to time zero (identical across states: the splitting is constant and
-    integer times cross the roof exactly t times from any roof offset).
+    to time zero.  These are the same from every sample state, because
+    the splitting is constant and integer times cross the roof exactly t
+    times from any roof offset (`verify_anosov_bounds` asserts the
+    latter), so one regression over the t_max points serves them all.
     """
     base_log = _q5_lognorm(direction)
     logs: List[float] = []
@@ -272,13 +280,7 @@ def _measure_rate(direction: Tuple[_Q5, _Q5], matrix, t_max, states) -> Tuple[fl
     for _ in range(t_max):
         vec = _apply_int_matrix(matrix, vec)
         logs.append(_q5_lognorm(vec) - base_log)
-    points: List[Tuple[float, float]] = []
-    for state in states:
-        for t in range(1, t_max + 1):
-            # integer times cross the roof exactly t times regardless of offset
-            assert crossings(state, t) - crossings(state, 0) == t
-            points.append((float(t), logs[t - 1]))
-    return _regress_slope(points), logs
+    return _regress_slope(list(enumerate(logs, start=1))), logs
 
 
 @dataclass(frozen=True)
@@ -329,13 +331,18 @@ def verify_anosov_bounds(
         SuspensionState(Fraction(rng.random()), Fraction(rng.random()), Fraction(rng.random()))
         for _ in range(samples)
     ]
+    for state in states:
+        start = crossings(state, 0)
+        for t in range(1, t_max + 1):
+            # integer times cross the roof exactly t times regardless of offset
+            assert crossings(state, t) - start == t
     claimed_stable = _E_SU if swap_bundles else _E_SS
     claimed_unstable = _E_SS if swap_bundles else _E_SU
 
-    slope_s, logs_s = _measure_rate(claimed_stable, CAT, t_max, states)
-    slope_u, logs_u = _measure_rate(claimed_unstable, CAT, t_max, states)
-    slope_s_back, logs_s_back = _measure_rate(claimed_stable, CAT_INV, t_max, states)
-    slope_u_back, _ = _measure_rate(claimed_unstable, CAT_INV, t_max, states)
+    slope_s, logs_s = _measure_rate(claimed_stable, CAT, t_max)
+    slope_u, logs_u = _measure_rate(claimed_unstable, CAT, t_max)
+    slope_s_back, logs_s_back = _measure_rate(claimed_stable, CAT_INV, t_max)
+    slope_u_back, _ = _measure_rate(claimed_unstable, CAT_INV, t_max)
 
     lambda_s = math.exp(slope_s)
     lambda_u = math.exp(slope_u)
@@ -407,79 +414,90 @@ class LabeledPlane:
 
 
 _PERIOD_TOL = 1e-9
-_SPECTRUM_TOL = 1e-9
+
+_Matrix3 = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
+_Vec3 = Tuple[float, float, float]
 
 
-def return_map_matrix(state: SuspensionState, period) -> np.ndarray:
-    """The differential of the flow over one period of a closed orbit."""
+def _return_crossings(state: SuspensionState, period) -> int:
+    """Roof crossings k over one period of a closed orbit."""
     image = suspension_flow(state, period)
-    if torus_distance(image, state) > _PERIOD_TOL:
-        raise ValueError(
-            f"orbit does not close after time {period} "
-            f"(distance {torus_distance(image, state):.3e})"
-        )
-    k = crossings(state, period)
-    m = cat_power(k)
-    out = np.zeros((3, 3))
-    out[0, 0], out[0, 1] = float(m[0][0]), float(m[0][1])
-    out[1, 0], out[1, 1] = float(m[1][0]), float(m[1][1])
-    out[2, 2] = 1.0
-    return out
+    distance = torus_distance(image, state)
+    if distance > _PERIOD_TOL:
+        raise ValueError(f"orbit does not close after time {period} (distance {distance:.3e})")
+    return crossings(state, period)
 
 
-def _sign_normalized(vec: np.ndarray) -> Tuple[float, float, float]:
-    v = vec / np.linalg.norm(vec)
-    for component in v:
-        if abs(component) > 1e-12:
-            if component < 0:
-                v = -v
-            break
-    return (float(v[0]), float(v[1]), float(v[2]))
+def return_map_matrix(state: SuspensionState, period) -> _Matrix3:
+    """The differential of the flow over one period of a closed orbit:
+    CAT^k (+) 1 as exact integer rows."""
+    m = cat_power(_return_crossings(state, period))
+    return ((m[0][0], m[0][1], 0), (m[1][0], m[1][1], 0), (0, 0, 1))
+
+
+def _vec3(vec: Sequence[float]) -> _Vec3:
+    if len(vec) != 3:
+        raise ValueError("tangent vectors have three components")
+    return (float(vec[0]), float(vec[1]), float(vec[2]))
+
+
+def _unit(vec: _Vec3, message: str) -> _Vec3:
+    norm = math.hypot(*vec)
+    if norm == 0:
+        raise ValueError(message)
+    return (vec[0] / norm, vec[1] / norm, vec[2] / norm)
+
+
+def _cross(u: _Vec3, w: _Vec3) -> _Vec3:
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def _dot(u: _Vec3, w: _Vec3) -> float:
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _torus_line(vec: Tuple[_Q5, _Q5]) -> _Vec3:
+    return _unit((vec[0].to_float(), vec[1].to_float(), 0.0), "zero direction")
+
+
+# Unit float views of the eigenlines of every CAT^k (+) 1 with k != 0.  Both
+# torus eigenvectors have first component 1, so they are already sign-normalized.
+_STABLE_LINE = _torus_line(_E_SS)
+_UNSTABLE_LINE = _torus_line(_E_SU)
+_EIGENLINES = (_STABLE_LINE, TangentFrame.FLOW, _UNSTABLE_LINE)
 
 
 def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLine, ...]:
     """The three invariant tangent lines along a closed orbit.
 
-    The return differential must have three real eigenvalues of distinct
-    moduli with exactly one on the unit circle; anything else is an
+    The return differential CAT^k (+) 1 has eigenvalues lambda_s^|k|, 1
+    and lambda_u^|k|; for k < 0 the torus eigenvectors trade places.
+    k = 0 gives the identity, which has no isolated lines: that is an
     error, not a silent answer.
     """
-    m = return_map_matrix(state, period)
-    values, vectors = np.linalg.eig(m)
-    if np.max(np.abs(values.imag)) > 1e-10:
-        raise ValueError("return map has a non-real spectrum")
-    values = values.real
-    vectors = vectors.real
-    order = np.argsort(np.abs(values))
-    moduli = np.abs(values)[order]
-    if moduli[1] - moduli[0] < _SPECTRUM_TOL or moduli[2] - moduli[1] < _SPECTRUM_TOL:
+    k = _return_crossings(state, period)
+    if k == 0:
         raise ValueError("return map has eigenvalues of equal modulus; lines are not isolated")
-    if abs(moduli[1] - 1.0) > _SPECTRUM_TOL:
-        raise ValueError("no unit eigenvalue along the flow direction")
-    labels = ("stable", "flow", "unstable")
-    lines = []
-    for label, idx in zip(labels, order):
-        lines.append(
-            LabeledLine(
-                label=label,
-                eigenvalue=float(values[idx]),
-                direction=_sign_normalized(vectors[:, idx]),
-            )
-        )
-    return tuple(lines)
+    # CAT^n e_u = lambda_u^n e_u exactly, and the first component of e_u is 1
+    grow = _apply_int_matrix(cat_power(abs(k)), _E_SU)[0].to_float()
+    stable, unstable = (_STABLE_LINE, _UNSTABLE_LINE) if k > 0 else (_UNSTABLE_LINE, _STABLE_LINE)
+    return (
+        # lambda_s^n = 1 / lambda_u^n; its direct float would cancel catastrophically
+        LabeledLine(label="stable", eigenvalue=1.0 / grow, direction=stable),
+        LabeledLine(label="flow", eigenvalue=1.0, direction=TangentFrame.FLOW),
+        LabeledLine(label="unstable", eigenvalue=grow, direction=unstable),
+    )
 
 
 def line_is_invariant(state: SuspensionState, period, direction: Sequence[float]) -> bool:
-    """Does the return differential map the line of ``direction`` to itself?"""
-    m = return_map_matrix(state, period)
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("zero direction")
-    d = d / norm
-    image = m @ d
-    residual = image - (image @ d) * d
-    return bool(np.linalg.norm(residual) <= _PERIOD_TOL * np.linalg.norm(image))
+    """Does the return differential map the line of ``direction`` to itself?
+
+    For k != 0 the three eigenvalues are distinct, so the invariant lines
+    are exactly the eigenlines; for k = 0 (the identity) every line is.
+    """
+    k = _return_crossings(state, period)
+    d = _unit(_vec3(direction), "zero direction")
+    return k == 0 or any(math.hypot(*_cross(d, e)) <= _PERIOD_TOL for e in _EIGENLINES)
 
 
 def classify_invariant_planes(state: SuspensionState, period) -> Tuple[LabeledPlane, ...]:
@@ -503,23 +521,59 @@ def classify_invariant_planes(state: SuspensionState, period) -> Tuple[LabeledPl
 def plane_is_invariant(
     state: SuspensionState, period, u: Sequence[float], w: Sequence[float]
 ) -> bool:
-    """Does the return differential preserve the plane spanned by u, w?"""
-    m = return_map_matrix(state, period)
-    normal = np.cross(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
-    n_norm = np.linalg.norm(normal)
-    if n_norm == 0:
-        raise ValueError("basis does not span a plane")
-    normal = normal / n_norm
-    for vec in (u, w):
-        image = m @ np.asarray(vec, dtype=float)
-        if abs(image @ normal) > _PERIOD_TOL * np.linalg.norm(image):
-            return False
-    return True
+    """Does the return differential preserve the plane spanned by u, w?
+
+    For k != 0 the invariant planes are the spans of two eigenlines, i.e.
+    the planes whose normal is orthogonal to two of them; for k = 0 every
+    plane is invariant.
+    """
+    k = _return_crossings(state, period)
+    normal = _unit(_cross(_vec3(u), _vec3(w)), "basis does not span a plane")
+    orthogonal = sum(abs(_dot(normal, e)) <= _PERIOD_TOL for e in _EIGENLINES)
+    return k == 0 or orthogonal >= 2
 
 
 # ---------------------------------------------------------------------------
 # Density of a leaf line on the torus fibre
 # ---------------------------------------------------------------------------
+
+
+def _leaf_boxes(grid: int, dx: float, dy: float, arc_length: float) -> Iterator[int]:
+    """Boxes met by the line t * (dx, dy) / |(dx, dy)|, 0 <= t < arc_length,
+    on the unit torus cut into grid x grid boxes, as indices col * grid + row.
+
+    Amanatides-Woo traversal: one step per gridline crossing.  The n-th
+    crossing of the vertical gridlines comes at n * tdelta_x, tdelta_x =
+    |(dx, dy)| / (grid * |dx|), and likewise for rows; the times are
+    compared as n_x * |dy| against n_y * |dx| (both scaled by
+    grid * |dx| * |dy| / |(dx, dy)|) and never accumulated.  For integer
+    components, or |dx| = |dy|, these products are exact, so a line
+    through a grid corner gives an exact tie and steps both axes at once.
+    The box of the origin comes first; a line along a gridline keeps to
+    the boxes on its positive side.
+    """
+    ax, ay = abs(dx), abs(dy)
+    scale = arc_length * grid / math.hypot(dx, dy)
+    # crossings n >= 1 with n * tdelta < arc_length, per axis
+    x_count = max(0, math.ceil(scale * ax) - 1)
+    y_count = max(0, math.ceil(scale * ay) - 1)
+    col_step = 1 if dx >= 0 else -1
+    row_step = 1 if dy >= 0 else -1
+    col = 0 if dx >= 0 else grid - 1
+    row = 0 if dy >= 0 else grid - 1
+    yield 0
+    yield col * grid + row
+    nx = ny = 1
+    while nx <= x_count or ny <= y_count:
+        x_time = nx * ay if nx <= x_count else math.inf
+        y_time = ny * ax if ny <= y_count else math.inf
+        if x_time <= y_time:
+            col = (col + col_step) % grid
+            nx += 1
+        if y_time <= x_time:
+            row = (row + row_step) % grid
+            ny += 1
+        yield col * grid + row
 
 
 def leaf_density(
@@ -530,8 +584,17 @@ def leaf_density(
     """Fraction of the epsilon-grid boxes met by a line through the origin.
 
     The line follows ``direction`` (default: the stable eigendirection)
-    on the unit torus; the walk samples every epsilon/8 of arc length,
-    so no visited box of the round(1/epsilon)-per-side grid is skipped.
+    for ``arc_length`` on the unit torus, cut into round(1/epsilon) boxes
+    per side.  A box counts as met when the line passes through its open
+    interior, plus the box [0, 1/grid)^2 of the origin.  Where the line
+    passes exactly through a grid corner it steps diagonally, so the
+    boxes that only touch it at that corner are not met: the diagonal
+    (1, 1) meets exactly the grid diagonal boxes.  The walk is exact
+    (`_leaf_boxes`) and stops as soon as every box is met.  It is exact
+    for the float direction it is given: a rational slope passed as
+    rounded unit components, such as (1, 3) / sqrt(10), is a slightly
+    different line that clips the boxes at the corners it passes, so pass
+    a rational slope with integer components.
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -539,22 +602,15 @@ def leaf_density(
         raise ValueError("arc_length must be positive")
     grid = max(1, round(1.0 / epsilon))
     if direction is None:
-        frame = TangentFrame.cat_frame()
-        dx, dy = frame.stable
+        dx, dy = TangentFrame.cat_frame().stable
     else:
         dx, dy = float(direction[0]), float(direction[1])
-        norm = math.hypot(dx, dy)
-        if norm == 0:
+        if dx == 0 and dy == 0:
             raise ValueError("zero direction")
-        dx, dy = dx / norm, dy / norm
-    step = epsilon / 8.0
-    steps = int(arc_length / step)
-    x = 0.0
-    y = 0.0
+    total = grid * grid
     visited = set()
-    visited.add(0)
-    for _ in range(steps):
-        x = (x + dx * step) % 1.0
-        y = (y + dy * step) % 1.0
-        visited.add(int(x * grid) * grid + int(y * grid))
-    return len(visited) / (grid * grid)
+    for box in _leaf_boxes(grid, dx, dy, arc_length):
+        visited.add(box)
+        if len(visited) == total:
+            break
+    return len(visited) / total

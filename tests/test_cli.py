@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import liefol
 from liefol.cli import FLAG_RANGES, ProblemError, build_parser, main, parse_problem
 
 BASIC = """\
@@ -315,6 +320,48 @@ class TestErrorReporting:
             "status": "error",
             "error": "internal: RuntimeError: boom",
         }
+
+
+class TestArgumentErrors:
+    """A malformed command line is a JSON error with exit code 1, not
+    argparse's usage text with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, op, message",
+        [
+            (["anosov", "--samples", "abc"], "anosov", "argument --samples: invalid int value"),
+            (["frob"], None, "argument op: invalid choice: 'frob'"),
+            (["flow-series"], "flow-series", "the following arguments are required: target"),
+            ([], None, "the following arguments are required: op"),
+            (["anosov", "--bogus"], "anosov", "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_bad_command_line(self, argv, op, message, capsys):
+        code, report = run(capsys, *argv)
+        assert code == 1
+        assert report["op"] == op and report["status"] == "error"
+        assert report["error"].startswith(message)
+        assert set(report) == {"op", "status", "error"}
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["anosov", "--help"])
+        assert info.value.code == 0
+        assert "--arc-length" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(liefol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, liefol.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestBudgets:

@@ -26,6 +26,7 @@ from liefol import (
     torus_distance,
     verify_anosov_bounds,
 )
+from liefol.hyperbolic import _leaf_boxes
 
 LAMBDA_S = (3.0 - math.sqrt(5.0)) / 2.0
 LAMBDA_U = (3.0 + math.sqrt(5.0)) / 2.0
@@ -189,6 +190,24 @@ class TestAnosovBounds:
         b = verify_anosov_bounds(samples=5, t_max=25, seed=9)
         assert a == b
 
+    def test_samples_do_not_change_the_rates(self):
+        # every sample state sees the same cocycle, so one state measures it
+        for swap in (False, True):
+            one = verify_anosov_bounds(samples=1, t_max=60, seed=4, swap_bundles=swap)
+            many = verify_anosov_bounds(samples=50, t_max=60, seed=4, swap_bundles=swap)
+            for name in (
+                "lambda_stable_est",
+                "lambda_unstable_est",
+                "lambda_stable_backward",
+                "lambda_unstable_backward",
+                "c_stable",
+                "c_unstable",
+                "c_stable_lower",
+                "flow_exponent",
+            ):
+                assert getattr(one, name) == pytest.approx(getattr(many, name), abs=1e-12)
+            assert one.passed == many.passed == (not swap)
+
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
             verify_anosov_bounds(samples=0)
@@ -201,12 +220,12 @@ class TestAnosovBounds:
 class TestReturnMap:
     def test_fixed_point_block(self):
         m = return_map_matrix(fixed_point(), 1)
-        assert m.tolist() == [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert m == ((2, 1, 0), (1, 1, 0), (0, 0, 1))
 
     def test_period_two(self):
         s = SuspensionState(Fraction(4, 5), Fraction(3, 5), Fraction(0))
         m = return_map_matrix(s, 2)
-        assert m.tolist() == [[5.0, 3.0, 0.0], [3.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        assert m == ((5, 3, 0), (3, 2, 0), (0, 0, 1))
 
     def test_non_periodic_rejected(self):
         s = SuspensionState(Fraction(1, 3), Fraction(0), Fraction(0))
@@ -247,6 +266,92 @@ class TestInvariantLines:
         assert not line_is_invariant(fixed_point(), 1, (sx + 0.01, sy, 0.0))
 
 
+def _numpy_lines(state, period):
+    """The float classification that the exact one replaced: np.linalg.eig
+    of the 3x3 return map, sorted by modulus, unit length, first
+    non-negligible component positive."""
+    np = pytest.importorskip("numpy")
+    values, vectors = np.linalg.eig(np.array(return_map_matrix(state, period), dtype=float))
+    lines = []
+    for idx in np.argsort(np.abs(values.real)):
+        v = vectors[:, idx].real
+        v = v / np.linalg.norm(v)
+        if next(c for c in v if abs(c) > 1e-12) < 0:
+            v = -v
+        lines.append((float(values[idx].real), tuple(float(c) for c in v)))
+    return lines
+
+
+def _numpy_line_is_invariant(state, period, direction):
+    np = pytest.importorskip("numpy")
+    m = np.array(return_map_matrix(state, period), dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    image = m @ d
+    return bool(np.linalg.norm(image - (image @ d) * d) <= 1e-9 * np.linalg.norm(image))
+
+
+def _numpy_plane_is_invariant(state, period, u, w):
+    np = pytest.importorskip("numpy")
+    m = np.array(return_map_matrix(state, period), dtype=float)
+    normal = np.cross(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    normal = normal / np.linalg.norm(normal)
+    images = [m @ np.asarray(vec, dtype=float) for vec in (u, w)]
+    return all(abs(img @ normal) <= 1e-9 * np.linalg.norm(img) for img in images)
+
+
+class TestExactClassification:
+    """The exact eigendata against the numpy path it replaced."""
+
+    @pytest.mark.parametrize("period", [1, 2, 3, -1])
+    def test_lines_match_numpy_eig(self, period):
+        lines = classify_invariant_lines(fixed_point(), period)
+        assert [ln.label for ln in lines] == ["stable", "flow", "unstable"]
+        for line, (value, direction) in zip(lines, _numpy_lines(fixed_point(), period)):
+            assert line.eigenvalue == pytest.approx(value, abs=1e-12)
+            assert line.direction == pytest.approx(direction, abs=1e-12)
+
+    def test_negative_period_swaps_the_eigenvectors(self):
+        forward = classify_invariant_lines(fixed_point(), 1)
+        backward = classify_invariant_lines(fixed_point(), -1)
+        assert backward[0].direction == forward[2].direction
+        assert backward[2].direction == forward[0].direction
+        assert backward[0].eigenvalue == forward[0].eigenvalue
+
+    @pytest.mark.parametrize("period", [0, 1, 2, 3, -1])
+    def test_invariance_checks_match_numpy(self, period):
+        state = fixed_point()
+        eigen = [ln.direction for ln in classify_invariant_lines(state, 1)]
+        rng = random.Random(76)
+        others = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (eigen[0][0] + 0.01, eigen[0][1], 0.0)]
+        others += [tuple(float(rng.randint(-5, 5)) for _ in range(3)) for _ in range(6)]
+        vectors = [v for v in eigen + others if any(v)]
+        for v in vectors:
+            want = _numpy_line_is_invariant(state, period, v)
+            assert line_is_invariant(state, period, v) == want
+        for i, u in enumerate(vectors):
+            for w in vectors[i + 1 :]:
+                try:
+                    got = plane_is_invariant(state, period, u, w)
+                except ValueError:  # parallel pair
+                    continue
+                assert got == _numpy_plane_is_invariant(state, period, u, w)
+
+    def test_equal_moduli_rejected(self):
+        # zero roof crossings: the return map is the identity
+        with pytest.raises(ValueError, match="equal modulus"):
+            classify_invariant_lines(fixed_point(), 0)
+
+    def test_open_orbit_rejected_everywhere(self):
+        s = SuspensionState(Fraction(1, 3), Fraction(0), Fraction(0))
+        with pytest.raises(ValueError, match="does not close"):
+            classify_invariant_lines(s, 1)
+        with pytest.raises(ValueError, match="does not close"):
+            line_is_invariant(s, 1, (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="does not close"):
+            plane_is_invariant(s, 1, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+
+
 class TestInvariantPlanes:
     def test_three_planes_at_fixed_point(self):
         planes = classify_invariant_planes(fixed_point(), 1)
@@ -275,9 +380,10 @@ class TestLeafDensity:
         assert leaf_density(0.05, 2000.0) == 1.0
 
     def test_rational_slope_plateaus(self):
-        # the diagonal from the origin only ever meets diagonal boxes
-        cov = leaf_density(0.05, 2000.0, direction=(1.0, 1.0))
-        assert cov == pytest.approx(20 / 400)
+        # the diagonal from the origin only ever meets diagonal boxes: it
+        # passes through every corner between them and steps diagonally
+        for arc in (5.0, 50.0, 2000.0):
+            assert leaf_density(0.05, arc, direction=(1.0, 1.0)) == 20 / 400
 
     def test_monotone_in_arc_length(self):
         short = leaf_density(0.05, 5.0)
@@ -310,3 +416,101 @@ class TestLeafDensity:
         distinct = {round(g, 9) for g in gaps}
         assert len(distinct) <= 3
         assert max(gaps) < 0.02
+
+
+def _sampled_walk(epsilon, arc_length, direction):
+    """The boxes found by the walk that the exact traversal replaced: a
+    sample every epsilon/8 of arc length."""
+    grid = max(1, round(1.0 / epsilon))
+    norm = math.hypot(*direction)
+    dx, dy = direction[0] / norm, direction[1] / norm
+    step = epsilon / 8.0
+    x = y = 0.0
+    visited = {0}
+    for _ in range(int(arc_length / step)):
+        x = (x + dx * step) % 1.0
+        y = (y + dy * step) % 1.0
+        visited.add(int(x * grid) * grid + int(y * grid))
+    return visited
+
+
+def _exact_boxes(grid, direction, s_end):
+    """Independent oracle for the traversal, in Fractions.
+
+    The line s * direction, 0 < s < s_end (both components non-zero),
+    is cut at every integer value of either coordinate into wrap
+    segments, each inside one unit square of the plane.  A box meets a
+    segment when the open s-intervals that put each coordinate strictly
+    inside the box overlap.  Returns box -> total s-length inside it,
+    with the origin's box always present, as the traversal counts it.
+    """
+    p, q = (Fraction(c) for c in direction)
+    cuts = {Fraction(0), s_end}
+    for c in (p, q):
+        cuts.update(n / abs(c) for n in range(1, math.floor(s_end * abs(c)) + 1))
+    cuts = sorted(s for s in cuts if s <= s_end)
+    met = {0: Fraction(0)}
+    for s0, s1 in zip(cuts, cuts[1:]):
+        mid = (s0 + s1) / 2
+        square = (math.floor(mid * p), math.floor(mid * q))
+        for col in range(grid):
+            for row in range(grid):
+                lo, hi = s0, s1
+                for c, corner, k in zip((p, q), square, (col, row)):
+                    ends = ((corner + Fraction(k, grid)) / c, (corner + Fraction(k + 1, grid)) / c)
+                    lo, hi = max(lo, min(ends)), min(hi, max(ends))
+                if lo < hi:
+                    box = col * grid + row
+                    met[box] = met.get(box, Fraction(0)) + hi - lo
+    return met
+
+
+class TestExactTraversal:
+    def test_matches_oracle_on_rational_directions(self):
+        rng = random.Random(77)
+        for _ in range(80):
+            p = rng.choice([-1, 1]) * rng.randint(1, 5)
+            q = rng.choice([-1, 1]) * rng.randint(1, 5)
+            grid = rng.choice([1, 2, 3, 4, 5, 7])
+            # s_end * grid * p and s_end * grid * q are never integers, so the
+            # float arc length cannot land on a gridline crossing
+            s_end = Fraction(2 * rng.randint(0, 2 * grid * abs(p * q)) + 1, 2 * grid * abs(p * q))
+            arc = float(s_end) * math.hypot(p, q)
+            got = set(_leaf_boxes(grid, float(p), float(q), arc))
+            assert got == set(_exact_boxes(grid, (p, q), s_end)), (p, q, grid, s_end)
+
+    def test_matches_oracle_on_stable_direction(self):
+        # a float direction is an exact binary fraction, so the oracle applies
+        stable = TangentFrame.cat_frame().stable
+        s_end = Fraction(5.0) / Fraction(math.hypot(*stable))
+        assert set(_leaf_boxes(20, *stable, 5.0)) == set(_exact_boxes(20, stable, s_end))
+
+    def test_corner_clipped_boxes_now_counted(self):
+        stable = TangentFrame.cat_frame().stable
+        exact = _exact_boxes(20, stable, Fraction(5.0) / Fraction(math.hypot(*stable)))
+        missed = set(exact) - _sampled_walk(0.05, 5.0, stable)
+        assert sorted(missed) == [26, 52, 258, 264]
+        for box in missed:
+            # the line crosses these boxes for less than one sampling step
+            assert 0 < exact[box] * math.hypot(*stable) < 0.05 / 8
+        assert leaf_density(0.05, 5.0) == len(exact) / 400 == 0.3475
+
+    def test_early_exit_matches_full_walk(self):
+        cases = [
+            (0.05, 20.0, None),
+            (0.05, 2000.0, None),
+            (0.02, 5000.0, None),
+            (0.1, 30.0, (3.0, -7.0)),
+            (0.25, 4.0, (1.0, 3.0)),
+        ]
+        for epsilon, arc, direction in cases:
+            grid = round(1.0 / epsilon)
+            d = direction or TangentFrame.cat_frame().stable
+            full = len(set(_leaf_boxes(grid, *d, arc))) / grid**2
+            assert leaf_density(epsilon, arc, direction) == full
+        assert leaf_density(0.02, 5000.0) == 1.0
+
+    def test_line_along_a_gridline_keeps_one_side(self):
+        assert leaf_density(0.25, 10.0, direction=(0.0, 1.0)) == 4 / 16
+        assert leaf_density(0.25, 10.0, direction=(0.0, -1.0)) == 4 / 16
+        assert set(_leaf_boxes(4, -1.0, 0.0, 10.0)) == {0, 4, 8, 12}
