@@ -4,7 +4,10 @@ The grammar is deliberately small: integers, rational literals ``p/q``,
 variable names, ``+ - * ^`` with non-negative integer exponents, and
 parentheses; whitespace is insignificant.  ``/`` is only legal between
 two integer literals, so every expression denotes a polynomial.  A power
-``base ^ n`` may reach total degree at most ``MAX_POWER_DEGREE``.
+``base ^ n`` or a product may reach total degree at most
+``MAX_POWER_DEGREE`` (in a field expression the basis factor counts as
+one), and at most ``MAX_TERMS`` terms by an estimate made before it is
+expanded.
 
 Vector-field expressions use the same grammar over the chart extended
 by basis names: ``d<var>`` for each chart variable, with ``dx1 .. dxn``
@@ -14,15 +17,21 @@ contain exactly one basis factor, to the first power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Chart, Poly
 
-# Largest total degree a power ``base ^ n`` may reach; checked before the
-# power is expanded, so a huge exponent is a parse error, not a hang.
+# Largest total degree a power ``base ^ n`` or a product may reach, and
+# most terms it may have: as many as a dense bivariate polynomial of that
+# degree.  Both are checked before anything is expanded, so a huge
+# exponent or product is a parse error, not a hang.
 MAX_POWER_DEGREE = 100
+MAX_TERMS = math.comb(MAX_POWER_DEGREE + 2, 2)
 
 
 class ParseError(ValueError):
@@ -146,38 +155,56 @@ class _Parser:
             rhs = self.term()
             acc = acc + rhs if tok.kind == "+" else acc - rhs
 
+    def check(self, what: str, degree: int, terms: int, pos: int) -> int:
+        """Reject a power or product over the budget; return its term
+        estimate, capped by the count of monomials of its degree."""
+        if degree > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"{what} of degree {degree} exceeds the limit {MAX_POWER_DEGREE}", pos
+            )
+        terms = min(terms, math.comb(self.chart.size + degree, degree))
+        if terms > MAX_TERMS:
+            raise ParseError(
+                f"{what} of about {terms} terms exceeds the limit {MAX_TERMS}", pos
+            )
+        return terms
+
     def term(self) -> Poly:
-        acc = self.unary()
+        # the factors are expanded only once the whole product fits the budget
+        sign, base, n, degree, terms = self.unary()
+        factors = [(base, n)]
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "*":
-                return acc
+                break
             self.take()
-            acc = acc * self.unary()
+            s, base, n, d, t = self.unary()
+            sign, degree = sign * s, degree + d
+            terms = self.check("product", degree, terms * t, tok.pos)
+            factors.append((base, n))
+        acc = reduce(mul, (base if n == 1 else base**n for base, n in factors))
+        return -acc if sign < 0 else acc
 
-    def unary(self) -> Poly:
+    def unary(self) -> Tuple[int, Poly, int, int, int]:
+        """A signed power, unexpanded: sign, base, exponent, degree, terms."""
         tok = self.peek()
         if tok is not None and tok.kind == "-":
             self.take()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> Poly:
+            sign, base, n, degree, terms = self.unary()
+            return -sign, base, n, degree, terms
         base = self.atom()
         tok = self.peek()
         if tok is None or tok.kind != "^":
-            return base
+            return 1, base, 1, base.total_degree(), len(base.terms)
         self.take()
         exp = self.take()
         if exp.kind != "num" or exp.value is None or exp.value.denominator != 1 or exp.value < 0:
             raise ParseError("exponents must be non-negative integers", exp.pos)
         n = int(exp.value)
         degree = base.total_degree() * n
-        if degree > MAX_POWER_DEGREE:
-            raise ParseError(
-                f"power of degree {degree} exceeds the limit {MAX_POWER_DEGREE}", exp.pos
-            )
-        return base ** n
+        # the multinomial count bounds the terms of a power
+        terms = 1 if len(base.terms) <= 1 or n == 0 else math.comb(len(base.terms) + n - 1, n)
+        return 1, base, n, degree, self.check("power", degree, terms, exp.pos)
 
     def atom(self) -> Poly:
         tok = self.take()

@@ -1,18 +1,19 @@
 """Algebraic foliations presented by generating vector fields.
 
 Everything here happens at the generic point: rank means rank over the
-rational function field, span membership is exact linear algebra there,
-and the singular locus is cut out by the maximal minors of the
-coefficient matrix after the codimension-one part common to all of them
-is divided away.
+rational function field and span membership is exact linear algebra
+there, both answered by one fraction-free elimination on polynomial
+rows (``linalg``); the singular locus is cut out by the maximal minors
+of the coefficient matrix after the codimension-one part common to all
+of them is divided away.
 
 The two geometric constructions are ``tangent_foliation`` — the kernel
-of the Jacobian of a dominant rational map, cleared to polynomial
-generators — and the invariance tests: a foliation is invariant under a
-field when all brackets of the field with generators stay inside the
-generic span; a squarefree hypersurface is invariant under a rank-one
-field exactly when its equation divides its own derivative along the
-saturated generator.
+of the Jacobian of a dominant rational map, whose basis vectors come out
+of the elimination as polynomial generators — and the invariance tests:
+a foliation is invariant under a field when all brackets of the field
+with generators stay inside the generic span; a squarefree hypersurface
+is invariant under a rank-one field exactly when its equation divides
+its own derivative along the saturated generator.
 """
 
 from __future__ import annotations
@@ -210,19 +211,17 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
             raise ChartMismatchError("component on a different chart")
     m = len(comps)
     n = chart.size
-    jac = [[c.partial(k) for k in range(n)] for c in comps]
-    r = linalg.rank(jac)
+    kernel = linalg.kernel_basis([[c.partial(k) for k in range(n)] for c in comps])
+    r = n - len(kernel)
     if r != m:
         raise ValueError(
             f"map is not dominant onto its {m}-dimensional target (Jacobian rank {r})"
         )
     if m == n:
         raise ValueError("map has finite generic fibres; the tangent foliation is zero")
-    kernel = linalg.kernel_basis(jac)
-    gens = [
-        VectorField.from_coefficients(chart, linalg.clear_to_polynomials(vec)) for vec in kernel
-    ]
-    return FoliationGens(chart, tuple(gens))
+    return FoliationGens(
+        chart, tuple(VectorField.from_coefficients(chart, vec) for vec in kernel)
+    )
 
 
 def invariant_hypersurface(f: Poly, v: VectorField) -> bool:

@@ -1,90 +1,66 @@
 """Exact linear algebra over the rational function field of a chart.
 
-Plain Gaussian elimination with RatFunc entries: at the sizes this
-package meets (matrices no wider than a handful of variables), exact
-pivoting beats anything cleverer, and every rank/kernel/span answer is
-a theorem rather than a numerical judgement.
+Each row is first scaled to polynomials by its common denominator,
+which changes no rank, span or kernel; then one fraction-free (Bareiss)
+elimination, ``poly.bareiss``, answers every question without a gcd.
+Rank and span membership eliminate below the pivots only; ``rref`` and
+``kernel_basis`` also clear above them.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .poly import Chart, Poly, RatFunc, clear_denominators, content, divexact
+from .poly import Poly, RatFunc, bareiss, clear_denominators, content, divexact, normalize
 
 Matrix = Sequence[Sequence[RatFunc]]
 
 
-def _copy(rows: Matrix) -> List[List[RatFunc]]:
-    return [list(r) for r in rows]
+def _eliminate(rows: Matrix, reduced: bool) -> Tuple[List[List[Poly]], List[int]]:
+    return bareiss([list(clear_denominators(row)) for row in rows], reduced)[:2]
 
 
 def rref(rows: Matrix) -> Tuple[List[List[RatFunc]], List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = _copy(rows)
-    if not m:
+    if not rows:
         return [], []
-    width = len(m[0])
-    for row in m:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-    pivots: List[int] = []
-    r = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [entry / inv for entry in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][col].is_zero():
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, pivots = _eliminate(rows, True)
+    den = m[0][pivots[0]] if pivots else None
+    return [[RatFunc(p, den) for p in row] for row in m], pivots
 
 
 def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    return len(_eliminate(rows, False)[1])
 
 
 def in_row_span(rows: Matrix, vector: Sequence[RatFunc]) -> bool:
-    """True iff ``vector`` lies in the row space of ``rows`` over the
-    rational function field."""
-    base = rank(rows)
-    return rank(list(rows) + [list(vector)]) == base
+    """Does ``vector`` lie in the row space of ``rows`` over the function field?"""
+    return rank(list(rows) + [list(vector)]) == rank(rows)
 
 
 def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
-    """Basis of the right kernel {u : rows . u = 0}."""
+    """Basis of the right kernel {u : rows . u = 0}: for each non-pivot
+    column, a polynomial vector of content one whose entry there is
+    integer-primitive with positive leading coefficient."""
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
-    width = len(rows[0])
-    reduced, pivots = rref(rows)
-    chart = rows[0][0].chart
-    free_cols = [c for c in range(width) if c not in pivots]
+    m, pivots = _eliminate(rows, True)
+    den = m[0][pivots[0]] if pivots else Poly.one(m[0][0].chart)
     basis: List[List[RatFunc]] = []
-    for free in free_cols:
-        vec = [RatFunc.zero(chart) for _ in range(width)]
-        vec[free] = RatFunc.constant(chart, 1)
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -reduced[row_idx][free]
-        basis.append(vec)
+    for free in (c for c in range(len(m[0])) if c not in pivots):
+        vec = [Poly.zero(den.chart)] * len(m[0])
+        vec[free] = den
+        for row, col in zip(m, pivots):
+            vec[col] = -row[free]
+        g = content([p for p in vec if not p.is_zero()])
+        scale = divexact(den, normalize(divexact(den, g)))
+        basis.append([RatFunc(divexact(p, scale)) for p in vec])
     return basis
 
 
 def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:
-    """Scale a rational vector to polynomial entries with content 1.
-
-    The common denominator is multiplied out, then the GCD of the
-    entries is divided away; the zero vector is rejected.
-    """
+    """Scale a nonzero rational vector to polynomial entries with content 1:
+    multiply out the common denominator, then divide away the entries' GCD."""
     vec = tuple(vector)
     if all(v.is_zero() for v in vec):
         raise ValueError("cannot normalize the zero vector")

@@ -732,30 +732,50 @@ def squarefree_part(p: Poly) -> Poly:
     return normalize(divexact(p, g))
 
 
+def bareiss(
+    rows: Sequence[Sequence[Poly]], reduced: bool = False
+) -> Tuple[List[List[Poly]], List[int], int]:
+    """Fraction-free (Bareiss) elimination of a polynomial matrix: the
+    eliminated copy, its pivot columns and the sign of the row swaps.
+    Every entry is a minor of the input, so each division is exact.
+    ``reduced`` also clears above each pivot (Nakos, Turner and Williams
+    1997); every pivot then equals the last one."""
+    m = [list(row) for row in rows]
+    width = len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise ValueError("ragged matrix")
+    pivots: List[int] = []
+    sign, prev = 1, None
+    for col in range(width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k], sign = m[k], m[r], -sign
+        top, p = m[r], m[r][col]
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i == r:
+                continue
+            row, a = m[i], m[i][col]
+            row[col] = Poly.zero(p.chart)
+            # below the pivot the columns left of it are already zero
+            for j in range(col + 1 if i > r else 0, width):
+                if j != col:
+                    v = p * row[j] - a * top[j]
+                    row[j] = v if prev is None else divexact(v, prev)
+        prev = p
+        pivots.append(col)
+    return m, pivots, sign
+
+
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square polynomial matrix (fraction-free Bareiss)."""
     n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    chart = rows[0][0].chart
-    m = [list(row) for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = Poly.one(chart)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return Poly.zero(chart)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = Poly.zero(chart)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix is empty or not square")
+    m, pivots, sign = bareiss(rows)
+    return m[n - 1][n - 1] * sign if len(pivots) == n else Poly.zero(rows[0][0].chart)
 
 
 def resultant(p: Poly, q: Poly, var: Union[str, int]) -> Poly:
@@ -1018,8 +1038,8 @@ def clear_denominators(fs: Iterable[RatFunc]) -> Tuple[Poly, ...]:
     chart = fs[0].chart
     common = Poly.one(chart)
     for f in fs:
-        common = lcm(common, f.den)
-    out = []
-    for f in fs:
-        out.append(f.num * divexact(common, f.den))
-    return tuple(out)
+        if not f.den.is_one():
+            common = lcm(common, f.den)
+    if common.is_one():
+        return tuple(f.num for f in fs)
+    return tuple(f.num * divexact(common, f.den) for f in fs)

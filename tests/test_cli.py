@@ -385,6 +385,18 @@ class TestBudgets:
         assert "column 9" in report["error"]  # the exponent, counted in the payload
 
     @pytest.mark.parametrize(
+        "curve", ["(x+y+z+1)^60", "(x+y+1)^100*(x-y+2)^100", "(x+y+1)^100*(x-y+2)^50"]
+    )
+    def test_large_expansion_is_a_parse_error(self, curve, tmp_path, capsys):
+        path = tmp_path / "curve.txt"
+        path.write_text(f"vars: x y z\nfield v = x*dx + y*dy\ncurve C = {curve}\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "invariance", str(path), "--curve", "C")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and report["status"] == "error"
+        assert "line 3" in report["error"] and "exceeds the limit" in report["error"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["anosov", "--arc-length", "1e9"],

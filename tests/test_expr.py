@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 
 from conftest import XY, XYZ, poly_strategy
 from liefol import ParseError, Poly, format_poly, parse_field_coefficients, parse_polynomial
-from liefol.expr import MAX_POWER_DEGREE, basis_names, format_field
+from liefol.expr import MAX_POWER_DEGREE, MAX_TERMS, basis_names, format_field
 
 X, Y = XY.vars()
 
@@ -64,6 +66,34 @@ def test_power_degree_budget():
     assert err.value.position == len("1 + (x + y + 1)^")
     with pytest.raises(ParseError, match=f"power of degree {2 * n}"):
         parse_polynomial(f"(x*y)^{n}", XY)
+
+
+def test_product_and_expansion_budget():
+    """Products are bounded like powers, and both by an estimate of their
+    term count, all before anything is expanded."""
+    assert MAX_TERMS == 5151  # a dense bivariate polynomial of degree 100
+    assert parse_polynomial("x^60*y^40", XY) == X**60 * Y**40
+    assert parse_polynomial("(x + y + 1)^10*(x - y + 2)^10", XY).total_degree() == 20
+    with pytest.raises(ParseError, match="product of degree 101") as err:
+        parse_polynomial("x^60*y^40*x", XY)
+    assert err.value.position == len("x^60*y^40")
+    # both factors are within budget and expand in seconds; their product
+    # is rejected at the '*' before either is expanded
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="product of degree 200") as err:
+        parse_polynomial("(x+y+1)^100*(x-y+2)^100", XY)
+    assert err.value.position == len("(x+y+1)^100")
+    # 39711 terms by the multinomial count; it used to take about 40 s
+    with pytest.raises(ParseError, match="power of about 39711 terms") as err:
+        parse_polynomial("(x+y+z+1)^60", XYZ)
+    assert err.value.position == len("(x+y+z+1)^")
+    # degree 100, but 1326 * 1326 terms and 176851 monomials in three variables
+    with pytest.raises(ParseError, match="product of about 176851 terms"):
+        parse_polynomial("(x+y+1)^50*(x-y+2)^50", XYZ)
+    assert time.perf_counter() - start < 1.0
+    # the signs of the factors multiply
+    assert parse_polynomial("-x^2*-y", XY) == X**2 * Y
+
 
 @given(poly_strategy(XY))
 def test_print_parse_roundtrip(p):

@@ -1,14 +1,22 @@
-"""Gaussian elimination over the rational-function field."""
+"""Exact linear algebra over the rational-function field.
+
+The fraction-free elimination is checked against the RatFunc
+Gauss-Jordan it replaced, kept here as the reference.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 
-from conftest import XY, random_ratfunc
+from conftest import XY, XYZ, random_poly, random_ratfunc
 from liefol import Poly, RatFunc
+from liefol import poly as poly_module
 from liefol.linalg import clear_to_polynomials, in_row_span, kernel_basis, rank, rref
+from liefol.poly import clear_denominators, poly_det
 
 X, Y = XY.vars()
 
@@ -64,3 +72,149 @@ def test_clear_to_polynomials():
 def test_clear_to_polynomials_rejects_zero():
     with pytest.raises(ValueError):
         clear_to_polynomials([RatFunc.zero(XY), RatFunc.zero(XY)])
+
+
+# --- reference: Gauss-Jordan with RatFunc entries -----------------------------
+
+
+def _reference_rref(rows):
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    width = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot_row = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col]
+        m[r] = [entry / inv for entry in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][col].is_zero():
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _reference_rank(rows):
+    return len(_reference_rref(rows)[1])
+
+
+def _reference_kernel_basis(reduced, pivots):
+    """The kernel read off the reference rref."""
+    width = len(reduced[0])
+    chart = reduced[0][0].chart
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [RatFunc.zero(chart) for _ in range(width)]
+        vec[free] = RatFunc.constant(chart, 1)
+        for row_idx, pivot_col in enumerate(pivots):
+            vec[pivot_col] = -reduced[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    det = Poly.zero(m[0][0].chart)
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        det = det + (-1) ** j * entry * _cofactor_det(minor)
+    return det
+
+
+def _combination(rng, chart, rows):
+    """A random combination of at most two of ``rows``, with coefficients
+    of degree at most one."""
+    out = [RatFunc.zero(chart)] * len(rows[0])
+    for row in rng.sample(rows, min(2, len(rows))):
+        c = RatFunc(random_poly(rng, chart, 1, 3))
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def _random_entry(rng, chart):
+    """Degree <= 2; one entry in five is a quotient of degree-1 polynomials."""
+    if rng.random() < 0.2:
+        return random_ratfunc(rng, chart, 1)
+    return RatFunc(random_poly(rng, chart, 2, 5))
+
+
+def _random_matrices(seed, count):
+    """(rng, chart, matrix): 1-4 x 1-4 over two or three variables, often
+    rank deficient through a row that combines others or a zero column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        chart = rng.choice((XY, XYZ))
+        height, width = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[_random_entry(rng, chart) for _ in range(width)] for _ in range(height)]
+        if height > 1 and rng.random() < 0.5:
+            k = rng.randrange(height)
+            m[k] = _combination(rng, chart, m[:k] + m[k + 1 :])
+        if width > 1 and rng.random() < 0.3:
+            col = rng.randrange(width)
+            for row in m:
+                row[col] = RatFunc.zero(chart)
+        yield rng, chart, m
+
+
+def test_elimination_matches_the_ratfunc_reference():
+    for rng, chart, m in _random_matrices(5, 40):
+        reduced, pivots = _reference_rref(m)
+        assert rref(m) == (reduced, pivots)
+        assert rank(m) == len(pivots)
+        outside = [_random_entry(rng, chart) for _ in m[0]]
+        for vector in (_combination(rng, chart, m), outside):
+            expected = _reference_rank(m + [vector]) == len(pivots)
+            assert in_row_span(m, vector) == expected
+        assert [clear_to_polynomials(v) for v in kernel_basis(m)] == [
+            clear_to_polynomials(v) for v in _reference_kernel_basis(reduced, pivots)
+        ]
+        if len(m) == len(m[0]):
+            polys = [list(clear_denominators(row)) for row in m]
+            assert poly_det(polys) == _cofactor_det(polys)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(p, symbols):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *symbols).as_expr()
+
+    for _, chart, m in _random_matrices(6, 30):
+        symbols = sympy.symbols(chart.variables)
+        matrix = sympy.Matrix(
+            [[to_sympy(f.num, symbols) / to_sympy(f.den, symbols) for f in row] for row in m]
+        )
+        assert rank(m) == DomainMatrix.from_Matrix(matrix).rank()
+
+
+def _dense_poly(rng, chart, degree):
+    exps = [e for e in itertools.product(range(degree + 1), repeat=chart.size) if sum(e) <= degree]
+    return Poly(chart, {e: rng.randint(-9, 9) for e in exps})
+
+
+def test_polynomial_rows_take_no_gcd(monkeypatch):
+    rng = random.Random(3)
+    m = [[RatFunc(_dense_poly(rng, XYZ, 3)) for _ in range(4)] for _ in range(3)]
+    square = [[f.num for f in row[:3]] for row in m]
+    calls = []
+    real_gcd = poly_module._gcd
+    monkeypatch.setattr(poly_module, "_gcd", lambda p, q: calls.append(1) or real_gcd(p, q))
+    # the generic-rank cliff of the RatFunc path: seconds there, a tenth here
+    start = time.perf_counter()
+    assert rank(m) == 3
+    assert time.perf_counter() - start < 1.0
+    assert in_row_span(m[:2], [a + b for a, b in zip(m[0], m[1])])
+    assert not in_row_span(m[:2], m[2])
+    assert not poly_det(square).is_zero()
+    assert calls == []
