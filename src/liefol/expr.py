@@ -6,8 +6,8 @@ parentheses; whitespace is insignificant.  ``/`` is only legal between
 two integer literals, so every expression denotes a polynomial.  A power
 ``base ^ n`` or a product may reach total degree at most
 ``MAX_POWER_DEGREE`` (in a field expression the basis factor counts as
-one), and at most ``MAX_TERMS`` terms by an estimate made before it is
-expanded.
+one), at most ``MAX_TERMS`` terms and coefficients of at most
+``MAX_COEFF_BITS`` bits, by estimates made before it is expanded.
 
 Vector-field expressions use the same grammar over the chart extended
 by basis names: ``d<var>`` for each chart variable, with ``dx1 .. dxn``
@@ -26,12 +26,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Chart, Poly
 
-# Largest total degree a power ``base ^ n`` or a product may reach, and
-# most terms it may have: as many as a dense bivariate polynomial of that
-# degree.  Both are checked before anything is expanded, so a huge
-# exponent or product is a parse error, not a hang.
+# Largest total degree a power ``base ^ n`` or a product may reach, most
+# terms it may have (as many as a dense bivariate polynomial of that
+# degree) and longest coefficients (64 bits per unit of degree).  All are
+# checked before anything is expanded, so a huge exponent or product is a
+# parse error, not a hang.
 MAX_POWER_DEGREE = 100
 MAX_TERMS = math.comb(MAX_POWER_DEGREE + 2, 2)
+MAX_COEFF_BITS = MAX_POWER_DEGREE * 64
+
+
+def _log2_ceil(n: int) -> int:
+    return (n - 1).bit_length()
+
+
+def _coefficient_bits(base: Poly, n: int) -> int:
+    """An upper bound on the bits of the numerators plus the denominator
+    of ``base ^ n``: every coefficient of N^n is at most (terms * max|N|)^n
+    in size, and the denominator is d^n."""
+    if n == 0 or base.is_zero():
+        return 0
+    top = max(map(abs, base._num.values()))
+    return n * (_log2_ceil(top) + _log2_ceil(len(base)) + _log2_ceil(base._den))
 
 
 class ParseError(ValueError):
@@ -155,7 +171,7 @@ class _Parser:
             rhs = self.term()
             acc = acc + rhs if tok.kind == "+" else acc - rhs
 
-    def check(self, what: str, degree: int, terms: int, pos: int) -> int:
+    def check(self, what: str, degree: int, terms: int, bits: int, pos: int) -> int:
         """Reject a power or product over the budget; return its term
         estimate, capped by the count of monomials of its degree."""
         if degree > MAX_POWER_DEGREE:
@@ -167,35 +183,42 @@ class _Parser:
             raise ParseError(
                 f"{what} of about {terms} terms exceeds the limit {MAX_TERMS}", pos
             )
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"{what} with coefficients of about {bits} bits exceeds the limit "
+                f"{MAX_COEFF_BITS}",
+                pos,
+            )
         return terms
 
     def term(self) -> Poly:
         # the factors are expanded only once the whole product fits the budget
-        sign, base, n, degree, terms = self.unary()
+        sign, base, n, degree, terms, bits = self.unary()
         factors = [(base, n)]
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "*":
                 break
             self.take()
-            s, base, n, d, t = self.unary()
-            sign, degree = sign * s, degree + d
-            terms = self.check("product", degree, terms * t, tok.pos)
+            s, base, n, d, t, b = self.unary()
+            sign, degree, bits = sign * s, degree + d, bits + b
+            terms = self.check("product", degree, terms * t, bits, tok.pos)
             factors.append((base, n))
         acc = reduce(mul, (base if n == 1 else base**n for base, n in factors))
         return -acc if sign < 0 else acc
 
-    def unary(self) -> Tuple[int, Poly, int, int, int]:
-        """A signed power, unexpanded: sign, base, exponent, degree, terms."""
+    def unary(self) -> Tuple[int, Poly, int, int, int, int]:
+        """A signed power, unexpanded: sign, base, exponent, degree, terms
+        and coefficient bits."""
         tok = self.peek()
         if tok is not None and tok.kind == "-":
             self.take()
-            sign, base, n, degree, terms = self.unary()
-            return -sign, base, n, degree, terms
+            sign, base, n, degree, terms, bits = self.unary()
+            return -sign, base, n, degree, terms, bits
         base = self.atom()
         tok = self.peek()
         if tok is None or tok.kind != "^":
-            return 1, base, 1, base.total_degree(), len(base.terms)
+            return 1, base, 1, base.total_degree(), len(base), _coefficient_bits(base, 1)
         self.take()
         exp = self.take()
         if exp.kind != "num" or exp.value is None or exp.value.denominator != 1 or exp.value < 0:
@@ -203,8 +226,9 @@ class _Parser:
         n = int(exp.value)
         degree = base.total_degree() * n
         # the multinomial count bounds the terms of a power
-        terms = 1 if len(base.terms) <= 1 or n == 0 else math.comb(len(base.terms) + n - 1, n)
-        return 1, base, n, degree, self.check("power", degree, terms, exp.pos)
+        terms = 1 if len(base) <= 1 or n == 0 else math.comb(len(base) + n - 1, n)
+        bits = _coefficient_bits(base, n)
+        return 1, base, n, degree, self.check("power", degree, terms, bits, exp.pos), bits
 
     def atom(self) -> Poly:
         tok = self.take()
@@ -217,7 +241,7 @@ class _Parser:
                 raise ParseError(f"unknown name {tok.text!r}", tok.pos)
             exps = [0] * self.chart.size
             exps[idx] = 1
-            return Poly(self.chart, {tuple(exps): Fraction(1)})
+            return Poly(self.chart, {tuple(exps): 1})
         if tok.kind == "(":
             inner = self.expression()
             self.expect(")")
@@ -272,8 +296,8 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
         raise ParseError("empty expression", 0)
     p = _Parser(tokens, extended, names, len(text)).parse()
     n = chart.size
-    coeffs: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(n)]
-    for exps, coeff in p.terms.items():
+    coeffs: List[Dict[Tuple[int, ...], int]] = [dict() for _ in range(n)]
+    for exps, coeff in p._num.items():
         basis_part = exps[n:]
         weight = sum(basis_part)
         if weight == 0:
@@ -282,7 +306,7 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
             raise ParseError("field term multiplies two basis factors", 0)
         k = basis_part.index(1)
         coeffs[k][exps[:n]] = coeff
-    return tuple(Poly(chart, c) for c in coeffs)
+    return tuple(Poly._lowest(chart, c, p._den) for c in coeffs)
 
 
 def format_field(coefficients: Sequence[Poly], chart: Chart) -> str:

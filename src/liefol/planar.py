@@ -101,13 +101,14 @@ class PlanarField:
 
 def _hat(p: Poly, n: int) -> Poly:
     """``s^n p(1/s, t/s)`` as a polynomial on the infinity chart."""
-    acc: Dict[Exponents, Fraction] = {}
-    for (e1, e2), coeff in p.terms.items():
+    acc: Dict[Exponents, int] = {}
+    for (e1, e2), coeff in p._num.items():
         d = e1 + e2
         if d > n:
             raise ValueError("degree exceeds the homogenization degree")
-        acc[(n - d, e2)] = acc.get((n - d, e2), Fraction(0)) + coeff
-    return Poly(INFINITY_CHART, acc)
+        acc[(n - d, e2)] = coeff
+    # distinct monomials of p land on distinct ones: p's scale carries over
+    return Poly._trusted(INFINITY_CHART, acc, p._den)
 
 
 def to_infinity_chart(field: PlanarField) -> Tuple[Poly, Poly]:
@@ -129,11 +130,8 @@ def q_polynomial(field: PlanarField) -> Poly:
 
 def _restrict_to_line(p: Poly) -> Poly:
     """Evaluate a polynomial on the infinity chart at s = 0, as a poly in t."""
-    acc: Dict[Exponents, Fraction] = {}
-    for (es, et), coeff in p.terms.items():
-        if es == 0:
-            acc[(et,)] = coeff
-    return Poly(LINE_CHART, acc)
+    acc = {(et,): coeff for (es, et), coeff in p._num.items() if es == 0}
+    return Poly._lowest(LINE_CHART, acc, p._den)
 
 
 def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
@@ -259,7 +257,7 @@ def rational_roots(p: Poly) -> List[Fraction]:
     degree = sqf.total_degree()
     if degree == 0:
         return []
-    f = [sqf.coefficient((k,)).numerator for k in range(degree + 1)]
+    f = [sqf._num.get((k,), 0) for k in range(degree + 1)]
     seq = _sturm_sequence(f)
     # Cauchy: every root has |r| < 1 + max|c_i| / lead < 2^bits
     bits = (max(abs(c) for c in f) // f[-1] + 2).bit_length()

@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-Coefficients are `fractions.Fraction`; a polynomial is a mapping from
-exponent tuples to nonzero coefficients, tied to a `Chart` (an ordered
-tuple of variable names).  All normal forms used elsewhere in the
-package are fixed here:
+A polynomial is tied to a `Chart` (an ordered tuple of variable names)
+and stored as integer numerators over one positive common denominator:
+a mapping from exponent tuples to nonzero ints, plus the denominator,
+kept in lowest terms.  Arithmetic therefore runs on Python ints and
+reconciles the scale once per operation; exact division divides by the
+integer-primitive part of the divisor over Z.  `Poly.terms` is a
+read-only view of the same polynomial as a mapping from exponent tuples
+to `fractions.Fraction` coefficients, built on demand.  All normal forms
+used elsewhere in the package are fixed here:
 
 * terms are ordered by graded lexicographic order (total degree first,
   then lexicographic in chart order),
@@ -29,8 +34,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import add, sub
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -96,16 +101,6 @@ def _as_fraction(value: Coeff) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
-def _scaled_numerators(p: "Poly") -> Tuple[int, List[Tuple[Exponents, int]]]:
-    """(d, [(exponents, d * coefficient)]) for the least common denominator d."""
-    den = 1
-    for c in p.terms.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-
-
 def glex_key(exponents: Exponents) -> Tuple[int, Exponents]:
     """Sort key for graded lexicographic order (larger key = larger monomial)."""
     return (sum(exponents), exponents)
@@ -114,16 +109,21 @@ def glex_key(exponents: Exponents) -> Tuple[int, Exponents]:
 class Poly:
     """A polynomial over Q on a fixed chart, stored sparsely.
 
-    Instances are immutable by convention: the term dict is never
-    mutated after construction, so polynomials can be shared, compared
-    and hashed freely.
+    ``_num`` maps exponent tuples to nonzero integer numerators over the
+    common denominator ``_den > 0``, in lowest terms:
+    ``gcd(_den, *_num.values()) == 1``, and the zero polynomial has
+    ``_den == 1``.  The form is canonical, so equality and hashing
+    compare it directly.  Instances are immutable by convention: the
+    numerator dict is never mutated after construction (polynomials may
+    share one), so polynomials can be shared, compared and hashed freely.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_num", "_den")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponents, Coeff]):
-        clean: Dict[Exponents, Fraction] = {}
         width = chart.size
+        den = 1
+        items = []
         for exps, coeff in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent tuple {exps} does not fit chart {chart}")
@@ -131,9 +131,14 @@ class Poly:
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c:
-                clean[tuple(exps)] = c
+                den = math.lcm(den, c.denominator)
+                items.append((tuple(exps), c))
+        # the lcm of reduced denominators leaves numerators without a
+        # common factor with it: already lowest terms
+        num = {e: c.numerator * (den // c.denominator) for e, c in items}
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -141,17 +146,32 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _trusted(cls, chart: Chart, terms: Dict[Exponents, Fraction]) -> "Poly":
-        """Wrap a term dict built inside this module, skipping validation.
+    def _trusted(cls, chart: Chart, num: Dict[Exponents, int], den: int = 1) -> "Poly":
+        """Wrap numerators built inside this module, skipping validation.
 
-        The caller guarantees what ``__init__`` would check: exponent
-        tuples of the chart's width with no negative entry, and nonzero
-        ``Fraction`` coefficients.  The dict is taken over, not copied.
+        The caller guarantees the canonical form: exponent tuples of the
+        chart's width with no negative entry, nonzero ``int`` numerators,
+        and ``den > 0`` in lowest terms with them (1 for the zero
+        polynomial).  The dict is taken over, not copied.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "chart", chart)
-        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "_num", num)
+        object.__setattr__(obj, "_den", den)
         return obj
+
+    @classmethod
+    def _lowest(cls, chart: Chart, num: Dict[Exponents, int], den: int) -> "Poly":
+        """Like ``_trusted``, but first brings ``num / den`` to lowest terms."""
+        if den != 1:
+            if not num:
+                den = 1
+            else:
+                g = math.gcd(den, *num.values())
+                if g != 1:
+                    num = {e: n // g for e, n in num.items()}
+                    den //= g
+        return cls._trusted(chart, num, den)
 
     @classmethod
     def zero(cls, chart: Chart) -> "Poly":
@@ -159,65 +179,85 @@ class Poly:
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
-        return cls._trusted(chart, {chart.zero_exponents(): Fraction(1)})
+        return cls._trusted(chart, {chart.zero_exponents(): 1})
 
     @classmethod
     def constant(cls, chart: Chart, value: Coeff) -> "Poly":
-        return cls(chart, {chart.zero_exponents(): _as_fraction(value)})
+        c = _as_fraction(value)
+        if not c:
+            return cls._trusted(chart, {})
+        return cls._trusted(chart, {chart.zero_exponents(): c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "Poly":
         exps = [0] * chart.size
         exps[chart.index(name)] = 1
-        return cls(chart, {tuple(exps): Fraction(1)})
+        return cls._trusted(chart, {tuple(exps): 1})
 
     # -- basic structure -------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only ``{exponents: Fraction}`` view, built on each access.
+
+        Code inside the package reads ``_num`` and ``_den`` instead.
+        """
+        den = self._den
+        return MappingProxyType({e: Fraction(n, den) for e, n in self._num.items()})
+
+    def __len__(self) -> int:
+        """Number of nonzero terms."""
+        return len(self._num)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        num = self._num
+        return not num or (len(num) == 1 and not any(next(iter(num))))
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
+        if len(self._num) != 1 or self._den != 1:
             return False
-        ((exps, coeff),) = self.terms.items()
-        return coeff == 1 and not any(exps)
+        ((exps, n),) = self._num.items()
+        return n == 1 and not any(exps)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(self.chart.zero_exponents(), Fraction(0))
+        return Fraction(self._num.get(self.chart.zero_exponents(), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def degree_in(self, var: Union[str, int]) -> int:
         k = var if isinstance(var, int) else self.chart.index(var)
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(e[k] for e in self.terms)
+        return max(e[k] for e in self._num)
+
+    def _leading_exponents(self) -> Exponents:
+        if not self._num:
+            raise ValueError("the zero polynomial has no leading term")
+        return max(self._num, key=glex_key)
 
     def leading_term(self) -> Tuple[Exponents, Fraction]:
         """Largest term in graded lexicographic order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=glex_key)
-        return exps, self.terms[exps]
+        exps = self._leading_exponents()
+        return exps, Fraction(self._num[exps], self._den)
 
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def sorted_terms(self) -> Iterator[Tuple[Exponents, Fraction]]:
-        for exps in sorted(self.terms, key=glex_key, reverse=True):
-            yield exps, self.terms[exps]
+        for exps in sorted(self._num, key=glex_key, reverse=True):
+            yield exps, Fraction(self._num[exps], self._den)
 
     def _require_chart(self, other: "Poly") -> None:
         if self.chart != other.chart:
@@ -225,121 +265,162 @@ class Poly:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            s1, s2, den = 1, sign, d1
+        else:
+            g = math.gcd(d1, d2)
+            s1, s2, den = d2 // g, sign * (d1 // g), d1 // g * d2
+        acc = dict(self._num) if s1 == 1 else {e: n * s1 for e, n in self._num.items()}
+        for exps, n in other._num.items():
+            if s2 != 1:
+                n *= s2
+            v = acc.get(exps)
+            if v is None:
+                acc[exps] = n
+            else:
+                v += n
+                if v:
+                    acc[exps] = v
+                else:
+                    del acc[exps]
+        return Poly._lowest(self.chart, acc, den)
+
     def __add__(self, other: Union["Poly", Coeff]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_chart(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = acc.get(exps)
-            if s is None:
-                acc[exps] = coeff
-            else:
-                s += coeff
-                if s:
-                    acc[exps] = s
-                else:
-                    del acc[exps]
-        return Poly._trusted(self.chart, acc)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.chart, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other: Union["Poly", Coeff]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._require_chart(other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Coeff) -> "Poly":
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "Poly":
+        """self * p / q for integers p and q > 0."""
+        if not p or not self._num:
+            return Poly.zero(self.chart)
+        g = math.gcd(p, self._den)
+        if g != 1:
+            p //= g
+        num = self._num if p == 1 else {e: n * p for e, n in self._num.items()}
+        den = self._den // g * q
+        # p is now prime to den, and the numerators' content was already
+        # prime to it: only a factor shared with q can remain
+        if q == 1:
+            return Poly._trusted(self.chart, num, den)
+        return Poly._lowest(self.chart, num, den)
+
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Poly.zero(self.chart)
-            return Poly._trusted(self.chart, {e: k * c for e, k in self.terms.items()})
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_chart(other)
-        # multiply integer numerators over a common denominator: exact, and
-        # far cheaper than one Fraction product and sum per pair of terms
-        den1, terms1 = _scaled_numerators(self)
-        den2, terms2 = _scaled_numerators(other)
         acc: Dict[Exponents, int] = {}
-        for e1, n1 in terms1:
+        get = acc.get
+        terms2 = list(other._num.items())
+        for e1, n1 in self._num.items():
             for e2, n2 in terms2:
                 e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + n1 * n2
-        den = den1 * den2
-        if den == 1:
-            return Poly._trusted(self.chart, {e: Fraction(n) for e, n in acc.items() if n})
-        return Poly._trusted(self.chart, {e: Fraction(n, den) for e, n in acc.items() if n})
+                acc[e] = get(e, 0) + n1 * n2
+        return Poly._lowest(
+            self.chart, {e: n for e, n in acc.items() if n}, self._den * other._den
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.one(self.chart)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if n == 0:
+            return Poly.one(self.chart)
+        if len(self._num) <= 1:
+            # a monomial (or zero): raise the coefficient and scale the exponents
+            return Poly._trusted(
+                self.chart,
+                {tuple(k * n for k in e): c**n for e, c in self._num.items()},
+                self._den**n,
+            )
+        # repeated multiplication by the sparse base, not squaring: squaring
+        # multiplies two large partial powers together, and on sparse
+        # multivariate bases that costs more than n small products
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self._den == other._den and self._num == other._num and self.chart == other.chart
+        )
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self._den, frozenset(self._num.items())))
 
     # -- calculus and evaluation ------------------------------------------
 
     def partial(self, var: Union[str, int]) -> "Poly":
         """Formal partial derivative with respect to one chart variable."""
         k = var if isinstance(var, int) else self.chart.index(var)
-        acc: Dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if exps[k] == 0:
-                continue
-            e = list(exps)
-            e[k] -= 1
-            acc[tuple(e)] = coeff * exps[k]
-        return Poly._trusted(self.chart, acc)
+        acc: Dict[Exponents, int] = {}
+        for exps, n in self._num.items():
+            m = exps[k]
+            if m:
+                acc[exps[:k] + (m - 1,) + exps[k + 1 :]] = n * m
+        return Poly._lowest(self.chart, acc, self._den)
 
     def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly._trusted(
-            self.chart, {e: c for e, c in self.terms.items() if sum(e) == degree}
+        return Poly._lowest(
+            self.chart, {e: n for e, n in self._num.items() if sum(e) == degree}, self._den
         )
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.chart.size:
             raise ValueError("point has wrong dimension")
         vals = [_as_fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        if not self._num:
+            return Fraction(0)
+        # clear each coordinate's denominator b to its top power D: the
+        # term in v^e becomes a^e * b^(D - e), and the value is divided by
+        # b^D once at the end
+        scale = self._den
+        tables = []
+        for v, top in zip(vals, _degree_vector(self)):
+            a, b = v.numerator, v.denominator
+            tables.append([a**e * b ** (top - e) for e in range(top + 1)])
+            scale *= b**top
+        total = 0
+        for exps, n in self._num.items():
+            for table, e in zip(tables, exps):
+                n *= table[e]
+            total += n
+        return Fraction(total, scale)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute a polynomial for each chart variable.
@@ -354,17 +435,17 @@ class Poly:
                 raise ChartMismatchError("substitution images live on different charts")
         powers: list[Dict[int, Poly]] = [dict() for _ in images]
         result = Poly.zero(target)
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(target, coeff)
+        for exps, n in self._num.items():
+            term = None
             for k, e in enumerate(exps):
                 if not e:
                     continue
                 cache = powers[k]
                 if e not in cache:
                     cache[e] = images[k] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
+                term = cache[e] if term is None else term * cache[e]
+            result = result + (Poly.constant(target, n) if term is None else term * n)
+        return result._scaled(1, self._den)
 
     # -- printing ----------------------------------------------------------
 
@@ -375,12 +456,6 @@ class Poly:
         return f"Poly({self.chart}, {format_poly(self)!r})"
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_poly(p: Poly) -> str:
     """Canonical text form: graded-lex descending, explicit ``*`` and ``^``.
 
@@ -388,8 +463,10 @@ def format_poly(p: Poly) -> str:
     """
     if p.is_zero():
         return "0"
+    num, den = p._num, p._den
     pieces = []
-    for exps, coeff in p.sorted_terms():
+    for exps in sorted(num, key=glex_key, reverse=True):
+        n = num[exps]
         factors = []
         for name, e in zip(p.chart.variables, exps):
             if e == 1:
@@ -397,14 +474,17 @@ def format_poly(p: Poly) -> str:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
-        mag = abs(coeff)
+        # the coefficient |n| / den in lowest terms
+        g = math.gcd(n, den)
+        a, b = abs(n) // g, den // g
+        mag = str(a) if b == 1 else f"{a}/{b}"
         if not mono:
-            body = _format_fraction(mag)
-        elif mag == 1:
+            body = mag
+        elif a == 1 and b == 1:
             body = mono
         else:
-            body = f"{_format_fraction(mag)}*{mono}"
-        pieces.append((coeff < 0, body))
+            body = f"{mag}*{mono}"
+        pieces.append((n < 0, body))
     negative, body = pieces[0]
     out = ("-" if negative else "") + body
     for negative, body in pieces[1:]:
@@ -421,45 +501,39 @@ def rational_content(p: Poly) -> Fraction:
     """The positive rational c with p/c integer-primitive; 0 for the zero poly."""
     if p.is_zero():
         return Fraction(0)
-    num = 0
-    den = 1
-    for coeff in p.terms.values():
-        num = math.gcd(num, abs(coeff.numerator))
-        den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-    return Fraction(num, den)
+    return Fraction(math.gcd(*p._num.values()), p._den)
+
+
+def _normalizer(p: Poly) -> Fraction:
+    """The rational r making p * r integer-primitive with a positive
+    leading coefficient (p nonzero)."""
+    c = math.gcd(*p._num.values())
+    if p._num[p._leading_exponents()] < 0:
+        c = -c
+    return Fraction(p._den, c)
 
 
 def normalize(p: Poly) -> Poly:
     """Scale to integer coefficients, content 1, positive leading coefficient."""
     if p.is_zero():
         return p
-    unit = rational_content(p)
-    if p.leading_coefficient() < 0:
-        unit = -unit
-    return p * (1 / unit)
+    return p * _normalizer(p)
 
 
 def _coeff_in(p: Poly, k: int, d: int) -> Poly:
     """Coefficient of x_k^d, as a polynomial with the x_k exponent cleared."""
-    acc: Dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms.items():
-        if exps[k] == d:
-            e = list(exps)
-            e[k] = 0
-            acc[tuple(e)] = coeff
-    return Poly._trusted(p.chart, acc)
+    acc = {
+        exps[:k] + (0,) + exps[k + 1 :]: n for exps, n in p._num.items() if exps[k] == d
+    }
+    return Poly._lowest(p.chart, acc, p._den)
 
 
 def _shift(p: Poly, k: int, d: int) -> Poly:
     """Multiply by x_k^d."""
     if d == 0 or p.is_zero():
         return p
-    acc: Dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms.items():
-        e = list(exps)
-        e[k] += d
-        acc[tuple(e)] = coeff
-    return Poly._trusted(p.chart, acc)
+    acc = {exps[:k] + (exps[k] + d,) + exps[k + 1 :]: n for exps, n in p._num.items()}
+    return Poly._trusted(p.chart, acc, p._den)
 
 
 def _pseudo_rem(f: Poly, g: Poly, k: int) -> Poly:
@@ -534,9 +608,8 @@ _HEU_MAX_BITS = 1 << 16
 
 def _integer_terms(p: Poly) -> Dict[Exponents, int]:
     """The coefficients of p / rational_content(p): coprime integers."""
-    _, terms = _scaled_numerators(p)
-    unit = reduce(math.gcd, (n for _, n in terms))
-    return {e: n // unit for e, n in terms}
+    unit = math.gcd(*p._num.values())
+    return p._num if unit == 1 else {e: n // unit for e, n in p._num.items()}
 
 
 def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
@@ -581,10 +654,10 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
             # carries a factor that no polynomial gcd explains
             xi += math.isqrt(xi) + 1
         h = _interpolate(math.gcd(fk.get((), 0), gk.get((), 0)), points)
-        unit = reduce(math.gcd, h.values())
+        unit = math.gcd(*h.values())
         if h[max(h, key=glex_key)] < 0:
             unit = -unit
-        candidate = Poly._trusted(p.chart, {e: Fraction(c // unit) for e, c in h.items()})
+        candidate = Poly._trusted(p.chart, {e: c // unit for e, c in h.items()})
         if divides(candidate, p) and divides(candidate, q):
             return candidate
         floor = 73794 * points[0] * math.isqrt(math.isqrt(points[0])) // 27011
@@ -592,7 +665,7 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
 
 
 def _degree_vector(p: Poly) -> List[int]:
-    return [max(col) for col in zip(*p.terms)]
+    return [max(col) for col in zip(*p._num)]
 
 
 def _sup_norm(f: Dict[Exponents, int]) -> int:
@@ -673,30 +746,46 @@ def divexact(f: Poly, g: Poly) -> Poly:
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if g.is_constant():
-        return f * (1 / g.constant_value())
-    ge, gc = g.leading_term()
-    rest = [(e, c) for e, c in g.terms.items() if e != ge]
-    quotient: Dict[Exponents, Fraction] = {}
-    r = dict(f.terms)
+        (n,) = g._num.values()
+        return f * Fraction(g._den, n)
+    # g = (c / d) * G with G integer-primitive.  If G divides f's integer
+    # numerators F in Q[x], Gauss's lemma makes F / G integral, so the
+    # division runs over Z and a fractional quotient term disproves it.
+    c = math.gcd(*g._num.values())
+    G = g._num if c == 1 else {e: n // c for e, n in g._num.items()}
+    ge = max(G, key=glex_key)
+    gc = G[ge]
+    rest = [(e, n) for e, n in G.items() if e != ge]
+    quotient: Dict[Exponents, int] = {}
+    r = dict(f._num)
     while r:
         re_ = max(r, key=glex_key)
         qe = tuple(map(sub, re_, ge))
         if min(qe) < 0:
             raise ExactDivisionError(f"({g}) does not divide ({f})")
-        qc = r.pop(re_) / gc
+        qc, rem = divmod(r.pop(re_), gc)
+        if rem:
+            raise ExactDivisionError(f"({g}) does not divide ({f})")
         quotient[qe] = qc
-        for e, c in rest:
+        for e, n in rest:
             e = tuple(map(add, e, qe))
             v = r.get(e)
             if v is None:
-                r[e] = -qc * c
+                r[e] = -qc * n
             else:
-                v -= qc * c
+                v -= qc * n
                 if v:
                     r[e] = v
                 else:
                     del r[e]
-    return Poly._trusted(f.chart, quotient)
+    # f / g = (F / G) * d / (f._den * c)
+    d, den = g._den, f._den * c
+    h = math.gcd(d, den)
+    if h != 1:
+        d, den = d // h, den // h
+    if d != 1:
+        quotient = {e: n * d for e, n in quotient.items()}
+    return Poly._lowest(f.chart, quotient, den)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -816,16 +905,14 @@ def _unit_normalized(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     when it is constant or the numerator is zero."""
     if num.is_zero():
         return num, Poly.one(num.chart)
-    if den.is_constant():
-        if den.is_one():
-            return num, den
-        return num * (1 / den.constant_value()), Poly.one(num.chart)
-    unit = rational_content(den)
-    if den.leading_coefficient() < 0:
-        unit = -unit
-    if unit == 1:
+    if den.is_one():
         return num, den
-    return num * (1 / unit), den * (1 / unit)
+    r = _normalizer(den)
+    if den.is_constant():
+        return num * r, Poly.one(num.chart)
+    if r == 1:
+        return num, den
+    return num * r, den * r
 
 
 class RatFunc:

@@ -384,6 +384,16 @@ class TestBudgets:
         assert "line 3" in report["error"] and "exceeds the limit" in report["error"]
         assert "column 9" in report["error"]  # the exponent, counted in the payload
 
+    @pytest.mark.parametrize("curve", ["7^3000000", "7^30000000"])
+    def test_huge_coefficient_is_a_parse_error(self, curve, tmp_path, capsys):
+        path = tmp_path / "constant.txt"
+        path.write_text(f"vars: x y\nfield v = x*dx + y*dy\ncurve C = {curve}\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "invariance", str(path), "--curve", "C")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and report["status"] == "error"
+        assert "line 3" in report["error"] and "bits exceeds the limit" in report["error"]
+
     @pytest.mark.parametrize(
         "curve", ["(x+y+z+1)^60", "(x+y+1)^100*(x-y+2)^100", "(x+y+1)^100*(x-y+2)^50"]
     )

@@ -9,7 +9,7 @@ from hypothesis import given
 
 from conftest import XY, XYZ, poly_strategy
 from liefol import ParseError, Poly, format_poly, parse_field_coefficients, parse_polynomial
-from liefol.expr import MAX_POWER_DEGREE, MAX_TERMS, basis_names, format_field
+from liefol.expr import MAX_COEFF_BITS, MAX_POWER_DEGREE, MAX_TERMS, basis_names, format_field
 
 X, Y = XY.vars()
 
@@ -93,6 +93,27 @@ def test_product_and_expansion_budget():
     assert time.perf_counter() - start < 1.0
     # the signs of the factors multiply
     assert parse_polynomial("-x^2*-y", XY) == X**2 * Y
+
+
+def test_coefficient_size_budget():
+    """A power of a constant has degree 0 and one term; its coefficient
+    size is bounded by an estimate of its bits before it is expanded."""
+    assert MAX_COEFF_BITS == 64 * MAX_POWER_DEGREE
+    assert parse_polynomial(f"2^{MAX_COEFF_BITS}", XY) == Poly.constant(XY, 2**MAX_COEFF_BITS)
+    assert parse_polynomial("1^100000000", XY) == Poly.one(XY)
+    assert parse_polynomial("(2/3*x + 1)^100", XY).total_degree() == 100
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="power with coefficients of about 6401 bits") as err:
+        parse_polynomial(f"x + 2^{MAX_COEFF_BITS + 1}", XY)
+    assert err.value.position == len("x + 2^")
+    # 7^3000000 used to take about 3 s, and 7^30000000 about two minutes
+    for text in ("7^3000000", "7^30000000", "(7^2000)^3", "(3 - 5/7)^3000"):
+        with pytest.raises(ParseError, match="bits exceeds the limit"):
+            parse_polynomial(text, XY)
+    # each factor fits; their product does not
+    with pytest.raises(ParseError, match="product with coefficients of about 12000 bits"):
+        parse_polynomial("7^2000*7^2000", XY)
+    assert time.perf_counter() - start < 0.5
 
 
 @given(poly_strategy(XY))

@@ -1,0 +1,160 @@
+"""The integer-numerator `Poly` core against the `Fraction`-per-term reference.
+
+Every operation is run on both representations over random rational
+coefficients (small ones and ones with numerators and denominators of
+up to 40 digits) on charts of one to three variables, and the results
+must agree exactly: as `Fraction` term maps, as printed text, and as
+values.  Each result must also be in the canonical form the integer core
+promises: a positive denominator in lowest terms with the numerators,
+and denominator 1 for the zero polynomial.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fraction_poly import RefPoly, ReferenceDivisionError, format_ref
+from liefol import Chart, ExactDivisionError, Poly, divexact, format_poly
+
+CHARTS = [Chart(tuple("xyz"[:n])) for n in range(1, 4)]
+BIG = 10**40
+
+
+def _rationals():
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    large = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+    return st.one_of(st.integers(-9, 9), small, large)
+
+
+def _polys(chart: Chart, max_degree: int = 3, max_terms: int = 5):
+    exps = [
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=chart.size)
+        if sum(e) <= max_degree
+    ]
+    return st.dictionaries(st.sampled_from(exps), _rationals(), max_size=max_terms).map(
+        lambda terms: Poly(chart, terms)
+    )
+
+
+@st.composite
+def _pair(draw, max_degree: int = 3):
+    chart = draw(st.sampled_from(CHARTS))
+    polys = _polys(chart, max_degree)
+    return draw(polys), draw(polys)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._num.values())
+    if p._num:
+        assert math.gcd(p._den, *p._num.values()) == 1
+    else:
+        assert p._den == 1
+
+
+def assert_matches(p: Poly, ref: RefPoly) -> None:
+    assert_canonical(p)
+    assert dict(p.terms) == ref.terms
+    assert format_poly(p) == format_ref(ref, p.chart.variables)
+
+
+@given(_pair(), _rationals())
+def test_ring_operations_match(pair, scalar):
+    p, q = pair
+    rp, rq = RefPoly.of(p), RefPoly.of(q)
+    assert_matches(p, rp)
+    assert_matches(p + q, rp + rq)
+    assert_matches(p - q, rp - rq)
+    assert_matches(-p, -rp)
+    assert_matches(p * q, rp * rq)
+    assert_matches(p * scalar, rp * scalar)
+    assert_matches(scalar * p, rp * scalar)
+    assert_matches(p + scalar, rp + rp.constant(scalar))
+    assert_matches(scalar - p, rp.constant(scalar) - rp)
+    assert (p == q) == (rp.terms == rq.terms)
+    assert (hash(p) == hash(q)) or p != q
+
+
+@given(_pair(max_degree=2), st.integers(0, 6))
+def test_powers_match(pair, n):
+    """Repeated multiplication (and monomials raised directly) against
+    the reference's square and multiply."""
+    p, _ = pair
+    assert_matches(p**n, RefPoly.of(p) ** n)
+
+
+@given(_pair(), st.integers(0, 4))
+def test_calculus_helpers_match(pair, degree):
+    p, _ = pair
+    rp = RefPoly.of(p)
+    for k in range(p.chart.size):
+        assert_matches(p.partial(k), rp.partial(k))
+    assert_matches(p.homogeneous_part(degree), rp.homogeneous_part(degree))
+
+
+@given(_pair(), st.lists(_rationals(), min_size=3, max_size=3))
+def test_evaluate_matches(pair, point):
+    p, _ = pair
+    point = point[: p.chart.size]
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == RefPoly.of(p).evaluate(point)
+
+
+@given(st.data())
+def test_substitute_matches(data):
+    source = data.draw(st.sampled_from(CHARTS))
+    target = data.draw(st.sampled_from(CHARTS))
+    p = data.draw(_polys(source, max_degree=2, max_terms=4))
+    images = [data.draw(_polys(target, max_degree=2, max_terms=3)) for _ in source.variables]
+    expected = RefPoly.of(p).substitute([RefPoly.of(img) for img in images])
+    assert_matches(p.substitute(images), expected)
+
+
+@given(_pair(max_degree=2))
+def test_divexact_of_a_product_matches(pair):
+    p, q = pair
+    if q.is_zero():
+        return
+    rq = RefPoly.of(q)
+    f = p * q
+    expected = RefPoly.of(f).divexact(rq)
+    assert_matches(divexact(f, q), expected)
+    assert_matches(divexact(f, q), RefPoly.of(p))
+
+
+@given(st.data())
+def test_divexact_raises_exactly_when_the_reference_does(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    q, g = data.draw(_polys(chart, max_degree=2)), data.draw(_polys(chart, max_degree=2))
+    r = data.draw(_polys(chart, max_degree=1, max_terms=2))
+    if g.is_zero():
+        return
+    f = q * g + r  # not a multiple of g unless g divides r
+    try:
+        expected = RefPoly.of(f).divexact(RefPoly.of(g))
+    except ReferenceDivisionError:
+        with pytest.raises(ExactDivisionError):
+            divexact(f, g)
+    else:
+        assert_matches(divexact(f, g), expected)
+
+
+def test_constructor_accepts_mixed_coefficients():
+    chart = CHARTS[1]
+    p = Poly(chart, {(1, 0): 2, (0, 1): Fraction(3, 4), (0, 0): Fraction(6, 2), (2, 0): 0})
+    assert_canonical(p)
+    assert (p._den, p._num) == (4, {(1, 0): 8, (0, 1): 3, (0, 0): 12})
+    assert dict(p.terms) == {(1, 0): 2, (0, 1): Fraction(3, 4), (0, 0): 3}
+    assert_canonical(Poly(chart, {(1, 0): Fraction(0, 5)}))
+    with pytest.raises(TypeError):
+        Poly(chart, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 1
