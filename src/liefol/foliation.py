@@ -2,10 +2,12 @@
 
 Everything here happens at the generic point: rank means rank over the
 rational function field and span membership is exact linear algebra
-there, both answered by one fraction-free elimination on polynomial
-rows (``linalg``); the singular locus is cut out by the maximal minors
-of the coefficient matrix after the codimension-one part common to all
-of them is divided away.
+there, answered by fraction-free elimination on polynomial rows
+(``linalg``).  Each invariance test eliminates the generators once into
+a ``linalg.RowSpace`` and asks it about every bracket.  The singular
+locus is cut out by the maximal minors of the coefficient matrix after
+the codimension-one part common to all of them is divided away; a
+family with no nonzero maximal minor is dependent.
 
 The two geometric constructions are ``tangent_foliation`` — the kernel
 of the Jacobian of a dominant rational map, whose basis vectors come out
@@ -53,21 +55,12 @@ def saturate_rank1(v: VectorField) -> VectorField:
 
 
 def same_rank1_foliation(v: VectorField, w: VectorField) -> bool:
-    """Do two nonzero fields span the same direction over the function field?
-
-    Checked by the vanishing of all 2x2 cross products v_i w_j - v_j w_i.
-    """
+    """Do two nonzero fields span the same direction over the function field?"""
     if v.chart != w.chart:
         raise ChartMismatchError("fields on different charts")
     if v.is_zero() or w.is_zero():
         raise ValueError("proportionality is only defined for nonzero fields")
-    n = v.chart.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = v.coefficients[i] * w.coefficients[j] - v.coefficients[j] * w.coefficients[i]
-            if not cross.is_zero():
-                return False
-    return True
+    return linalg.rank([v.coefficients, w.coefficients]) == 1
 
 
 @dataclass(frozen=True)
@@ -94,16 +87,10 @@ class FoliationGens:
             cleaned.append(saturate_rank1(g))
         object.__setattr__(self, "generators", tuple(cleaned))
 
-    def coefficient_matrix(self) -> List[List[RatFunc]]:
-        return [list(g.coefficients) for g in self.generators]
-
-    def polynomial_matrix(self) -> List[List[Poly]]:
-        return [[c.as_poly() for c in g.coefficients] for g in self.generators]
-
 
 def generic_rank(fol: FoliationGens) -> int:
     """Rank of the coefficient matrix over the rational function field."""
-    return linalg.rank(fol.coefficient_matrix())
+    return linalg.rank([g.coefficients for g in fol.generators])
 
 
 class InvolutivityResult(NamedTuple):
@@ -113,13 +100,11 @@ class InvolutivityResult(NamedTuple):
 
 def is_involutive(fol: FoliationGens) -> InvolutivityResult:
     """Are all pairwise brackets of generators inside the generic span?"""
-    rows = fol.coefficient_matrix()
+    span = linalg.RowSpace([g.coefficients for g in fol.generators])
     for i, gi in enumerate(fol.generators):
         for gj in fol.generators[i + 1 :]:
             br = lie_bracket(gi, gj)
-            if br.is_zero():
-                continue
-            if not linalg.in_row_span(rows, br.coefficients):
+            if br.coefficients not in span:
                 return InvolutivityResult(False, br)
     return InvolutivityResult(True, None)
 
@@ -133,12 +118,10 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
     """Does bracketing with ``v`` preserve the generic span of the foliation?"""
     if v.chart != fol.chart:
         raise ChartMismatchError("field on a different chart")
-    rows = fol.coefficient_matrix()
+    span = linalg.RowSpace([g.coefficients for g in fol.generators])
     for g in fol.generators:
         br = lie_bracket(v, g)
-        if br.is_zero():
-            continue
-        if not linalg.in_row_span(rows, br.coefficients):
+        if br.coefficients not in span:
             return InvarianceResult(False, br)
     return InvarianceResult(True, None)
 
@@ -168,20 +151,19 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     common codimension-one factor removed.
 
     Requires the generators to be generically independent (rank equal to
-    their number); a dependent family has no well-defined minor ideal.
+    their number); a dependent family, whose maximal minors all vanish,
+    has no well-defined minor ideal.
     """
     p = len(fol.generators)
-    if generic_rank(fol) != p:
-        raise ValueError("generators are dependent at the generic point")
-    matrix = fol.polynomial_matrix()
-    n = fol.chart.size
+    matrix = [g.polynomial_coefficients() for g in fol.generators]
     minors: List[Poly] = []
-    for cols in combinations(range(n), p):
-        sub = [[row[c] for c in cols] for row in matrix]
-        det = poly_det(sub)
+    for cols in combinations(range(fol.chart.size), p):
+        det = poly_det([[row[c] for c in cols] for row in matrix])
         if not det.is_zero():
             minors.append(det)
-    # rank == p guarantees at least one nonzero minor
+    # some maximal minor is nonzero exactly when the rank is p
+    if not minors:
+        raise ValueError("generators are dependent at the generic point")
     common = content(minors)
     reduced = []
     for m in minors:

@@ -3,8 +3,10 @@
 Each row is first scaled to polynomials by its common denominator,
 which changes no rank, span or kernel; then one fraction-free (Bareiss)
 elimination, ``poly.bareiss``, answers every question without a gcd.
-Rank and span membership eliminate below the pivots only; ``rref`` and
-``kernel_basis`` also clear above them.
+``rank`` eliminates below the pivots only.  ``RowSpace`` holds the
+reduced form, cleared above the pivots too; ``rref``, ``kernel_basis``
+and span membership read it, so a family of span questions about one
+matrix costs one elimination.
 """
 
 from __future__ import annotations
@@ -16,26 +18,44 @@ from .poly import Poly, RatFunc, bareiss, clear_denominators, content, divexact,
 Matrix = Sequence[Sequence[RatFunc]]
 
 
-def _eliminate(rows: Matrix, reduced: bool) -> Tuple[List[List[Poly]], List[int]]:
-    return bareiss([list(clear_denominators(row)) for row in rows], reduced)[:2]
+class RowSpace:
+    """The row space of a matrix over the function field, as its reduced
+    fraction-free echelon form: polynomial ``rows``, ``pivots`` columns
+    p_i and common pivot ``den`` d (None without pivots).  Every pivot
+    equals d and is the only nonzero entry of its column."""
+
+    def __init__(self, rows: Matrix) -> None:
+        self.rows, self.pivots, _ = bareiss([list(clear_denominators(r)) for r in rows], True)
+        self.den = self.rows[0][self.pivots[0]] if self.pivots else None
+
+    def __contains__(self, vector: Sequence[RatFunc]) -> bool:
+        """v is a combination of the rows exactly when, with its denominators
+        cleared, d·v[j] = Σ v[p_i]·row_i[j] at every non-pivot column j."""
+        v = clear_denominators(vector)
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ValueError("vector length differs from the row length")
+        if not self.pivots:
+            return all(p.is_zero() for p in v)
+        return all(
+            self.den * v[j] == sum(v[p] * row[j] for row, p in zip(self.rows, self.pivots))
+            for j in range(len(v))
+            if j not in self.pivots
+        )
 
 
 def rref(rows: Matrix) -> Tuple[List[List[RatFunc]], List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    if not rows:
-        return [], []
-    m, pivots = _eliminate(rows, True)
-    den = m[0][pivots[0]] if pivots else None
-    return [[RatFunc(p, den) for p in row] for row in m], pivots
+    space = RowSpace(rows)
+    return [[RatFunc(p, space.den) for p in row] for row in space.rows], space.pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(_eliminate(rows, False)[1])
+    return len(bareiss([list(clear_denominators(row)) for row in rows])[1])
 
 
 def in_row_span(rows: Matrix, vector: Sequence[RatFunc]) -> bool:
     """Does ``vector`` lie in the row space of ``rows`` over the function field?"""
-    return rank(list(rows) + [list(vector)]) == rank(rows)
+    return vector in RowSpace(rows)
 
 
 def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
@@ -44,8 +64,9 @@ def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
     integer-primitive with positive leading coefficient."""
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
-    m, pivots = _eliminate(rows, True)
-    den = m[0][pivots[0]] if pivots else Poly.one(m[0][0].chart)
+    space = RowSpace(rows)
+    m, pivots = space.rows, space.pivots
+    den = space.den if pivots else Poly.one(m[0][0].chart)
     basis: List[List[RatFunc]] = []
     for free in (c for c in range(len(m[0])) if c not in pivots):
         vec = [Poly.zero(den.chart)] * len(m[0])

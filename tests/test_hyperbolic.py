@@ -86,6 +86,14 @@ class TestFlow:
         assert crossings(s, 7) == 7
         assert crossings(s, -1) == -1
 
+    def test_integer_times_cross_the_roof_t_times(self):
+        # the per-time rates of verify_anosov_bounds rely on this from any state
+        rng = random.Random(73)
+        for _ in range(200):
+            s = SuspensionState(*(Fraction(rng.random()) for _ in range(3)))
+            t = rng.randint(1, 300)
+            assert crossings(s, t) - crossings(s, 0) == t
+
 
 class TestTorusDistance:
     def test_wraparound(self):
@@ -502,6 +510,11 @@ class TestExactTraversal:
             (0.02, 5000.0, None),
             (0.1, 30.0, (3.0, -7.0)),
             (0.25, 4.0, (1.0, 3.0)),
+            (0.02, 5000.0, (1.0, 1.0)),
+            (0.1, 0.5, (1.0, 1.0)),
+            (0.05, 300.0, (2.0, 2.0)),
+            (0.25, 7.0, (-1.0, 2.0)),
+            (0.1, 1.0, (-1.0, 2.0)),
         ]
         for epsilon, arc, direction in cases:
             grid = round(1.0 / epsilon)

@@ -13,9 +13,10 @@ import time
 import pytest
 
 from conftest import XY, XYZ, random_poly, random_ratfunc
-from liefol import Poly, RatFunc
+from liefol import FoliationGens, Poly, RatFunc, VectorField, is_invariant_subsheaf, is_involutive
+from liefol import linalg
 from liefol import poly as poly_module
-from liefol.linalg import clear_to_polynomials, in_row_span, kernel_basis, rank, rref
+from liefol.linalg import RowSpace, clear_to_polynomials, in_row_span, kernel_basis, rank, rref
 from liefol.poly import clear_denominators, poly_det
 
 X, Y = XY.vars()
@@ -41,6 +42,8 @@ def test_in_row_span():
     rows = [[r(X), r(Y)]]
     assert in_row_span(rows, [r(X * Y), r(Y**2)])
     assert not in_row_span(rows, [r(Y), r(X)])
+    with pytest.raises(ValueError):
+        in_row_span(rows, [r(X)])
 
 
 def test_kernel_orthogonality():
@@ -180,6 +183,68 @@ def test_elimination_matches_the_ratfunc_reference():
         if len(m) == len(m[0]):
             polys = [list(clear_denominators(row)) for row in m]
             assert poly_det(polys) == _cofactor_det(polys)
+
+
+def _field_combination(rng, chart, rows):
+    """A combination of all of ``rows`` with random rational-function
+    coefficients: always a member of their span."""
+    out = [RatFunc.zero(chart)] * len(rows[0])
+    for row in rows:
+        c = random_ratfunc(rng, chart, 1)
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def test_membership_matches_the_rank_reference():
+    """``v in RowSpace(m)`` against rank(m + [v]) == rank(m), on rational
+    rows with zero rows, rank-deficient families and all-zero matrices."""
+    outcomes = []
+    for rng, chart, m in _random_matrices(8, 40):
+        width = len(m[0])
+        zero = [RatFunc.zero(chart)] * width
+        if rng.random() < 0.3:
+            m[rng.randrange(len(m))] = list(zero)
+        if rng.random() < 0.15:
+            m = [list(zero) for _ in m]
+        space = RowSpace(m)
+        members = [zero, _field_combination(rng, chart, m)]
+        for vector in members:
+            assert vector in space
+        others = [[_random_entry(rng, chart) for _ in range(width)] for _ in range(2)]
+        for vector in members + others:
+            expected = rank(m + [vector]) == rank(m)
+            assert in_row_span(m, vector) == (vector in space) == expected
+            outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+    for chart in (XY, XYZ):
+        zeros = [[RatFunc.zero(chart)] * 3 for _ in range(2)]
+        assert [RatFunc.zero(chart)] * 3 in RowSpace(zeros)
+        assert [RatFunc.zero(chart)] * 2 + [RatFunc.constant(chart, 1)] not in RowSpace(zeros)
+
+
+def test_one_elimination_per_invariance_question(monkeypatch):
+    x, y, z = XYZ.vars()
+    one, zero = Poly.one(XYZ), Poly.zero(XYZ)
+    # d/dx and x d/dx + d/dy: their bracket d/dx is a nonzero member of their span
+    fol = FoliationGens(
+        XYZ,
+        (
+            VectorField.from_coefficients(XYZ, (one, zero, zero)),
+            VectorField.from_coefficients(XYZ, (x, one, zero)),
+        ),
+    )
+    # brackets -2x d/dy and (y - 1) d/dx - 2x^2 d/dy, both members
+    v = VectorField.from_coefficients(XYZ, (y, x**2, z))
+    calls = []
+    real = linalg.bareiss
+    monkeypatch.setattr(
+        linalg, "bareiss", lambda rows, reduced=False: calls.append(1) or real(rows, reduced)
+    )
+    assert is_involutive(fol).ok
+    assert len(calls) == 1
+    calls.clear()
+    assert is_invariant_subsheaf(fol, v).ok
+    assert len(calls) == 1
 
 
 def test_rank_matches_sympy():
