@@ -55,8 +55,9 @@ _KINDS = ("field", "map", "foliation", "curve")
 
 # Accepted ranges of the numeric flags, checked before any work.  The
 # bounds keep every call within a few seconds: the Anosov bounds check
-# costs samples * t_max roof-crossing checks, and leaf density steps once
-# per gridline crossing, at most about 1.4 * arc_length / epsilon times.
+# costs four exact rate walks of t_max steps and reads at most eight
+# sample states, and leaf density steps once per gridline crossing, at
+# most about 1.4 * arc_length / epsilon times.
 FLAG_RANGES: Dict[str, Tuple[float, float]] = {
     "order": (0, 30),
     "samples": (1, 200),

@@ -328,9 +328,11 @@ def verify_anosov_bounds(
     if not 2 <= t_max <= 300:
         raise ValueError("t_max must lie in [2, 300]")
     rng = random.Random(seed)
+    # only the first eight sample states are read (by the flow-direction
+    # fit below), so only those are drawn; the rates are state-independent
     states = [
         SuspensionState(Fraction(rng.random()), Fraction(rng.random()), Fraction(rng.random()))
-        for _ in range(samples)
+        for _ in range(min(samples, 8))
     ]
     claimed_stable = _E_SU if swap_bundles else _E_SS
     claimed_unstable = _E_SS if swap_bundles else _E_SU
@@ -357,7 +359,7 @@ def verify_anosov_bounds(
 
     # flow direction through the public float differential
     flow_points = []
-    for state in states[: min(samples, 8)]:
+    for state in states:
         for t in range(1, min(t_max, 32) + 1):
             img = differential_flow(TangentFrame.FLOW, t, state)
             flow_points.append((float(t), math.log(math.hypot(*img))))

@@ -18,6 +18,23 @@ used elsewhere in the package are fixed here:
 * rational functions are reduced pairs whose denominator carries that
   same normalization.
 
+The two hot loops, multiplication and exact division, pack each
+exponent tuple into one int while they run (packed exponent vectors,
+after Monagan and Pearce); storage stays keyed by tuples.  Each field is
+W bits wide, the first variable most significant:
+
+* a product f * g takes W as the bit length of max_k(deg_k f + deg_k g).
+  Every exponent of every partial product fits its field, so a monomial
+  product is one int addition that never carries, and no overflow check
+  is needed;
+* exact division f / g adds a field for the total degree above the
+  variables, so int order on the keys is graded lexicographic order, and
+  takes W as the bit length of max(deg f, deg g).  No remainder term
+  exceeds deg f in total degree, and none has a negative exponent,
+  because a quotient term with one is rejected before it is used.  The
+  next term is then the builtin ``max`` over the int keys: no key
+  function, and no heap.
+
 The GCD is the heuristic GCDHEU of Char, Geddes and Gonnet: evaluate
 both polynomials at large integers, take the integer gcd and read the
 candidate back from its digits.  A candidate is accepted only if it
@@ -34,7 +51,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -229,9 +246,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self._num:
-            return -1
-        return max(sum(e) for e in self._num)
+        return max(map(sum, self._num), default=-1)
 
     def degree_in(self, var: Union[str, int]) -> int:
         k = var if isinstance(var, int) else self.chart.index(var)
@@ -335,16 +350,28 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_chart(other)
-        acc: Dict[Exponents, int] = {}
-        get = acc.get
-        terms2 = list(other._num.items())
-        for e1, n1 in self._num.items():
-            for e2, n2 in terms2:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + n1 * n2
-        return Poly._lowest(
-            self.chart, {e: n for e, n in acc.items() if n}, self._den * other._den
-        )
+        num1, num2 = self._num, other._num
+        if len(num1) < 2 or len(num2) < 2:
+            # with one term (or none) on a side the products are all distinct:
+            # nothing to accumulate, so packing would not pay for itself
+            num = {
+                tuple(map(add, e1, e2)): n1 * n2
+                for e1, n1 in num1.items()
+                for e2, n2 in num2.items()
+            }
+        else:
+            # max_k(deg_k self + deg_k other), read from the exponent columns
+            top = max(map(add, map(max, zip(*num1)), map(max, zip(*num2))))
+            packing = _Packing(self.chart.size, top.bit_length())
+            acc: Dict[int, int] = {}
+            get = acc.get
+            terms2 = list(packing.pack(num2).items())
+            for k1, n1 in packing.pack(num1).items():
+                for k2, n2 in terms2:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
+            num = packing.unpack(acc)
+        return Poly._lowest(self.chart, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -664,6 +691,41 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     return None
 
 
+class _Packing:
+    """Exponent tuples of ``n`` variables packed into one int, ``width`` bits a field.
+
+    ``pack`` re-keys a numerator dict by packed exponents, with the first
+    variable in the most significant field, so a monomial product is one
+    int addition.  With ``graded`` the total degree takes one more field
+    above them all, and int order on the keys is graded lexicographic
+    order.  Nothing checks for overflow: callers pick a width that holds
+    every field they will ever form.
+    """
+
+    __slots__ = ("weights", "shifts", "mask")
+
+    def __init__(self, n: int, width: int, graded: bool = False):
+        self.shifts = range(width * (n - 1), -1, -width)
+        total = 1 << width * n if graded else 0
+        self.weights = [(1 << s) + total for s in self.shifts]
+        self.mask = (1 << width) - 1
+
+    def pack(self, num: Dict[Exponents, int]) -> Dict[int, int]:
+        weights = self.weights
+        return {sum(map(mul, e, weights)): c for e, c in num.items()}
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponent tuple of one packed key."""
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+    def unpack(self, packed: Dict[int, int]) -> Dict[Exponents, int]:
+        """``packed`` keyed by exponent tuples again, its zero values dropped."""
+        keys, mask = list(packed), self.mask
+        columns = [[(k >> s) & mask for k in keys] for s in self.shifts]
+        return dict(filter(itemgetter(1), zip(zip(*columns), packed.values())))
+
+
 def _degree_vector(p: Poly) -> List[int]:
     return [max(col) for col in zip(*p._num)]
 
@@ -753,31 +815,40 @@ def divexact(f: Poly, g: Poly) -> Poly:
     # division runs over Z and a fractional quotient term disproves it.
     c = math.gcd(*g._num.values())
     G = g._num if c == 1 else {e: n // c for e, n in g._num.items()}
-    ge = max(G, key=glex_key)
-    gc = G[ge]
-    rest = [(e, n) for e, n in G.items() if e != ge]
+    # every remainder term has total degree at most deg f and no negative
+    # exponent, so fields of this width never carry (see the module docstring)
+    packing = _Packing(
+        f.chart.size, max(f.total_degree(), g.total_degree()).bit_length(), graded=True
+    )
+    exponents = packing.exponents
+    packed = packing.pack(G)
+    gk = max(packed)
+    gc = packed.pop(gk)
+    ge = exponents(gk)
+    rest = list(packed.items())
     quotient: Dict[Exponents, int] = {}
-    r = dict(f._num)
+    r = packing.pack(f._num)
     while r:
-        re_ = max(r, key=glex_key)
-        qe = tuple(map(sub, re_, ge))
+        rk = max(r)
+        qe = tuple(map(sub, exponents(rk), ge))
         if min(qe) < 0:
             raise ExactDivisionError(f"({g}) does not divide ({f})")
-        qc, rem = divmod(r.pop(re_), gc)
+        qc, rem = divmod(r.pop(rk), gc)
         if rem:
             raise ExactDivisionError(f"({g}) does not divide ({f})")
         quotient[qe] = qc
-        for e, n in rest:
-            e = tuple(map(add, e, qe))
-            v = r.get(e)
+        qk = rk - gk
+        for k, n in rest:
+            k += qk
+            v = r.get(k)
             if v is None:
-                r[e] = -qc * n
+                r[k] = -qc * n
             else:
                 v -= qc * n
                 if v:
-                    r[e] = v
+                    r[k] = v
                 else:
-                    del r[e]
+                    del r[k]
     # f / g = (F / G) * d / (f._den * c)
     d, den = g._den, f._den * c
     h = math.gcd(d, den)

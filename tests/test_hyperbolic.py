@@ -26,6 +26,7 @@ from liefol import (
     torus_distance,
     verify_anosov_bounds,
 )
+from liefol import hyperbolic
 from liefol.hyperbolic import _leaf_boxes
 
 LAMBDA_S = (3.0 - math.sqrt(5.0)) / 2.0
@@ -215,6 +216,26 @@ class TestAnosovBounds:
             ):
                 assert getattr(one, name) == pytest.approx(getattr(many, name), abs=1e-12)
             assert one.passed == many.passed == (not swap)
+
+    def test_builds_only_the_states_it_reads(self, monkeypatch):
+        built = []
+
+        def counting_state(*coords):
+            built.append(coords)
+            return SuspensionState(*coords)
+
+        monkeypatch.setattr(hyperbolic, "SuspensionState", counting_state)
+        for samples, expected in ((3, 3), (8, 8), (200, 8)):
+            built.clear()
+            verify_anosov_bounds(samples=samples, t_max=20, seed=1)
+            assert len(built) == expected
+        # the states drawn do not depend on how many samples were asked for
+        built.clear()
+        verify_anosov_bounds(samples=8, t_max=20, seed=1)
+        first = list(built)
+        built.clear()
+        verify_anosov_bounds(samples=200, t_max=20, seed=1)
+        assert built == first
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

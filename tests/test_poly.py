@@ -284,6 +284,32 @@ class TestDivision:
         with pytest.raises(ZeroDivisionError):
             divexact(X, Poly.zero(XY))
 
+    def test_divexact_cost_does_not_grow_with_a_key_function(self, monkeypatch):
+        """Finding each next quotient term calls no per-term sort key, so
+        the quotient's size cannot make the key calls grow with it."""
+        g = 3 * X**2 - X * Y + 2
+        quotients = []
+        for d in (3, 13):
+            below = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+            coeffs = {(i, j): (-1) ** (i * j) * (i + 2 * j + 1) for i, j in below}
+            quotients.append(Poly(XY, coeffs))
+        assert [len(q) for q in quotients] == [10, 105]
+        calls = []
+        real_key = poly_module.glex_key
+
+        def counting_key(exponents):
+            calls.append(exponents)
+            return real_key(exponents)
+
+        monkeypatch.setattr(poly_module, "glex_key", counting_key)
+        counts = []
+        for q in quotients:
+            f = q * g
+            calls.clear()
+            assert divexact(f, g) == q
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_divides(self):
         assert divides(X, X**2 + X)
         assert not divides(X, X + 1)

@@ -7,6 +7,12 @@ must agree exactly: as `Fraction` term maps, as printed text, and as
 values.  Each result must also be in the canonical form the integer core
 promises: a positive denominator in lowest terms with the numerators,
 and denominator 1 for the zero polynomial.
+
+Multiplication and exact division pack exponents into fixed-width int
+fields whose width follows from the operands' degrees, so a second set
+of operands on charts of one to five variables puts those degrees
+exactly at and just below a power of two (7/8, 15/16, 31/32), where a
+field that is one bit too narrow would carry into its neighbour.
 """
 
 from __future__ import annotations
@@ -145,6 +151,103 @@ def test_divexact_raises_exactly_when_the_reference_does(data):
             divexact(f, g)
     else:
         assert_matches(divexact(f, g), expected)
+
+
+WIDE_CHARTS = [Chart(tuple("xyzwv"[:n])) for n in range(1, 6)]
+EDGES = (7, 8, 15, 16, 31, 32)
+
+
+def _nonzero_rationals():
+    return _rationals().filter(bool)
+
+
+def _terms(chart: Chart, tops):
+    """A few terms topped by x^tops.
+
+    The result has degree exactly ``tops[k]`` in each variable and total
+    degree exactly ``sum(tops)``.
+    """
+    top = tuple(tops)
+    below = st.tuples(*(st.integers(0, t) for t in tops))
+    return st.builds(
+        lambda rest, c: Poly(chart, {**rest, top: c}),
+        st.dictionaries(below, _nonzero_rationals(), min_size=1, max_size=3),
+        _nonzero_rationals(),
+    )
+
+
+def _single(chart: Chart, tops):
+    """Zero, the monomial x^tops, or one term c*x^tops."""
+    top = tuple(tops)
+    return st.one_of(
+        st.just(Poly.zero(chart)),
+        st.just(Poly(chart, {top: 1})),
+        _nonzero_rationals().map(lambda c: Poly(chart, {top: c})),
+    )
+
+
+@st.composite
+def _edge_tops(draw):
+    """A chart and two degree vectors that add up to an edge value.
+
+    Either every per-variable sum is the edge (the field width of a
+    product of operands with these degrees), or the total degrees add up
+    to it (the field width of dividing that product by either one).
+    """
+    chart = draw(st.sampled_from(WIDE_CHARTS))
+    n, edge = chart.size, draw(st.sampled_from(EDGES))
+    if draw(st.booleans()):
+        tops_p = [draw(st.integers(0, edge)) for _ in range(n)]
+        tops_q = [edge - a for a in tops_p]
+    else:
+        cuts = sorted(draw(st.integers(0, edge)) for _ in range(2 * n - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, edge])]
+        tops_p, tops_q = parts[:n], parts[n:]
+    return chart, tops_p, tops_q
+
+
+@given(_edge_tops(), st.data())
+def test_products_at_field_edges_match(edge, data):
+    chart, tops_p, tops_q = edge
+    p = data.draw(_terms(chart, tops_p))
+    q = data.draw(_terms(chart, tops_q))
+    s = data.draw(_single(chart, tops_q))
+    for a, b in ((p, q), (q, p), (p, s), (s, p)):
+        assert_matches(a * b, RefPoly.of(a) * RefPoly.of(b))
+
+
+@given(st.data())
+def test_powers_at_field_edges_match(data):
+    """The last product of p**n has per-variable degree sums n*tops, drawn
+    to sit at or next to an edge."""
+    chart = data.draw(st.sampled_from(WIDE_CHARTS))
+    n = data.draw(st.integers(0, 6))
+    edge = data.draw(st.sampled_from(EDGES))
+    tops = [edge // max(n, 1) + data.draw(st.integers(0, 1)) for _ in range(chart.size)]
+    p = data.draw(st.one_of(_terms(chart, tops), _single(chart, tops)))
+    assert_matches(p**n, RefPoly.of(p) ** n)
+
+
+@given(_edge_tops(), st.data())
+def test_divexact_at_field_edges_matches(edge, data):
+    chart, tops_p, tops_q = edge
+    p = data.draw(_terms(chart, tops_p))
+    q = data.draw(_terms(chart, tops_q))
+    s = data.draw(_single(chart, tops_p))
+    pairs = [(p, q), (q, p), (s, q)] + ([(q, s)] if s else [])
+    for a, b in pairs:
+        assert_matches(divexact(a * b, b), RefPoly.of(a))
+    # a perturbed product divides exactly where the reference says it does
+    r = data.draw(_terms(chart, [data.draw(st.integers(0, t)) for t in tops_q]))
+    for a, b in pairs:
+        f = a * b + r
+        try:
+            expected = RefPoly.of(f).divexact(RefPoly.of(b))
+        except ReferenceDivisionError:
+            with pytest.raises(ExactDivisionError):
+                divexact(f, b)
+        else:
+            assert_matches(divexact(f, b), expected)
 
 
 def test_constructor_accepts_mixed_coefficients():
