@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .liecalc import VectorField, apply_derivation, jacobian_matrix
-from .poly import Chart, ChartMismatchError, Poly, RatFunc
+from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
 
 
 def _square(matrix: Sequence[Sequence[RatFunc]]) -> Tuple[Tuple[RatFunc, ...], ...]:
@@ -175,21 +175,26 @@ def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismRe
         if lhs != rhs:
             raise MorphismPreconditionError(j, phi.target.variables[j], lhs, rhs)
 
-    jac = [[RatFunc(e) for e in row] for row in phi.jacobian()]  # q x p
+    jac = phi.jacobian()  # q x p, polynomial
     a = jacobian_matrix(v)  # p x p
     b = jacobian_matrix(w)  # q x q
     b_phi = [[phi.pull_back(entry) for entry in row] for row in b]
 
+    # Each sum of products is one ``_dot`` over the common denominator of
+    # its rational factors (a row of b o phi, a column of a); the other
+    # factor, an entry of dphi, is polynomial.
+    chart = phi.source
     q = phi.target.size
     p = phi.source.size
+    a_columns = [_common_denominator(a[j][k] for j in range(p)) for k in range(p)]
     for i in range(q):
+        den_b, row_b = _common_denominator(b_phi[i])
         for k in range(p):
-            left = RatFunc.zero(phi.source)
-            for j in range(q):
-                left = left + b_phi[i][j] * jac[j][k]
-            right = apply_derivation(v, jac[i][k])
-            for j in range(p):
-                right = right + jac[i][j] * a[j][k]
+            left = RatFunc(_dot(chart, [(row_b[j], jac[j][k]) for j in range(q)]), den_b)
+            den_a, column_a = a_columns[k]
+            right = apply_derivation(v, jac[i][k]) + RatFunc(
+                _dot(chart, [(jac[i][j], column_a[j]) for j in range(p)]), den_a
+            )
             if left != right:
                 return DMorphismResult(False, (i, k, left - right))
     return DMorphismResult(True, None)

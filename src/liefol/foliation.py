@@ -31,6 +31,7 @@ from .poly import (
     ChartMismatchError,
     Poly,
     RatFunc,
+    _dot,
     content,
     divexact,
     divides,
@@ -219,7 +220,7 @@ def invariant_hypersurface(f: Poly, v: VectorField) -> bool:
     if squarefree_part(f) != normalize(f):
         raise ValueError("equation must be squarefree")
     w = saturate_rank1(v)
-    derivative = Poly.zero(f.chart)
-    for k, coeff in enumerate(w.polynomial_coefficients()):
-        derivative = derivative + coeff * f.partial(k)
+    derivative = _dot(
+        f.chart, [(coeff, f.partial(k)) for k, coeff in enumerate(w.polynomial_coefficients())]
+    )
     return derivative.is_zero() or divides(f, derivative)

@@ -13,7 +13,16 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .poly import Poly, RatFunc, bareiss, clear_denominators, content, divexact, normalize
+from .poly import (
+    Poly,
+    RatFunc,
+    _dot,
+    bareiss,
+    clear_denominators,
+    content,
+    divexact,
+    normalize,
+)
 
 Matrix = Sequence[Sequence[RatFunc]]
 
@@ -36,8 +45,9 @@ class RowSpace:
             raise ValueError("vector length differs from the row length")
         if not self.pivots:
             return all(p.is_zero() for p in v)
+        den, neg = self.den, [-v[p] for p in self.pivots]
         return all(
-            self.den * v[j] == sum(v[p] * row[j] for row, p in zip(self.rows, self.pivots))
+            _dot(den.chart, [(den, v[j]), *zip(neg, (row[j] for row in self.rows))]).is_zero()
             for j in range(len(v))
             if j not in self.pivots
         )

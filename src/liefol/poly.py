@@ -23,10 +23,16 @@ exponent tuple into one int while they run (packed exponent vectors,
 after Monagan and Pearce); storage stays keyed by tuples.  Each field is
 W bits wide, the first variable most significant:
 
-* a product f * g takes W as the bit length of max_k(deg_k f + deg_k g).
-  Every exponent of every partial product fits its field, so a monomial
-  product is one int addition that never carries, and no overflow check
-  is needed;
+* a sum of products, sum_i a_i * b_i (``_dot``; a single product f * g
+  is the sum with one pair), takes W as the bit length of
+  max_i max_k(deg_k a_i + deg_k b_i), and at least 1.  Every exponent of
+  every partial product fits its field, so a monomial product is one int
+  addition that never carries, and no overflow check is needed.  Each
+  pair is scaled to the lcm of the denominators a_i._den * b_i._den, and
+  all partial products go into one int-keyed dict: a sum of n products
+  unpacks and reduces to lowest terms once, not n times, and pays no
+  intermediate polynomial or addition.  Derivations, brackets, Bareiss
+  steps and span tests are such sums;
 * exact division f / g adds a field for the total degree above the
   variables, so int order on the keys is graded lexicographic order, and
   takes W as the bit length of max(deg f, deg g).  No remainder term
@@ -351,26 +357,15 @@ class Poly:
             return NotImplemented
         self._require_chart(other)
         num1, num2 = self._num, other._num
-        if len(num1) < 2 or len(num2) < 2:
-            # with one term (or none) on a side the products are all distinct:
-            # nothing to accumulate, so packing would not pay for itself
-            num = {
-                tuple(map(add, e1, e2)): n1 * n2
-                for e1, n1 in num1.items()
-                for e2, n2 in num2.items()
-            }
-        else:
-            # max_k(deg_k self + deg_k other), read from the exponent columns
-            top = max(map(add, map(max, zip(*num1)), map(max, zip(*num2))))
-            packing = _Packing(self.chart.size, top.bit_length())
-            acc: Dict[int, int] = {}
-            get = acc.get
-            terms2 = list(packing.pack(num2).items())
-            for k1, n1 in packing.pack(num1).items():
-                for k2, n2 in terms2:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + n1 * n2
-            num = packing.unpack(acc)
+        if len(num1) >= 2 and len(num2) >= 2:
+            return _dot(self.chart, [(self, other)])
+        # with one term (or none) on a side the products are all distinct:
+        # nothing to accumulate, so packing would not pay for itself
+        num = {
+            tuple(map(add, e1, e2)): n1 * n2
+            for e1, n1 in num1.items()
+            for e2, n2 in num2.items()
+        }
         return Poly._lowest(self.chart, num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -727,7 +722,46 @@ class _Packing:
 
 
 def _degree_vector(p: Poly) -> List[int]:
-    return [max(col) for col in zip(*p._num)]
+    return list(map(max, zip(*p._num)))
+
+
+def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum of a * b over ``pairs`` of polynomials on ``chart``.
+
+    Every partial product goes into one int-keyed accumulator: one
+    packing width for the whole sum, each pair's numerators scaled to
+    the lcm of the ``a._den * b._den``, and one unpack and one reduction
+    to lowest terms at the end (see the module docstring).
+    """
+    live = []
+    top, den = 0, 1
+    for a, b in pairs:
+        # identity first: the dataclass comparison costs a Python call
+        if (a.chart is not chart or b.chart is not chart) and (
+            a.chart != chart or b.chart != chart
+        ):
+            raise ChartMismatchError(f"charts differ: {a.chart}, {b.chart} vs {chart}")
+        if a._num and b._num:
+            live.append((a, b))
+            top = max(top, *map(add, _degree_vector(a), _degree_vector(b)))
+            den = math.lcm(den, a._den * b._den)
+    if not live:
+        return Poly.zero(chart)
+    # at least one bit, so that a sum of constants still has a field
+    packing = _Packing(chart.size, top.bit_length() or 1)
+    pack = packing.pack
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for a, b in live:
+        scale = den // (a._den * b._den)
+        terms2 = list(pack(b._num).items())
+        for k1, n1 in pack(a._num).items():
+            if scale != 1:
+                n1 *= scale
+            for k2, n2 in terms2:
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+    return Poly._lowest(chart, packing.unpack(acc), den)
 
 
 def _sup_norm(f: Dict[Exponents, int]) -> int:
@@ -917,12 +951,12 @@ def bareiss(
         for i in range(0 if reduced else r + 1, len(m)):
             if i == r:
                 continue
-            row, a = m[i], m[i][col]
+            row, neg = m[i], -m[i][col]
             row[col] = Poly.zero(p.chart)
             # below the pivot the columns left of it are already zero
             for j in range(col + 1 if i > r else 0, width):
                 if j != col:
-                    v = p * row[j] - a * top[j]
+                    v = _dot(p.chart, [(p, row[j]), (neg, top[j])])
                     row[j] = v if prev is None else divexact(v, prev)
         prev = p
         pivots.append(col)
@@ -1187,9 +1221,9 @@ class RatFunc:
         return f"RatFunc({self!s})"
 
 
-def clear_denominators(fs: Iterable[RatFunc]) -> Tuple[Poly, ...]:
-    """Scale a family of rational functions to polynomials by their common
-    denominator, returning the numerators of f * lcm(dens)."""
+def _common_denominator(fs: Iterable[RatFunc]) -> Tuple[Poly, Tuple[Poly, ...]]:
+    """The lcm q of the denominators of a non-empty family, normalized, and
+    the polynomials f * q."""
     fs = tuple(fs)
     if not fs:
         raise ValueError("empty family")
@@ -1199,5 +1233,11 @@ def clear_denominators(fs: Iterable[RatFunc]) -> Tuple[Poly, ...]:
         if not f.den.is_one():
             common = lcm(common, f.den)
     if common.is_one():
-        return tuple(f.num for f in fs)
-    return tuple(f.num * divexact(common, f.den) for f in fs)
+        return common, tuple(f.num for f in fs)
+    return common, tuple(f.num * divexact(common, f.den) for f in fs)
+
+
+def clear_denominators(fs: Iterable[RatFunc]) -> Tuple[Poly, ...]:
+    """Scale a family of rational functions to polynomials by their common
+    denominator, returning the numerators of f * lcm(dens)."""
+    return _common_denominator(fs)[1]

@@ -225,3 +225,17 @@ class TestCheckDMorphism:
         v2 = VectorField.from_coefficients(XY, (X, Y))
         w2 = VectorField.from_coefficients(U_CHART, (2 * u,))
         assert check_dmorphism(phi, v2, w2).ok
+
+    def test_rational_fields(self):
+        """Rational coefficients: each sum runs over its common denominator."""
+        identity = PolyMap(XY, XY, (X, Y))
+        v = VectorField.from_coefficients(XY, (RatFunc(X, Y + 1), RatFunc(Y**2, X**2 + 1)))
+        assert check_dmorphism(identity, v, v).ok
+        u = U_CHART.var("u")
+        projection = PolyMap(XY, U_CHART, (X,))
+        w = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 1),))
+        lifted = VectorField.from_coefficients(XY, (RatFunc(X, X**2 + 1), RatFunc(Y, X - 2)))
+        assert check_dmorphism(projection, lifted, w).ok
+        wrong = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 2),))
+        with pytest.raises(MorphismPreconditionError):
+            check_dmorphism(projection, lifted, wrong)

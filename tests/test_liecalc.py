@@ -3,7 +3,10 @@
 The bracket's coordinate formula is checked against the definition as a
 commutator of derivations, applied to each coordinate function; flow
 series of linear fields are checked against exact truncated matrix
-exponentials in test_acceptance.
+exponentials in test_acceptance.  The derivation and the bracket, which
+sum their products in one packed kernel over a common denominator, are
+also checked against the term-by-term `RatFunc` loops they replaced,
+kept here as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import XY, XYZ, field_strategy, random_field, random_poly
+from conftest import XY, XYZ, field_strategy, random_field, random_poly, random_ratfunc
 from liefol import (
     ChartMismatchError,
     Connection,
@@ -29,6 +32,7 @@ from liefol import (
     lie_connection_matrix,
     nabla_apply,
 )
+from liefol import poly as poly_module
 
 X, Y = XY.vars()
 ZERO = Poly.zero(XY)
@@ -54,6 +58,109 @@ def commutator_on_coordinates(v, w):
             - apply_derivation(w, apply_derivation(v, coord))
         )
     return VectorField.from_coefficients(chart, tuple(out))
+
+
+# --- reference: RatFunc arithmetic one term at a time ----------------------
+
+
+def _reference_apply_derivation(v, f):
+    g = f if isinstance(f, RatFunc) else RatFunc(f)
+    total = RatFunc.zero(v.chart)
+    for k, coeff in enumerate(v.coefficients):
+        if coeff.is_zero():
+            continue
+        total = total + coeff * g.partial(k)
+    return total
+
+
+def _reference_lie_bracket(v, w):
+    chart = v.chart
+    out = []
+    for i in range(chart.size):
+        acc = RatFunc.zero(chart)
+        wi = w.coefficients[i]
+        vi = v.coefficients[i]
+        for j in range(chart.size):
+            vj = v.coefficients[j]
+            wj = w.coefficients[j]
+            if not vj.is_zero():
+                acc = acc + vj * wi.partial(j)
+            if not wj.is_zero():
+                acc = acc - wj * vi.partial(j)
+        out.append(acc)
+    return VectorField(chart, tuple(out))
+
+
+def _mixed_field(rng, chart):
+    """Coefficients drawn from zero, polynomials and rational functions."""
+    coeffs = []
+    for _ in range(chart.size):
+        kind = rng.randrange(4)
+        if kind == 0:
+            coeffs.append(Poly.zero(chart))
+        elif kind == 1:
+            coeffs.append(random_poly(rng, chart, 2, 5))
+        else:
+            coeffs.append(random_ratfunc(rng, chart))
+    return VectorField.from_coefficients(chart, coeffs)
+
+
+def _functions(rng, chart):
+    """A rational function, a polynomial, a nonzero constant and zero."""
+    return [
+        random_ratfunc(rng, chart),
+        RatFunc(random_poly(rng, chart, 3, 5)),
+        RatFunc.constant(chart, Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+        RatFunc.zero(chart),
+    ]
+
+
+class TestAgainstReference:
+    def test_derivations_match(self):
+        rng = random.Random(41)
+        for chart in (XY, XYZ):
+            zero = VectorField.zero(chart)
+            for _ in range(20):
+                v = _mixed_field(rng, chart)
+                for f in _functions(rng, chart):
+                    assert apply_derivation(v, f) == _reference_apply_derivation(v, f)
+                    assert apply_derivation(zero, f).is_zero()
+                    if f.is_constant():
+                        assert apply_derivation(v, f).is_zero()
+
+    def test_brackets_match(self):
+        rng = random.Random(42)
+        for chart in (XY, XYZ):
+            zero = VectorField.zero(chart)
+            for _ in range(15):
+                v = _mixed_field(rng, chart)
+                w = _mixed_field(rng, chart)
+                p = random_field(rng, chart, max_degree=2, coeff_bound=5)
+                for a, b in ((v, w), (v, p), (p, v), (v, zero), (zero, w), (v, v)):
+                    assert lie_bracket(a, b) == _reference_lie_bracket(a, b)
+                assert lie_bracket(zero, w).is_zero() and lie_bracket(v, v).is_zero()
+
+    def test_one_reduction_per_rational_derivation(self, monkeypatch):
+        """v(a/b) is put over one denominator and reduced once, where the
+        reference loop reduces every partial, product and partial sum."""
+        rng = random.Random(43)
+        v = random_field(rng, XYZ, max_degree=2, coeff_bound=5, nonzero=True)
+        x, y, z = XYZ.vars()
+        f = RatFunc(x * y - 2 * z + 1, x**2 + y * z - 3)
+        expected = _reference_apply_derivation(v, f)
+        calls = []
+        real_gcd = poly_module._gcd
+
+        def counting_gcd(p, q):
+            calls.append((p, q))
+            return real_gcd(p, q)
+
+        monkeypatch.setattr(poly_module, "_gcd", counting_gcd)
+        assert apply_derivation(v, f) == expected
+        fused = len(calls)
+        calls.clear()
+        _reference_apply_derivation(v, f)
+        assert fused <= 2 < len(calls)
 
 
 class TestApplyDerivation:

@@ -260,6 +260,8 @@ class TestGcd:
         q = (X - Y - 1) ** 6
         assert poly_module._heu_gcd(p, q) is None
         assert gcd(p, q) == normalize(_gcd_impl(p, q)) == (X - Y - 1) ** 2
+        # the reduction the workload asked for: p / q in lowest terms
+        assert RatFunc(p, q).den == (X - Y - 1) ** 4
 
     def test_content(self):
         assert content([X**2, X * Y]) == X

@@ -12,7 +12,9 @@ Multiplication and exact division pack exponents into fixed-width int
 fields whose width follows from the operands' degrees, so a second set
 of operands on charts of one to five variables puts those degrees
 exactly at and just below a power of two (7/8, 15/16, 31/32), where a
-field that is one bit too narrow would carry into its neighbour.
+field that is one bit too narrow would carry into its neighbour.  The
+sum-of-products kernel `_dot` takes one width for a whole sum, so it is
+checked the same way on up to four pairs at once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraction_poly import RefPoly, ReferenceDivisionError, format_ref
-from liefol import Chart, ExactDivisionError, Poly, divexact, format_poly
+from liefol import Chart, ChartMismatchError, ExactDivisionError, Poly, divexact, format_poly
+from liefol.poly import _dot
 
 CHARTS = [Chart(tuple("xyz"[:n])) for n in range(1, 4)]
 BIG = 10**40
@@ -248,6 +251,59 @@ def test_divexact_at_field_edges_matches(edge, data):
                 divexact(f, b)
         else:
             assert_matches(divexact(f, b), expected)
+
+
+def _dot_operand(chart: Chart, tops):
+    """A few terms topped by x^tops, zero, x^tops, c*x^tops or a constant."""
+    constants = _rationals().map(lambda c: Poly.constant(chart, c))
+    return st.one_of(_terms(chart, tops), _single(chart, tops), constants)
+
+
+@st.composite
+def _dot_pairs(draw):
+    """A chart of 1-5 variables and 0-4 pairs on it.
+
+    In every pair the per-variable degree sums are exactly one edge value
+    unless an operand is zero or constant, so the sum's field width is
+    the one that value needs; coefficients carry mixed denominators.
+    """
+    chart = draw(st.sampled_from(WIDE_CHARTS))
+    edge = draw(st.sampled_from(EDGES))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        tops_a = [draw(st.integers(0, edge)) for _ in range(chart.size)]
+        tops_b = [edge - t for t in tops_a]
+        a, b = draw(_dot_operand(chart, tops_a)), draw(_dot_operand(chart, tops_b))
+        pairs.append((a, b) if draw(st.booleans()) else (b, a))
+    return chart, pairs
+
+
+@given(_dot_pairs())
+def test_dot_matches_the_sum_of_products(drawn):
+    chart, pairs = drawn
+    expected = RefPoly(chart.size, {})
+    for a, b in pairs:
+        expected = expected + RefPoly.of(a) * RefPoly.of(b)
+    assert_matches(_dot(chart, pairs), expected)
+
+
+def test_dot_edge_cases():
+    chart = WIDE_CHARTS[2]
+    x, y, z = chart.vars()
+    half = Poly.constant(chart, Fraction(1, 2))
+    assert _dot(chart, []) == Poly.zero(chart)
+    assert _dot(chart, [(x, Poly.zero(chart)), (Poly.zero(chart), y)]) == Poly.zero(chart)
+    assert _dot(chart, [(half, half), (half, 3 * half)]) == Poly.one(chart)
+    # terms cancel across pairs and the scale reduces to lowest terms
+    third = Fraction(1, 3)
+    total = _dot(chart, [(x + y, half * x), (-(x + y), half * x - z * third)])
+    assert_canonical(total)
+    assert total == (x + y) * z * third
+    other = Chart(("x", "y"))
+    with pytest.raises(ChartMismatchError):
+        _dot(chart, [(x, y), (other.var("x"), other.var("y"))])
+    with pytest.raises(ChartMismatchError):
+        _dot(chart, [(Poly.zero(other), x)])
 
 
 def test_constructor_accepts_mixed_coefficients():
