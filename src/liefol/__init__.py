@@ -4,171 +4,149 @@ foliations, planar fields at infinity, and a hyperbolic suspension bench.
 The symbolic kernel (charts, polynomials, rational functions) is exact
 over Q; the hyperbolic module is the only numeric corner, and even
 there states and cocycles are exact with floats at the reporting edge.
+
+``import liefol`` runs none of the submodules.  It registers ``poly``,
+``expr``, ``liecalc``, ``dmod``, ``linalg``, ``foliation``, ``planar``
+and ``hyperbolic`` in ``sys.modules``, and as attributes of the package,
+as lazy modules (`importlib.util.LazyLoader`): a module's code runs on
+the first access to one of its attributes, or when another module
+imports a name from it.  The public names below are served by a module
+``__getattr__`` (PEP 562), so ``liefol.Poly`` runs ``poly`` alone and
+``liefol.verify_anosov_bounds`` ``hyperbolic`` alone.  A command-line
+call is a fresh process, and compiling and running every module cost
+more than most calls compute; ``liefol.cli`` resolves each name at call
+time, so a call runs only the modules its subcommand uses.  ``cli``
+itself is imported the ordinary way, so that ``python -m liefol.cli``
+does not find it already in ``sys.modules``.
 """
 
-from .poly import (
-    Chart,
-    ChartMismatchError,
-    ExactDivisionError,
-    Poly,
-    RatFunc,
-    clear_denominators,
-    content,
-    divexact,
-    divides,
-    format_poly,
-    gcd,
-    lcm,
-    normalize,
-    poly_det,
-    rational_content,
-    resultant,
-    squarefree_part,
-)
-from .expr import ParseError, parse_field_coefficients, parse_polynomial
-from .liecalc import (
-    FlowSeries,
-    VectorField,
-    apply_derivation,
-    flow_series_field,
-    flow_series_function,
-    jacobian_matrix,
-    lie_bracket,
-    lie_connection_matrix,
-)
-from .dmod import (
-    Connection,
-    DMorphismResult,
-    MorphismPreconditionError,
-    PolyMap,
-    check_dmorphism,
-    nabla_apply,
-    pullback_connection,
-)
-from .foliation import (
-    FoliationGens,
-    InvarianceResult,
-    InvolutivityResult,
-    SingularIdeal,
-    generic_rank,
-    invariant_hypersurface,
-    is_invariant_subsheaf,
-    is_involutive,
-    same_rank1_foliation,
-    saturate_rank1,
-    singular_locus,
-    tangent_foliation,
-)
-from .planar import (
-    CONSISTENT,
-    EXCLUDED,
-    InfinityReport,
-    PlanarField,
-    infinity_analysis,
-    invariant_curve_constraint,
-    q_polynomial,
-    rational_roots,
-    to_infinity_chart,
-)
-from .hyperbolic import (
-    CAT,
-    AnosovReport,
-    LabeledLine,
-    LabeledPlane,
-    SuspensionState,
-    TangentFrame,
-    cat_power,
-    classify_invariant_lines,
-    classify_invariant_planes,
-    crossings,
-    differential_flow,
-    fixed_point,
-    leaf_density,
-    line_is_invariant,
-    plane_is_invariant,
-    return_map_matrix,
-    suspension_flow,
-    torus_distance,
-    verify_anosov_bounds,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chart",
-    "ChartMismatchError",
-    "ExactDivisionError",
-    "Poly",
-    "RatFunc",
-    "clear_denominators",
-    "content",
-    "divexact",
-    "divides",
-    "format_poly",
-    "gcd",
-    "lcm",
-    "normalize",
-    "poly_det",
-    "rational_content",
-    "resultant",
-    "squarefree_part",
-    "ParseError",
-    "parse_field_coefficients",
-    "parse_polynomial",
-    "FlowSeries",
-    "VectorField",
-    "apply_derivation",
-    "flow_series_field",
-    "flow_series_function",
-    "jacobian_matrix",
-    "lie_bracket",
-    "lie_connection_matrix",
-    "Connection",
-    "DMorphismResult",
-    "MorphismPreconditionError",
-    "PolyMap",
-    "check_dmorphism",
-    "nabla_apply",
-    "pullback_connection",
-    "FoliationGens",
-    "InvarianceResult",
-    "InvolutivityResult",
-    "SingularIdeal",
-    "generic_rank",
-    "invariant_hypersurface",
-    "is_invariant_subsheaf",
-    "is_involutive",
-    "same_rank1_foliation",
-    "saturate_rank1",
-    "singular_locus",
-    "tangent_foliation",
-    "CONSISTENT",
-    "EXCLUDED",
-    "InfinityReport",
-    "PlanarField",
-    "infinity_analysis",
-    "invariant_curve_constraint",
-    "q_polynomial",
-    "rational_roots",
-    "to_infinity_chart",
-    "CAT",
-    "AnosovReport",
-    "LabeledLine",
-    "LabeledPlane",
-    "SuspensionState",
-    "TangentFrame",
-    "cat_power",
-    "classify_invariant_lines",
-    "classify_invariant_planes",
-    "crossings",
-    "differential_flow",
-    "fixed_point",
-    "leaf_density",
-    "line_is_invariant",
-    "plane_is_invariant",
-    "return_map_matrix",
-    "suspension_flow",
-    "torus_distance",
-    "verify_anosov_bounds",
-    "__version__",
-]
+# public names, by the module that defines them
+_EXPORTS = {
+    "poly": (
+        "Chart",
+        "ChartMismatchError",
+        "ExactDivisionError",
+        "Poly",
+        "RatFunc",
+        "clear_denominators",
+        "content",
+        "divexact",
+        "divides",
+        "format_poly",
+        "gcd",
+        "lcm",
+        "normalize",
+        "poly_det",
+        "rational_content",
+        "resultant",
+        "squarefree_part",
+    ),
+    "expr": ("ParseError", "parse_field_coefficients", "parse_polynomial"),
+    "liecalc": (
+        "FlowSeries",
+        "VectorField",
+        "apply_derivation",
+        "flow_series_field",
+        "flow_series_function",
+        "jacobian_matrix",
+        "lie_bracket",
+        "lie_connection_matrix",
+    ),
+    "dmod": (
+        "Connection",
+        "DMorphismResult",
+        "MorphismPreconditionError",
+        "PolyMap",
+        "check_dmorphism",
+        "nabla_apply",
+        "pullback_connection",
+    ),
+    "linalg": (),
+    "foliation": (
+        "FoliationGens",
+        "InvarianceResult",
+        "InvolutivityResult",
+        "SingularIdeal",
+        "generic_rank",
+        "invariant_hypersurface",
+        "is_invariant_subsheaf",
+        "is_involutive",
+        "same_rank1_foliation",
+        "saturate_rank1",
+        "singular_locus",
+        "tangent_foliation",
+    ),
+    "planar": (
+        "CONSISTENT",
+        "EXCLUDED",
+        "InfinityReport",
+        "PlanarField",
+        "infinity_analysis",
+        "invariant_curve_constraint",
+        "q_polynomial",
+        "rational_roots",
+        "to_infinity_chart",
+    ),
+    "hyperbolic": (
+        "CAT",
+        "AnosovReport",
+        "LabeledLine",
+        "LabeledPlane",
+        "SuspensionState",
+        "TangentFrame",
+        "cat_power",
+        "classify_invariant_lines",
+        "classify_invariant_planes",
+        "crossings",
+        "differential_flow",
+        "fixed_point",
+        "leaf_density",
+        "line_is_invariant",
+        "plane_is_invariant",
+        "return_map_matrix",
+        "suspension_flow",
+        "torus_distance",
+        "verify_anosov_bounds",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def _lazy_submodule(name: str):
+    """The submodule ``liefol.<name>``, registered but not yet executed
+    (an already imported one is kept, so that its classes stay the same)."""
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+for _name in _EXPORTS:
+    globals()[_name] = _lazy_submodule(_name)
+del _name
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

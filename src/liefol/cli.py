@@ -36,20 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
-from . import hyperbolic
-from .expr import ParseError, parse_field_coefficients, parse_polynomial
-from .foliation import (
-    FoliationGens,
-    generic_rank,
-    invariant_hypersurface,
-    is_invariant_subsheaf,
-    is_involutive,
-    singular_locus,
-    tangent_foliation,
-)
-from .liecalc import VectorField, flow_series_field, flow_series_function, lie_bracket
-from .planar import PlanarField, infinity_analysis, invariant_curve_constraint
-from .poly import Chart, Poly
+from . import expr, foliation, hyperbolic, liecalc, planar, poly
 
 _KINDS = ("field", "map", "foliation", "curve")
 
@@ -77,11 +64,11 @@ class ProblemError(ValueError):
 
 @dataclass
 class ProblemFile:
-    chart: Chart
-    fields: Dict[str, VectorField]
-    maps: Dict[str, Tuple[Poly, ...]]
-    foliations: Dict[str, FoliationGens]
-    curves: Dict[str, Poly]
+    chart: poly.Chart
+    fields: Dict[str, liecalc.VectorField]
+    maps: Dict[str, Tuple[poly.Poly, ...]]
+    foliations: Dict[str, foliation.FoliationGens]
+    curves: Dict[str, poly.Poly]
 
     def sole(self, kind: str) -> str:
         table = getattr(self, kind + "s")
@@ -93,11 +80,11 @@ class ProblemFile:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    chart: Optional[Chart] = None
-    fields: Dict[str, VectorField] = {}
-    maps: Dict[str, Tuple[Poly, ...]] = {}
-    foliations: Dict[str, FoliationGens] = {}
-    curves: Dict[str, Poly] = {}
+    chart: Optional[poly.Chart] = None
+    fields: Dict[str, liecalc.VectorField] = {}
+    maps: Dict[str, Tuple[poly.Poly, ...]] = {}
+    foliations: Dict[str, foliation.FoliationGens] = {}
+    curves: Dict[str, poly.Poly] = {}
 
     def known(name: str) -> bool:
         return name in fields or name in maps or name in foliations or name in curves
@@ -113,7 +100,7 @@ def parse_problem(text: str) -> ProblemFile:
             if not names:
                 raise ProblemError("no variables declared", lineno)
             try:
-                chart = Chart(tuple(names))
+                chart = poly.Chart(tuple(names))
             except ValueError as exc:
                 raise ProblemError(str(exc), lineno) from None
             continue
@@ -133,11 +120,11 @@ def parse_problem(text: str) -> ProblemFile:
         payload = payload.strip()
         try:
             if kind == "field":
-                coeffs = parse_field_coefficients(payload, chart)
-                fields[name] = VectorField.from_coefficients(chart, coeffs)
+                coeffs = expr.parse_field_coefficients(payload, chart)
+                fields[name] = liecalc.VectorField.from_coefficients(chart, coeffs)
             elif kind == "map":
                 comps = tuple(
-                    parse_polynomial(part, chart) for part in payload.split(",")
+                    expr.parse_polynomial(part, chart) for part in payload.split(",")
                 )
                 maps[name] = comps
             elif kind == "foliation":
@@ -149,12 +136,12 @@ def parse_problem(text: str) -> ProblemFile:
                     gens.append(fields[g])
                 if not gens:
                     raise ProblemError("foliation needs at least one generator", lineno)
-                foliations[name] = FoliationGens(chart, tuple(gens))
+                foliations[name] = foliation.FoliationGens(chart, tuple(gens))
             else:  # curve
-                curves[name] = parse_polynomial(payload, chart)
+                curves[name] = expr.parse_polynomial(payload, chart)
         except ProblemError:
             raise
-        except (ParseError, ValueError) as exc:
+        except (expr.ParseError, ValueError) as exc:
             raise ProblemError(str(exc), lineno) from None
     if chart is None:
         raise ProblemError("empty problem file", 1)
@@ -171,11 +158,11 @@ def _f12(x: float) -> float:
     return float(f"{float(x):.12g}") + 0.0
 
 
-def _field_json(v: VectorField) -> List[str]:
+def _field_json(v: liecalc.VectorField) -> List[str]:
     return [str(c) for c in v.coefficients]
 
 
-def _named_field(name: str, v: VectorField) -> Dict[str, object]:
+def _named_field(name: str, v: liecalc.VectorField) -> Dict[str, object]:
     return {"name": name, "coefficients": _field_json(v)}
 
 
@@ -226,7 +213,7 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         raise ValueError("name either both fields or neither")
     v = _get(problem.fields, name_v, "field")
     w = _get(problem.fields, name_w, "field")
-    result = lie_bracket(v, w)
+    result = liecalc.lie_bracket(v, w)
     return _ok(
         "bracket",
         {
@@ -238,11 +225,11 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
     )
 
 
-def _resolve_foliation(problem: ProblemFile, name: str) -> FoliationGens:
+def _resolve_foliation(problem: ProblemFile, name: str) -> foliation.FoliationGens:
     if name in problem.foliations:
         return problem.foliations[name]
     if name in problem.maps:
-        return tangent_foliation(problem.maps[name], problem.chart)
+        return foliation.tangent_foliation(problem.maps[name], problem.chart)
     raise ValueError(f"no foliation or map named {name!r} in the problem file")
 
 
@@ -263,7 +250,7 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
             "name": args.foliation,
             "generators": [_field_json(g) for g in fol.generators],
         }
-        verdict = is_invariant_subsheaf(fol, v)
+        verdict = foliation.is_invariant_subsheaf(fol, v)
         result["foliation"] = {
             "invariant": verdict.ok,
             "witness": None if verdict.witness is None else _field_json(verdict.witness),
@@ -271,7 +258,7 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
     if args.curve is not None:
         curve = _get(problem.curves, args.curve, "curve")
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
-        result["curve"] = {"invariant": invariant_hypersurface(curve, v)}
+        result["curve"] = {"invariant": foliation.invariant_hypersurface(curve, v)}
     return _ok("invariance", inputs, result)
 
 
@@ -286,10 +273,10 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
     else:
         raise ValueError("name a foliation or map explicitly")
     fol = _resolve_foliation(problem, name)
-    rank = generic_rank(fol)
-    involutive = is_involutive(fol)
+    rank = foliation.generic_rank(fol)
+    involutive = foliation.is_involutive(fol)
     if rank == len(fol.generators):
-        locus: Optional[List[str]] = [str(g) for g in singular_locus(fol).generators]
+        locus: Optional[List[str]] = [str(g) for g in foliation.singular_locus(fol).generators]
         note = None
     else:
         locus = None
@@ -317,11 +304,11 @@ def _cmd_planar(args: argparse.Namespace) -> int:
     problem = _read_problem(args.problem)
     field_name = args.field if args.field is not None else problem.sole("field")
     v = _get(problem.fields, field_name, "field")
-    planar = PlanarField.from_vector_field(v)
-    report = infinity_analysis(planar)
+    field = planar.PlanarField.from_vector_field(v)
+    report = planar.infinity_analysis(field)
     result: Dict[str, object] = {
-        "degree": planar.degree,
-        "saturated_coefficients": [str(planar.a), str(planar.b)],
+        "degree": field.degree,
+        "saturated_coefficients": [str(field.a), str(field.b)],
         "Q": str(report.q_form),
         "P": str(report.p_restricted),
         "line_invariant": report.line_invariant,
@@ -337,7 +324,7 @@ def _cmd_planar(args: argparse.Namespace) -> int:
     if args.curve is not None:
         curve = _get(problem.curves, args.curve, "curve")
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
-        result["curve_verdict"] = invariant_curve_constraint(curve, planar)
+        result["curve_verdict"] = planar.invariant_curve_constraint(curve, field)
     return _ok("planar", inputs, result)
 
 
@@ -352,11 +339,11 @@ def _cmd_flow_series(args: argparse.Namespace) -> int:
         "order": args.order,
     }
     if target in problem.fields:
-        series = flow_series_field(v, problem.fields[target], args.order)
+        series = liecalc.flow_series_field(v, problem.fields[target], args.order)
         inputs["target"] = {"kind": "field", "name": target}
         coeffs: object = [_field_json(c) for c in series.coefficients]
     elif target in problem.curves:
-        series = flow_series_function(v, problem.curves[target], args.order)
+        series = liecalc.flow_series_function(v, problem.curves[target], args.order)
         inputs["target"] = {"kind": "function", "name": target}
         coeffs = [str(c) for c in series.coefficients]
     else:

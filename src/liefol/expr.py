@@ -7,7 +7,12 @@ two integer literals, so every expression denotes a polynomial.  A power
 ``base ^ n`` or a product may reach total degree at most
 ``MAX_POWER_DEGREE`` (in a field expression the basis factor counts as
 one), at most ``MAX_TERMS`` terms and coefficients of at most
-``MAX_COEFF_BITS`` bits, by estimates made before it is expanded.
+``MAX_COEFF_BITS`` bits, by estimates made before it is expanded.  The
+expansions of one expression share one budget as well: together they may
+reach ``MAX_TERMS`` terms (an expansion to a single term, a monomial,
+counts none) and terms times coefficient bits ``MAX_TERMS *
+MAX_COEFF_BITS``: as much as one expansion at both limits.  Every term of
+a sum is charged before any of them is expanded.
 
 Vector-field expressions use the same grammar over the chart extended
 by basis names: ``d<var>`` for each chart variable, with ``dx1 .. dxn``
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Chart, Poly
@@ -29,8 +34,8 @@ from .poly import Chart, Poly
 # Largest total degree a power ``base ^ n`` or a product may reach, most
 # terms it may have (as many as a dense bivariate polynomial of that
 # degree) and longest coefficients (64 bits per unit of degree).  All are
-# checked before anything is expanded, so a huge exponent or product is a
-# parse error, not a hang.
+# checked before anything is expanded, so a huge exponent, product or sum
+# of expansions is a parse error, not a hang.
 MAX_POWER_DEGREE = 100
 MAX_TERMS = math.comb(MAX_POWER_DEGREE + 2, 2)
 MAX_COEFF_BITS = MAX_POWER_DEGREE * 64
@@ -124,6 +129,10 @@ class _Parser:
         self.names = names
         self.length = length
         self.i = 0
+        # what the expansions charged so far add up to: terms, and the sum
+        # of terms times coefficient bits
+        self.terms = 0
+        self.size = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -155,21 +164,21 @@ class _Parser:
         return p
 
     def expression(self) -> Poly:
+        # every term is parsed and charged before any of them is expanded
         tok = self.peek()
+        sign = 1
         if tok is not None and tok.kind in "+-":
             self.take()
-            acc = self.term()
-            if tok.kind == "-":
-                acc = -acc
-        else:
-            acc = self.term()
+            sign = -1 if tok.kind == "-" else 1
+        products = []
         while True:
+            s, factors = self.term()
+            products.append((sign * s, factors))
             tok = self.peek()
             if tok is None or tok.kind not in "+-":
-                return acc
+                return reduce(add, (_expand(s, factors) for s, factors in products))
             self.take()
-            rhs = self.term()
-            acc = acc + rhs if tok.kind == "+" else acc - rhs
+            sign = -1 if tok.kind == "-" else 1
 
     def check(self, what: str, degree: int, terms: int, bits: int, pos: int) -> int:
         """Reject a power or product over the budget; return its term
@@ -191,8 +200,28 @@ class _Parser:
             )
         return terms
 
-    def term(self) -> Poly:
-        # the factors are expanded only once the whole product fits the budget
+    def charge(self, terms: int, bits: int, pos: int) -> None:
+        """Charge one expansion to the expression's shared budget."""
+        if terms > 1:  # a monomial multiplies no terms
+            self.terms += terms
+        self.size += terms * bits
+        if self.terms > MAX_TERMS:
+            raise ParseError(
+                f"expansions of about {self.terms} terms in all exceed the limit {MAX_TERMS}",
+                pos,
+            )
+        if self.size > MAX_TERMS * MAX_COEFF_BITS:
+            raise ParseError(
+                f"expansions of about {self.size} coefficient bits in all exceed the limit "
+                f"{MAX_TERMS * MAX_COEFF_BITS}",
+                pos,
+            )
+
+    def term(self) -> Tuple[int, List[Tuple[Poly, int]]]:
+        """A product of powers, unexpanded: its sign and (base, exponent)
+        factors.  A term that expands anything is charged to the budget."""
+        tok = self.peek()
+        pos = tok.pos if tok is not None else self.length
         sign, base, n, degree, terms, bits = self.unary()
         factors = [(base, n)]
         while True:
@@ -204,8 +233,9 @@ class _Parser:
             sign, degree, bits = sign * s, degree + d, bits + b
             terms = self.check("product", degree, terms * t, bits, tok.pos)
             factors.append((base, n))
-        acc = reduce(mul, (base if n == 1 else base**n for base, n in factors))
-        return -acc if sign < 0 else acc
+        if len(factors) > 1 or n != 1:
+            self.charge(terms, bits, pos)
+        return sign, factors
 
     def unary(self) -> Tuple[int, Poly, int, int, int, int]:
         """A signed power, unexpanded: sign, base, exponent, degree, terms
@@ -247,6 +277,11 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+
+
+def _expand(sign: int, factors: List[Tuple[Poly, int]]) -> Poly:
+    acc = reduce(mul, (base if n == 1 else base**n for base, n in factors))
+    return -acc if sign < 0 else acc
 
 
 def parse_polynomial(text: str, chart: Chart) -> Poly:

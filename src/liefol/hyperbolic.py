@@ -13,10 +13,11 @@ splitting is spanned by the eigenvectors of the automorphism; those are
 irrational, and a float copy of the stable direction is useless for
 long-time contraction measurements — its ~1e-16 unstable component
 overtakes the true signal near t = 19.  The bound verifier therefore
-carries the directions exactly in Q(sqrt 5) (pairs of Fractions), applies
-the exact cocycle, and only then takes logarithms, using the algebraic
-conjugate to dodge catastrophic cancellation.  The regression that
-estimates the contraction rate never consults the claimed eigenvalues.
+carries the directions exactly in Q(sqrt 5) (integer pairs over one
+fixed denominator), applies the exact cocycle, and only then takes
+logarithms, using the algebraic conjugate to dodge catastrophic
+cancellation.  The regression that estimates the contraction rate never
+consults the claimed eigenvalues.
 
 Along a closed orbit the return differential is CAT^k (+) 1, k the
 number of roof crossings in one period, so the invariant lines and
@@ -151,80 +152,61 @@ def differential_flow(
 
 _SQRT5 = math.sqrt(5.0)
 
-
-@dataclass(frozen=True)
-class _Q5:
-    """a + b*sqrt(5) with exact rational a, b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, other: "_Q5") -> "_Q5":
-        return _Q5(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "_Q5") -> "_Q5":
-        return _Q5(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "_Q5") -> "_Q5":
-        return _Q5(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def scale(self, c: int) -> "_Q5":
-        return _Q5(self.a * c, self.b * c)
-
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT5
+# A vector of Q(sqrt 5)^2 is a pair of integer pairs ((xa, xb), (ya, yb)),
+# standing for ((xa + xb*sqrt 5) / _DEN, (ya + yb*sqrt 5) / _DEN).  Integer
+# matrices keep the denominator, so a rate walk is integer arithmetic only.
+_DEN = 2
+_Q5Vec = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
-def _int_log(n: int) -> float:
-    # math.log handles arbitrary-size ints exactly enough
-    return math.log(n)
+def _q5_float(a: int, b: int) -> float:
+    """(a + b*sqrt 5) / _DEN as a float."""
+    return a / _DEN + b / _DEN * _SQRT5
 
 
-def _frac_log(fr: Fraction) -> float:
-    if fr <= 0:
-        raise ValueError("log of a non-positive rational")
-    return _int_log(fr.numerator) - _int_log(fr.denominator)
+def _q5_log(a: int, b: int, den: int) -> float:
+    """log of the positive element (a + b*sqrt 5) / den, safe against
+    cancellation.
 
-
-def _q5_log(value: _Q5) -> float:
-    """log of a positive element of Q(sqrt 5), safe against cancellation.
-
-    Whichever of value and its conjugate is larger in magnitude is
+    Whichever of the element and its conjugate is larger in magnitude is
     computed accurately in floats; the smaller one is recovered through
-    the exact rational norm value * conjugate = a^2 - 5 b^2.
+    the exact rational norm element * conjugate = (a^2 - 5 b^2) / den^2,
+    taken in lowest terms.
     """
-    fa = float(value.a)
-    fb = float(value.b) * _SQRT5
+    fa = a / den
+    fb = b / den * _SQRT5
     direct = fa + fb
     conj = fa - fb
     if abs(direct) >= abs(conj):
         if direct <= 0:
             raise ValueError("element is not positive")
         return math.log(direct)
-    norm = value.a * value.a - 5 * value.b * value.b
-    return _frac_log(abs(norm)) - math.log(abs(conj))
+    norm = abs(a * a - 5 * b * b)
+    den *= den
+    g = math.gcd(norm, den)
+    return math.log(norm // g) - math.log(den // g) - math.log(abs(conj))
 
 
 # Exact eigendata of the automorphism: eigenvalues (3 -+ sqrt5)/2 with
-# eigenvectors (1, lambda - 2).
-_LAMBDA_S = _Q5(Fraction(3, 2), Fraction(-1, 2))
-_LAMBDA_U = _Q5(Fraction(3, 2), Fraction(1, 2))
-_E_SS = (_Q5(Fraction(1), Fraction(0)), _Q5(Fraction(-1, 2), Fraction(-1, 2)))
-_E_SU = (_Q5(Fraction(1), Fraction(0)), _Q5(Fraction(-1, 2), Fraction(1, 2)))
+# eigenvectors (1, lambda - 2), over _DEN.
+_E_SS: _Q5Vec = ((2, 0), (-1, -1))
+_E_SU: _Q5Vec = ((2, 0), (-1, 1))
 
 
-def _apply_int_matrix(m, vec: Tuple[_Q5, _Q5]) -> Tuple[_Q5, _Q5]:
+def _apply_int_matrix(m, vec: _Q5Vec) -> _Q5Vec:
+    (xa, xb), (ya, yb) = vec
     return (
-        vec[0].scale(m[0][0]) + vec[1].scale(m[0][1]),
-        vec[0].scale(m[1][0]) + vec[1].scale(m[1][1]),
+        (m[0][0] * xa + m[0][1] * ya, m[0][0] * xb + m[0][1] * yb),
+        (m[1][0] * xa + m[1][1] * ya, m[1][0] * xb + m[1][1] * yb),
     )
 
 
-def _q5_lognorm(vec: Tuple[_Q5, _Q5]) -> float:
-    return 0.5 * _q5_log(vec[0] * vec[0] + vec[1] * vec[1])
+def _q5_lognorm(vec: _Q5Vec) -> float:
+    """log of the Euclidean norm; the squared norm lies over _DEN^2."""
+    (xa, xb), (ya, yb) = vec
+    return 0.5 * _q5_log(
+        xa * xa + 5 * xb * xb + ya * ya + 5 * yb * yb, 2 * (xa * xb + ya * yb), _DEN * _DEN
+    )
 
 
 @dataclass(frozen=True)
@@ -265,7 +247,7 @@ def _regress_slope(points: List[Tuple[float, float]]) -> float:
     return num / den
 
 
-def _measure_rate(direction: Tuple[_Q5, _Q5], matrix, t_max) -> Tuple[float, List[float]]:
+def _measure_rate(direction: _Q5Vec, matrix, t_max) -> Tuple[float, List[float]]:
     """Log-norm growth of an exact direction under an integer cocycle.
 
     Returns the least-squares slope and the per-time log norms relative
@@ -454,8 +436,8 @@ def _dot(u: _Vec3, w: _Vec3) -> float:
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
-def _torus_line(vec: Tuple[_Q5, _Q5]) -> _Vec3:
-    return _unit((vec[0].to_float(), vec[1].to_float(), 0.0), "zero direction")
+def _torus_line(vec: _Q5Vec) -> _Vec3:
+    return _unit((_q5_float(*vec[0]), _q5_float(*vec[1]), 0.0), "zero direction")
 
 
 # Unit float views of the eigenlines of every CAT^k (+) 1 with k != 0.  Both
@@ -477,7 +459,7 @@ def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLin
     if k == 0:
         raise ValueError("return map has eigenvalues of equal modulus; lines are not isolated")
     # CAT^n e_u = lambda_u^n e_u exactly, and the first component of e_u is 1
-    grow = _apply_int_matrix(cat_power(abs(k)), _E_SU)[0].to_float()
+    grow = _q5_float(*_apply_int_matrix(cat_power(abs(k)), _E_SU)[0])
     stable, unstable = (_STABLE_LINE, _UNSTABLE_LINE) if k > 0 else (_UNSTABLE_LINE, _STABLE_LINE)
     return (
         # lambda_s^n = 1 / lambda_u^n; its direct float would cancel catastrophically

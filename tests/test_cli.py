@@ -310,7 +310,7 @@ class TestErrorReporting:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("liefol.cli.lie_bracket", broken)
+        monkeypatch.setattr("liefol.cli.liecalc.lie_bracket", broken)
         path = tmp_path / "p.txt"
         path.write_text(BASIC)
         code, report = run(capsys, "bracket", str(path))
@@ -394,6 +394,17 @@ class TestBudgets:
         assert code == 1 and report["status"] == "error"
         assert "line 3" in report["error"] and "bits exceeds the limit" in report["error"]
 
+    def test_sum_of_large_expansions_is_a_parse_error(self, tmp_path, capsys):
+        """Each power fits alone; the sum is rejected before any is expanded."""
+        path = tmp_path / "sum.txt"
+        curve = "(x+y+1)^100 + (x-y+2)^100 + (x+2*y+3)^100"
+        path.write_text(f"vars: x y\nfield v = x*dx + y*dy\ncurve C = {curve}\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "invariance", str(path), "--curve", "C")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and report["status"] == "error"
+        assert "line 3" in report["error"] and "terms in all exceed the limit" in report["error"]
+
     @pytest.mark.parametrize(
         "curve", ["(x+y+z+1)^60", "(x+y+1)^100*(x-y+2)^100", "(x+y+1)^100*(x-y+2)^50"]
     )
@@ -426,7 +437,7 @@ class TestBudgets:
             raise AssertionError("ran before the flags were checked")
 
         monkeypatch.setattr("liefol.cli.hyperbolic.verify_anosov_bounds", no_work)
-        monkeypatch.setattr("liefol.cli.flow_series_function", no_work)
+        monkeypatch.setattr("liefol.cli.liecalc.flow_series_function", no_work)
         path = tmp_path / "p.txt"
         path.write_text(BASIC)
         argv = [str(path) if a == "PROBLEM" else a for a in argv]

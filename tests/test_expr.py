@@ -116,6 +116,32 @@ def test_coefficient_size_budget():
     assert time.perf_counter() - start < 0.5
 
 
+def test_expression_budget():
+    """The expansions of one expression share one budget, charged for
+    every term of a sum before any of them is expanded."""
+    start = time.perf_counter()
+    # three powers that each fit; about 0.3 s each to expand
+    with pytest.raises(ParseError, match="expansions of about 10302 terms in all") as err:
+        parse_polynomial("(x+y+1)^100 + (x-y+2)^100 + (x+2*y+3)^100", XY)
+    assert err.value.position == len("(x+y+1)^100 + ")
+    # 2556 + 2556 + 41 terms, one more power of (x + 1) than fits
+    with pytest.raises(ParseError, match="expansions of about 5153 terms in all"):
+        parse_polynomial("(x+y+1)^70 + (x-y+2)^70 + (x+1)^40", XY)
+    # nested expansions are charged too: 6 + 5151 terms
+    with pytest.raises(ParseError, match="expansions of about 5157 terms in all"):
+        parse_polynomial("((x+y+1)^2)^50", XY)
+    assert time.perf_counter() - start < 0.5
+    # exactly at the limit, and monomials and constants multiply no terms
+    p = parse_polynomial("(x+y+1)^70 + (x-y+2)^70 + (x+1)^38 + 3*x^2*y - 2^6400", XY)
+    assert p == (X + Y + 1) ** 70 + (X - Y + 2) ** 70 + (X + 1) ** 38 + 3 * X**2 * Y - 2**6400
+    # monomials are charged their coefficient bits: as many of the largest
+    # as one expansion at both limits would have terms, and one more
+    term = f"2^{MAX_COEFF_BITS}*x"
+    with pytest.raises(ParseError, match="coefficient bits in all exceed the limit") as err:
+        parse_polynomial(" + ".join([term] * (MAX_TERMS + 1)), XY)
+    assert err.value.position == (len(term) + 3) * MAX_TERMS
+
+
 @given(poly_strategy(XY))
 def test_print_parse_roundtrip(p):
     assert parse_polynomial(format_poly(p), XY) == p

@@ -1,0 +1,137 @@
+"""The loading contract: ``import liefol`` runs no submodule, the public
+names resolve to the objects of their defining modules, and a CLI call
+runs only the modules its subcommand uses."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import liefol
+
+SRC = str(Path(liefol.__file__).resolve().parents[1])
+ROOT = Path(SRC).parent
+GOLDEN = ROOT / "tests" / "golden"
+
+LAZY = ("poly", "expr", "liecalc", "dmod", "linalg", "foliation", "planar", "hyperbolic")
+
+# Run in a fresh interpreter: import liefol (and optionally run cli.main on
+# argv), then print the lazy submodules whose code has run.  type() reads
+# the module's class without an attribute access, so it triggers no load.
+_PROBE = """
+import contextlib, io, sys, types
+import liefol
+argv = sys.argv[1:]
+if argv:
+    from liefol import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+names = {lazy!r}
+print(*sorted(n for n in names if type(sys.modules["liefol." + n]) is types.ModuleType))
+print("liefol.cli" in sys.modules)
+"""
+
+
+def _env():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _executed(*argv):
+    """The lazy submodules executed in a fresh process, and whether
+    ``liefol.cli`` is imported."""
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(lazy=LAZY), *argv],
+        cwd=ROOT,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    executed, cli_loaded = out.stdout.splitlines()
+    return set(executed.split()), cli_loaded == "True"
+
+
+def test_import_registers_but_runs_no_submodule():
+    # the probe reads sys.modules["liefol.<name>"] for every lazy name
+    executed, cli_loaded = _executed()
+    assert executed == set()
+    assert not cli_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["anosov"], {"hyperbolic"}),
+        (["bracket", "tests/golden/bracket.txt", "v", "w"], {"poly", "expr", "liecalc"}),
+        (
+            ["foliation", "tests/golden/spatial.txt", "F"],
+            {"poly", "expr", "liecalc", "linalg", "foliation"},
+        ),
+        (
+            ["planar", "tests/golden/planar_hyperbolic.txt", "--curve", "C"],
+            {"poly", "expr", "liecalc", "linalg", "foliation", "planar"},
+        ),
+        (
+            ["invariance", "tests/golden/spatial.txt", "--field", "rot", "--foliation", "F"],
+            {"poly", "expr", "liecalc", "linalg", "foliation"},
+        ),
+        (
+            ["flow-series", "tests/golden/flow_series.txt", "f", "--order", "2"],
+            {"poly", "expr", "liecalc"},
+        ),
+        # a malformed command line and a flag out of range run nothing
+        (["bogus"], set()),
+        (["anosov", "--samples", "0"], set()),
+        (["flow-series", "tests/golden/flow_series.txt", "f", "--order", "-1"], set()),
+    ],
+)
+def test_cli_runs_only_what_the_subcommand_uses(argv, ran):
+    executed, _ = _executed(*argv)
+    assert executed == ran
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert liefol.__all__[-1] == "__version__"
+    for name in liefol.__all__[:-1]:
+        module = getattr(liefol, liefol._ORIGIN[name])
+        obj = getattr(liefol, name)
+        assert obj is getattr(module, name), name
+        if isinstance(obj, (type, types.FunctionType)):
+            assert obj.__module__ == module.__name__, name
+
+
+def test_star_import_and_dir():
+    namespace: dict = {}
+    exec("from liefol import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(liefol.__all__)
+    assert set(liefol.__all__) <= set(dir(liefol))
+    assert set(LAZY) <= set(dir(liefol))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        liefol.no_such_name
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("bracket.json", ["bracket", "tests/golden/bracket.txt", "v", "w"]),
+        ("anosov.json", ["anosov", "--samples", "4", "--t-max", "25", "--seed", "0"]),
+    ],
+)
+def test_run_as_module_warns_nothing(golden, argv):
+    """``python -m liefol.cli`` finds ``liefol.cli`` unregistered, so runpy
+    has nothing to warn about, even with warnings as errors."""
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "liefol.cli", *argv],
+        cwd=ROOT,
+        env=_env(),
+        capture_output=True,
+        check=True,
+    )
+    assert out.stderr == b""
+    assert out.stdout == (GOLDEN / golden).read_bytes()
