@@ -123,10 +123,7 @@ def parse_problem(text: str) -> ProblemFile:
                 coeffs = expr.parse_field_coefficients(payload, chart)
                 fields[name] = liecalc.VectorField.from_coefficients(chart, coeffs)
             elif kind == "map":
-                comps = tuple(
-                    expr.parse_polynomial(part, chart) for part in payload.split(",")
-                )
-                maps[name] = comps
+                maps[name] = expr.parse_polynomials(payload, chart)
             elif kind == "foliation":
                 gen_names = payload.replace(",", " ").split()
                 gens = []

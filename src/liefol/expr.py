@@ -12,7 +12,9 @@ expansions of one expression share one budget as well: together they may
 reach ``MAX_TERMS`` terms (an expansion to a single term, a monomial,
 counts none) and terms times coefficient bits ``MAX_TERMS *
 MAX_COEFF_BITS``: as much as one expansion at both limits.  Every term of
-a sum is charged before any of them is expanded.
+a sum is charged before any of them is expanded.  The comma-separated
+components of a map (``parse_polynomials``) are one expression to the
+budget: every component is charged before any of them is expanded.
 
 Vector-field expressions use the same grammar over the chart extended
 by basis names: ``d<var>`` for each chart variable, with ``dx1 .. dxn``
@@ -112,7 +114,7 @@ def _tokenize(text: str) -> List[_Token]:
                 i += 1
             tokens.append(_Token("name", text[start:i], None, start))
             continue
-        if ch in "+-*^()":
+        if ch in "+-*^(),":
             tokens.append(_Token(ch, ch, None, i))
             i += 1
             continue
@@ -150,9 +152,15 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    def parse(self) -> Poly:
+    def parse(self, components: bool = False) -> List[Poly]:
+        """The expression, or with ``components`` its comma-separated
+        components; all of them are charged before any is expanded."""
         try:
-            p = self.expression()
+            sums = [self.sum()]
+            while components and self.peek() is not None and self.peek().kind == ",":
+                self.take()
+                sums.append(self.sum())
+            polys = [_expand_sum(products) for products in sums]
         except RecursionError:
             tok = self.peek()
             raise ParseError(
@@ -161,10 +169,10 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return p
+        return polys
 
-    def expression(self) -> Poly:
-        # every term is parsed and charged before any of them is expanded
+    def sum(self) -> List[Tuple[int, List[Tuple[Poly, int]]]]:
+        """A sum, unexpanded: every term is parsed and charged, none expanded."""
         tok = self.peek()
         sign = 1
         if tok is not None and tok.kind in "+-":
@@ -176,7 +184,7 @@ class _Parser:
             products.append((sign * s, factors))
             tok = self.peek()
             if tok is None or tok.kind not in "+-":
-                return reduce(add, (_expand(s, factors) for s, factors in products))
+                return products
             self.take()
             sign = -1 if tok.kind == "-" else 1
 
@@ -273,7 +281,7 @@ class _Parser:
             exps[idx] = 1
             return Poly(self.chart, {tuple(exps): 1})
         if tok.kind == "(":
-            inner = self.expression()
+            inner = _expand_sum(self.sum())
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
@@ -284,13 +292,28 @@ def _expand(sign: int, factors: List[Tuple[Poly, int]]) -> Poly:
     return -acc if sign < 0 else acc
 
 
-def parse_polynomial(text: str, chart: Chart) -> Poly:
-    """Parse a polynomial expression over the chart's variables."""
+def _expand_sum(products: List[Tuple[int, List[Tuple[Poly, int]]]]) -> Poly:
+    return reduce(add, (_expand(s, factors) for s, factors in products))
+
+
+def _parse(text: str, chart: Chart, components: bool) -> List[Poly]:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
     names = {v: k for k, v in enumerate(chart.variables)}
-    return _Parser(tokens, chart, names, len(text)).parse()
+    return _Parser(tokens, chart, names, len(text)).parse(components)
+
+
+def parse_polynomial(text: str, chart: Chart) -> Poly:
+    """Parse a polynomial expression over the chart's variables."""
+    (p,) = _parse(text, chart, components=False)
+    return p
+
+
+def parse_polynomials(text: str, chart: Chart) -> Tuple[Poly, ...]:
+    """Parse comma-separated polynomial expressions (a map's components)
+    on one budget, as if they were one expression."""
+    return tuple(_parse(text, chart, components=True))
 
 
 def basis_names(chart: Chart) -> Tuple[str, ...]:
@@ -329,7 +352,7 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
-    p = _Parser(tokens, extended, names, len(text)).parse()
+    (p,) = _Parser(tokens, extended, names, len(text)).parse()
     n = chart.size
     coeffs: List[Dict[Tuple[int, ...], int]] = [dict() for _ in range(n)]
     for exps, coeff in p._num.items():

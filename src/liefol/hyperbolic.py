@@ -90,9 +90,6 @@ class SuspensionState:
         object.__setattr__(self, "y", _mod1(_as_fraction(self.y)))
         object.__setattr__(self, "roof", _mod1(_as_fraction(self.roof)))
 
-    def as_floats(self) -> Tuple[float, float, float]:
-        return (float(self.x), float(self.y), float(self.roof))
-
 
 def fixed_point() -> SuspensionState:
     """The origin: a closed orbit of period 1."""

@@ -14,6 +14,13 @@ line at infinity is invariant exactly when Q is not identically zero,
 in which case its roots are the singular points at infinity and
 ``P(t) = Q(1, t)``.
 
+The content of the pair (w_s, w_t) is s when Q = 0 and 1 otherwise, so
+``infinity_analysis`` reads it off Q instead of computing a gcd.  Proof:
+a^ and b^ are coprime as a and b are (a factor other than s would divide
+both homogenizations, hence a and b; s divides at most one, as a or b
+has degree n).  So gcd(s a^, w_t) divides s * gcd(a^, -t a^ + b^) = s,
+and s divides w_t exactly when P(t) = Q(1, t) is zero, that is Q = 0.
+
 For an invariant algebraic curve C (with Q nonzero) the points of C at
 infinity must land among those singular points; concretely the
 squarefree part of the top form of C has to divide the squarefree part
@@ -294,7 +301,7 @@ class InfinityReport:
     """Everything this package knows about a field along the line at infinity.
 
     ``w_s`` and ``w_t`` are the rescaled field with the content of the
-    pair divided out (a no-op whenever the line is invariant);
+    pair (s when Q = 0, else 1; see the module docstring) divided out;
     ``sing_infinity`` is the squarefree part of Q when the line is
     invariant and None otherwise; ``rational_points`` lists rational
     projective points [x : y] of Q on the line at infinity.
@@ -317,25 +324,16 @@ def infinity_analysis(field: PlanarField) -> InfinityReport:
     q = q_polynomial(field)
     invariant = not q.is_zero()
 
-    nonzero = [w for w in (w_s, w_t) if not w.is_zero()]
-    common = content(nonzero)
-    if not common.is_constant():
-        w_s = w_s if w_s.is_zero() else divexact(w_s, common)
-        w_t = w_t if w_t.is_zero() else divexact(w_t, common)
-
     sing = None
     points: List[Tuple[Fraction, Fraction]] = []
     if invariant:
-        s_var = INFINITY_CHART.var("s")
-        if not w_s.is_zero() and not divides(s_var, w_s):
-            raise AssertionError(
-                "internal inconsistency: line invariant but transform not tangent to it"
-            )
         sing = squarefree_part(q)
         for root in rational_roots(p_line):
             points.append((Fraction(1), root))
         if q.evaluate([0, 1]) == 0:
             points.append((Fraction(0), Fraction(1)))
+    else:  # the pair's content is s (see the module docstring)
+        w_s, w_t = (divexact(w, INFINITY_CHART.var("s")) for w in (w_s, w_t))
     return InfinityReport(
         field=field,
         w_s=w_s,

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -275,10 +275,6 @@ class Poly:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return Fraction(self._num.get(tuple(exps), 0), self._den)
-
-    def sorted_terms(self) -> Iterator[Tuple[Exponents, Fraction]]:
-        for exps in sorted(self._num, key=glex_key, reverse=True):
-            yield exps, Fraction(self._num[exps], self._den)
 
     def _require_chart(self, other: "Poly") -> None:
         if self.chart != other.chart:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 
 import liefol
 from liefol.cli import FLAG_RANGES, ProblemError, build_parser, main, parse_problem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BASIC = """\
 # a pair of fields on the plane
@@ -393,6 +396,49 @@ class TestBudgets:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and report["status"] == "error"
         assert "line 3" in report["error"] and "bits exceeds the limit" in report["error"]
+
+    @pytest.mark.parametrize("components", [2, 4])
+    def test_map_components_share_one_budget(self, components, tmp_path, capsys):
+        """Each component fits alone; the map is rejected before any is expanded."""
+        path = tmp_path / "map.txt"
+        payload = ", ".join(["(x+y+1)^50*(x-y+2)^50"] * components)
+        path.write_text(f"vars: x y\nmap m = {payload}\n")
+        start = time.perf_counter()
+        code, report = run(capsys, "foliation", str(path), "m")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and report["status"] == "error"
+        assert "line 2" in report["error"] and "terms in all exceed the limit" in report["error"]
+
+    def test_map_components_parse_as_before(self):
+        problem = parse_problem("vars: x y\nmap m = x^2 + y, -x*y , 1/2\n")
+        assert [str(c) for c in problem.maps["m"]] == ["x^2 + y", "-x*y", "1/2"]
+        for payload in ("x, , y", "x,", ", x"):
+            with pytest.raises(ProblemError, match="line 2"):
+                parse_problem(f"vars: x y\nmap m = {payload}\n")
+
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            # Q is nonzero: the pair's content is 1, which a general gcd
+            # took over 20 s to find at this degree
+            (
+                "planar_degree36.txt",
+                "a34b77b0db6a344a1191249ff5c345908b12ff41b7d011dc70f4372763c75bfd",
+            ),
+            # Q = 0: the pair's content is s
+            (
+                "planar_degree36_line_not_invariant.txt",
+                "c0cd1399c9049d155bd89c3d4645ea37842055b4379fe6d737e6b01d5a96b49a",
+            ),
+        ],
+    )
+    def test_degree36_planar_field(self, name, sha256, capsys):
+        start = time.perf_counter()
+        code = main(["planar", str(GOLDEN / name)])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_sum_of_large_expansions_is_a_parse_error(self, tmp_path, capsys):
         """Each power fits alone; the sum is rejected before any is expanded."""

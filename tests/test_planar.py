@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,9 @@ from liefol import (
     RatFunc,
     VectorField,
     apply_derivation,
+    content,
+    divexact,
+    divides,
     infinity_analysis,
     invariant_curve_constraint,
     normalize,
@@ -315,6 +319,87 @@ class TestInfinityAnalysis:
             report = infinity_analysis(field)
             nonzero = [p for p in (report.w_s, report.w_t) if not p.is_zero()]
             assert content(nonzero).is_constant()
+
+
+def _dense_poly(rng: random.Random, degree: int) -> Poly:
+    """Every monomial of total degree <= degree, most with a nonzero coefficient."""
+    terms = {
+        (i, j): rng.randint(-5, 5) for i in range(degree + 1) for j in range(degree + 1 - i)
+    }
+    return Poly(XY, terms)
+
+
+def _field_corpus(seed: int, count: int) -> list:
+    """Coprime planar fields of degree 0-4 in five kinds, rotating: dense,
+    sparse, a = 0, Q = 0 (a = x*h + l, b = y*h + m with deg l, m <= deg h),
+    and sparse with a constant coefficient."""
+    rng = random.Random(seed)
+    fields = []
+    while len(fields) < count:
+        kind = len(fields) % 5
+        if kind == 0:
+            a, b = _dense_poly(rng, rng.randint(0, 4)), _dense_poly(rng, rng.randint(0, 4))
+        elif kind == 1:
+            a, b = random_poly(rng, XY, 4), random_poly(rng, XY, 4)
+        elif kind == 2:
+            a, b = ZERO, Poly.constant(XY, rng.choice([-3, -1, 1, 2, 7]))
+        elif kind == 3:
+            h = random_poly(rng, XY, rng.randint(0, 3), allow_zero=False)
+            low = h.total_degree()
+            a = X * h + random_poly(rng, XY, low)
+            b = Y * h + random_poly(rng, XY, low)
+        else:
+            a, b = Poly.constant(XY, rng.randint(1, 9)), random_poly(rng, XY, 4)
+            if rng.random() < 0.5:
+                a, b = b, a
+        try:
+            fields.append(PlanarField(a, b))
+        except ValueError:  # zero field, or a common factor
+            continue
+    return fields
+
+
+class TestContentRule:
+    """The content of the rescaled pair is s when Q = 0 and 1 otherwise;
+    ``infinity_analysis`` reads it off Q, and a general gcd is the reference."""
+
+    def test_rule_matches_the_general_gcd(self):
+        s = INFINITY_CHART.var("s")
+        one = Poly.one(INFINITY_CHART)
+        fields = _field_corpus(seed=1101, count=2000)
+        assert sum(f.a.is_zero() for f in fields) >= 200
+        assert sum(q_polynomial(f).is_zero() for f in fields) >= 200
+        assert sum(max(len(f.a), len(f.b)) >= 6 for f in fields) >= 200
+        for field in fields:
+            w_s, w_t = to_infinity_chart(field)
+            common = content([w for w in (w_s, w_t) if not w.is_zero()])
+            invariant = not q_polynomial(field).is_zero()
+            assert common == (one if invariant else s), str(field)
+            report = infinity_analysis(field)
+            expected = dataclasses.replace(
+                report,
+                w_s=w_s if w_s.is_zero() else divexact(w_s, common),
+                w_t=w_t if w_t.is_zero() else divexact(w_t, common),
+            )
+            assert report == expected, str(field)
+            if invariant:  # the line s = 0 is a trajectory
+                assert divides(s, report.w_s)
+
+    def test_no_gcd_of_its_own(self, monkeypatch):
+        fields = [
+            RADIAL,
+            ROTATION,
+            PlanarField(X * (X + Y + 1) ** 6 + 1, Y * (X + Y + 1) ** 6),
+            PlanarField((X + Y + 1) ** 6, (X - 2 * Y + 3) ** 6),
+        ]
+        expected = [infinity_analysis(f) for f in fields]
+
+        def refuse(polys):
+            raise AssertionError("infinity_analysis computed a content")
+
+        monkeypatch.setattr(planar, "content", refuse)
+        assert [infinity_analysis(f) for f in fields] == expected
+        assert [r.line_invariant for r in expected] == [False, True, False, True]
 
 
 class TestCurveConstraint:
