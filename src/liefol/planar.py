@@ -86,9 +86,16 @@ class PlanarField:
 
     @classmethod
     def from_vector_field(cls, v: VectorField) -> "PlanarField":
-        sat = saturate_rank1(v)
-        coeffs = sat.polynomial_coefficients()
-        return cls(coeffs[0], coeffs[1])
+        if v.chart.size != 2:
+            raise ValueError("planar analysis needs a two-variable chart")
+        a, b = saturate_rank1(v).polynomial_coefficients()
+        # saturation rejects the zero field and divides out the content of
+        # (a, b), so the pair passes every check of ``__post_init__``: it
+        # is built without them, and without their gcd
+        field = cls.__new__(cls)
+        object.__setattr__(field, "a", a)
+        object.__setattr__(field, "b", b)
+        return field
 
     @property
     def chart(self) -> Chart:

@@ -20,26 +20,38 @@ used elsewhere in the package are fixed here:
 
 The two hot loops, multiplication and exact division, pack each
 exponent tuple into one int while they run (packed exponent vectors,
-after Monagan and Pearce); storage stays keyed by tuples.  Each field is
-W bits wide, the first variable most significant:
+after Monagan and Pearce); storage stays keyed by tuples.  The keys are
+mixed-radix numbers, the first variable most significant: with radices
+r_k, the exponent vector e packs to sum_k e_k * s_k, where
+s_k = r_(k+1) * ... * r_n.  Every exponent that a loop forms lies in the
+box 0 <= e_k < r_k, so a key is one int, distinct monomials get distinct
+keys, and int order on the keys is lexicographic order.
 
-* a sum of products, sum_i a_i * b_i (``_dot``; a single product f * g
-  is the sum with one pair), takes W as the bit length of
-  max_i max_k(deg_k a_i + deg_k b_i), and at least 1.  Every exponent of
-  every partial product fits its field, so a monomial product is one int
-  addition that never carries, and no overflow check is needed.  Each
-  pair is scaled to the lcm of the denominators a_i._den * b_i._den, and
-  all partial products go into one int-keyed dict: a sum of n products
-  unpacks and reduces to lowest terms once, not n times, and pays no
-  intermediate polynomial or addition.  Derivations, brackets, Bareiss
-  steps and span tests are such sums;
-* exact division f / g adds a field for the total degree above the
-  variables, so int order on the keys is graded lexicographic order, and
-  takes W as the bit length of max(deg f, deg g).  No remainder term
-  exceeds deg f in total degree, and none has a negative exponent,
-  because a quotient term with one is rejected before it is used.  The
-  next term is then the builtin ``max`` over the int keys: no key
-  function, and no heap.
+* A sum of products, sum_i a_i * b_i (``_dot``), takes
+  r_k = max_i (deg_k a_i + deg_k b_i) + 1.  A product f * g is the sum
+  with one pair, unless it has at most ``_DIRECT_PRODUCTS`` term
+  products: those are added up on tuple keys, where setting up the
+  kernel would cost more than it saves.  A monomial product is one int
+  addition, which never carries out of a digit.  Each pair is scaled to
+  the lcm of the denominators a_i._den * b_i._den, and all partial
+  products go into one accumulator: a sum of n products unpacks and
+  reduces to lowest terms once, not n times.  While the box holds at
+  most ``_DENSE_SLOTS_PER_TERM`` slots per input term (the sum of
+  len a_i + len b_i), the accumulator is a plain list with one slot per
+  key, read back by one scan for nonzero slots; above that the same keys
+  go into a dict, so memory stays linear in the input.  Each polynomial
+  keeps its degree vector and its last packed term list (with its
+  strides), so an operand that recurs in sums of one shape, such as a
+  field's coefficient in a bracket or a Bareiss pivot, is packed once.
+  Derivations, brackets, Bareiss steps and span tests are such sums.
+* Exact division f / g takes r_k = deg_k f + 1 and divides in
+  lexicographic order.  A quotient exponent is the digit vector of the
+  difference of two keys, and it is used only if each digit q_k is at
+  most deg_k f - deg_k g.  That check rules out a borrow between digits
+  (q plus the exponent of g's leading term then adds up to the
+  remainder's leading key without a carry, so q really is the difference
+  of the exponents), and it keeps every remainder term inside the box.  The next term is the builtin
+  ``max`` over the int keys: no key function, and no heap.
 
 The GCD is the heuristic GCDHEU of Char, Geddes and Gonnet: evaluate
 both polynomials at large integers, take the integer gcd and read the
@@ -57,12 +69,16 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from itertools import compress
+from operator import add, gt, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
+
+# sets the slots of immutable Poly instances, past their __setattr__
+_set = object.__setattr__
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -129,6 +145,13 @@ def glex_key(exponents: Exponents) -> Tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+# Poly.__mul__ multiplies directly on exponent tuples up to this many
+# term products, and in the packed kernel ``_dot`` above it.  Timed on
+# random operands with fresh packings, the two break even near 7 x 7
+# terms in two variables and near 9 x 9 in three.
+_DIRECT_PRODUCTS = 64
+
+
 class Poly:
     """A polynomial over Q on a fixed chart, stored sparsely.
 
@@ -139,9 +162,12 @@ class Poly:
     compare it directly.  Instances are immutable by convention: the
     numerator dict is never mutated after construction (polynomials may
     share one), so polynomials can be shared, compared and hashed freely.
+    The slots ``_degrees`` and ``_packed`` start as None and memoize what
+    the product kernel derives from a polynomial (see ``_degrees`` and
+    ``_packed``); they take no part in equality or hashing.
     """
 
-    __slots__ = ("chart", "_num", "_den")
+    __slots__ = ("chart", "_num", "_den", "_degrees", "_packed")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponents, Coeff]):
         width = chart.size
@@ -159,9 +185,11 @@ class Poly:
         # the lcm of reduced denominators leaves numerators without a
         # common factor with it: already lowest terms
         num = {e: c.numerator * (den // c.denominator) for e, c in items}
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set(self, "chart", chart)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "_degrees", None)
+        _set(self, "_packed", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -178,9 +206,11 @@ class Poly:
         polynomial).  The dict is taken over, not copied.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "chart", chart)
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
+        _set(obj, "chart", chart)
+        _set(obj, "_num", num)
+        _set(obj, "_den", den)
+        _set(obj, "_degrees", None)
+        _set(obj, "_packed", None)
         return obj
 
     @classmethod
@@ -353,15 +383,25 @@ class Poly:
             return NotImplemented
         self._require_chart(other)
         num1, num2 = self._num, other._num
-        if len(num1) >= 2 and len(num2) >= 2:
+        if len(num1) < 2 or len(num2) < 2:
+            # with one term (or none) on a side the products are all
+            # distinct: nothing to accumulate
+            num = {
+                tuple(map(add, e1, e2)): n1 * n2
+                for e1, n1 in num1.items()
+                for e2, n2 in num2.items()
+            }
+        elif len(num1) * len(num2) <= _DIRECT_PRODUCTS:
+            # few products: adding them up on tuple keys costs less than
+            # setting up the packed kernel
+            acc: Dict[Exponents, int] = {}
+            for e1, n1 in num1.items():
+                for e2, n2 in num2.items():
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + n1 * n2
+            num = {e: n for e, n in acc.items() if n}
+        else:
             return _dot(self.chart, [(self, other)])
-        # with one term (or none) on a side the products are all distinct:
-        # nothing to accumulate, so packing would not pay for itself
-        num = {
-            tuple(map(add, e1, e2)): n1 * n2
-            for e1, n1 in num1.items()
-            for e2, n2 in num2.items()
-        }
         return Poly._lowest(self.chart, num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -429,7 +469,7 @@ class Poly:
         # b^D once at the end
         scale = self._den
         tables = []
-        for v, top in zip(vals, _degree_vector(self)):
+        for v, top in zip(vals, _degrees(self)):
             a, b = v.numerator, v.denominator
             tables.append([a**e * b ** (top - e) for e in range(top + 1)])
             scale *= b**top
@@ -653,7 +693,7 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     no common factor explains, and every candidate would fail.
     """
     f, g = _integer_terms(p), _integer_terms(q)
-    bounds = [max(a, b) + 1 for a, b in zip(_degree_vector(p), _degree_vector(q))]
+    bounds = [max(a, b) + 1 for a, b in zip(_degrees(p), _degrees(q))]
     floor = 0
     for _ in range(_HEU_ATTEMPTS):
         points = []
@@ -682,55 +722,70 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     return None
 
 
-class _Packing:
-    """Exponent tuples of ``n`` variables packed into one int, ``width`` bits a field.
-
-    ``pack`` re-keys a numerator dict by packed exponents, with the first
-    variable in the most significant field, so a monomial product is one
-    int addition.  With ``graded`` the total degree takes one more field
-    above them all, and int order on the keys is graded lexicographic
-    order.  Nothing checks for overflow: callers pick a width that holds
-    every field they will ever form.
-    """
-
-    __slots__ = ("weights", "shifts", "mask")
-
-    def __init__(self, n: int, width: int, graded: bool = False):
-        self.shifts = range(width * (n - 1), -1, -width)
-        total = 1 << width * n if graded else 0
-        self.weights = [(1 << s) + total for s in self.shifts]
-        self.mask = (1 << width) - 1
-
-    def pack(self, num: Dict[Exponents, int]) -> Dict[int, int]:
-        weights = self.weights
-        return {sum(map(mul, e, weights)): c for e, c in num.items()}
-
-    def exponents(self, key: int) -> Exponents:
-        """The exponent tuple of one packed key."""
-        mask = self.mask
-        return tuple([(key >> s) & mask for s in self.shifts])
-
-    def unpack(self, packed: Dict[int, int]) -> Dict[Exponents, int]:
-        """``packed`` keyed by exponent tuples again, its zero values dropped."""
-        keys, mask = list(packed), self.mask
-        columns = [[(k >> s) & mask for k in keys] for s in self.shifts]
-        return dict(filter(itemgetter(1), zip(zip(*columns), packed.values())))
+# The sum of products accumulates in a list with one slot per key of its
+# box while the box holds at most this many slots per input term, and in
+# a dict above that.  A bound on the input size, not on the number of
+# term products, keeps memory linear in the input.  Timed on random sums
+# of 3-50 terms a pair, the list won at 14-19 slots a term and lost at 40
+# and above unless the operands had dozens of terms.
+_DENSE_SLOTS_PER_TERM = 16
 
 
-def _degree_vector(p: Poly) -> List[int]:
-    return list(map(max, zip(*p._num)))
+def _degrees(p: Poly) -> Tuple[int, ...]:
+    """p's degree in each variable (p nonzero), computed once per polynomial."""
+    degrees = p._degrees
+    if degrees is None:
+        degrees = tuple(map(max, zip(*p._num)))
+        _set(p, "_degrees", degrees)
+    return degrees
+
+
+def _strides(radices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """The place values of mixed-radix keys with these ``radices``, the
+    first variable most significant, and the size of their box."""
+    strides = []
+    box = 1
+    for r in reversed(radices):
+        strides.append(box)
+        box *= r
+    return tuple(reversed(strides)), box
+
+
+def _pack(num: Dict[Exponents, int], strides: Sequence[int]) -> List[Tuple[int, int]]:
+    """The terms ``num`` as (key, numerator) pairs under ``strides``."""
+    return [(sum(map(mul, e, strides)), n) for e, n in num.items()]
+
+
+def _packed(p: Poly, strides: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """``_pack`` of p's numerators; each polynomial keeps its last packing
+    with its strides."""
+    memo = p._packed
+    if memo is not None and memo[0] == strides:
+        return memo[1]
+    terms = _pack(p._num, strides)
+    _set(p, "_packed", (strides, terms))
+    return terms
+
+
+def _unpacked(
+    keys: List[int], values: Iterable[int], strides: Sequence[int], radices: Sequence[int]
+) -> Dict[Exponents, int]:
+    """``values`` keyed by the exponent tuples of the mixed-radix ``keys``."""
+    columns = [[k // s % r for k in keys] for s, r in zip(strides, radices)]
+    return dict(zip(zip(*columns), values))
 
 
 def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a * b over ``pairs`` of polynomials on ``chart``.
 
-    Every partial product goes into one int-keyed accumulator: one
-    packing width for the whole sum, each pair's numerators scaled to
-    the lcm of the ``a._den * b._den``, and one unpack and one reduction
-    to lowest terms at the end (see the module docstring).
+    Every partial product goes into one accumulator under one set of
+    mixed-radix keys: each pair's numerators scaled to the lcm of the
+    ``a._den * b._den``, and one unpack and one reduction to lowest
+    terms at the end (see the module docstring).
     """
     live = []
-    top, den = 0, 1
+    radices: Optional[List[int]] = None
+    den, size = 1, 0
     for a, b in pairs:
         # identity first: the dataclass comparison costs a Python call
         if (a.chart is not chart or b.chart is not chart) and (
@@ -739,25 +794,47 @@ def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
             raise ChartMismatchError(f"charts differ: {a.chart}, {b.chart} vs {chart}")
         if a._num and b._num:
             live.append((a, b))
-            top = max(top, *map(add, _degree_vector(a), _degree_vector(b)))
+            tops = map(add, _degrees(a), _degrees(b))
+            radices = list(tops) if radices is None else list(map(max, radices, tops))
             den = math.lcm(den, a._den * b._den)
-    if not live:
+            size += len(a._num) + len(b._num)
+    if radices is None:
         return Poly.zero(chart)
-    # at least one bit, so that a sum of constants still has a field
-    packing = _Packing(chart.size, top.bit_length() or 1)
-    pack = packing.pack
-    acc: Dict[int, int] = {}
-    get = acc.get
-    for a, b in live:
-        scale = den // (a._den * b._den)
-        terms2 = list(pack(b._num).items())
-        for k1, n1 in pack(a._num).items():
-            if scale != 1:
-                n1 *= scale
+    radices = [r + 1 for r in radices]
+    strides, box = _strides(radices)
+    rows = _scaled_rows(live, strides, den)
+    if box <= _DENSE_SLOTS_PER_TERM * size:
+        acc: List[int] = [0] * box
+        for k1, n1, terms2 in rows:
+            for k2, n2 in terms2:
+                acc[k1 + k2] += n1 * n2
+        keys = list(compress(range(box), acc))
+        values: Iterable[int] = filter(None, acc)
+    else:
+        sparse: Dict[int, int] = {}
+        get = sparse.get
+        for k1, n1, terms2 in rows:
             for k2, n2 in terms2:
                 k = k1 + k2
-                acc[k] = get(k, 0) + n1 * n2
-    return Poly._lowest(chart, packing.unpack(acc), den)
+                sparse[k] = get(k, 0) + n1 * n2
+        keys = [k for k, n in sparse.items() if n]
+        values = map(sparse.__getitem__, keys)
+    return Poly._lowest(chart, _unpacked(keys, values, strides, radices), den)
+
+
+def _scaled_rows(
+    live: List[Tuple[Poly, Poly]], strides: Tuple[int, ...], den: int
+) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
+    """For each term of the shorter factor a of each pair, its key, its
+    numerator scaled to the common denominator ``den``, and the packed
+    terms of the other factor b that it multiplies."""
+    for a, b in live:
+        if len(a._num) > len(b._num):
+            a, b = b, a
+        scale = den // (a._den * b._den)
+        terms2 = _packed(b, strides)
+        for k1, n1 in _packed(a, strides):
+            yield k1, n1 * scale, terms2
 
 
 def _sup_norm(f: Dict[Exponents, int]) -> int:
@@ -840,34 +917,42 @@ def divexact(f: Poly, g: Poly) -> Poly:
     if g.is_constant():
         (n,) = g._num.values()
         return f * Fraction(g._den, n)
+    if not f._num:
+        return f
     # g = (c / d) * G with G integer-primitive.  If G divides f's integer
     # numerators F in Q[x], Gauss's lemma makes F / G integral, so the
     # division runs over Z and a fractional quotient term disproves it.
     c = math.gcd(*g._num.values())
     G = g._num if c == 1 else {e: n // c for e, n in g._num.items()}
-    # every remainder term has total degree at most deg f and no negative
-    # exponent, so fields of this width never carry (see the module docstring)
-    packing = _Packing(
-        f.chart.size, max(f.total_degree(), g.total_degree()).bit_length(), graded=True
-    )
-    exponents = packing.exponents
-    packed = packing.pack(G)
+    # mixed-radix keys over deg_k f, the first variable most significant:
+    # int order on them is lexicographic order.  A quotient exponent qe
+    # is only used with qe_k <= deg_k f - deg_k g, so no remainder term
+    # leaves the box (see the module docstring).
+    radices = [d + 1 for d in _degrees(f)]
+    room = list(map(sub, _degrees(f), _degrees(g)))
+    if min(room) < 0:
+        raise ExactDivisionError(f"({g}) does not divide ({f})")
+    strides, _ = _strides(radices)
+    places = list(zip(strides, radices))
+    packed = dict(_pack(G, strides))
     gk = max(packed)
     gc = packed.pop(gk)
-    ge = exponents(gk)
     rest = list(packed.items())
     quotient: Dict[Exponents, int] = {}
-    r = packing.pack(f._num)
+    r = dict(_pack(f._num, strides))
     while r:
         rk = max(r)
-        qe = tuple(map(sub, exponents(rk), ge))
-        if min(qe) < 0:
+        qk = rk - gk
+        qe = tuple([qk // s % radix for s, radix in places])
+        # a borrow can leave digits that look valid.  Digits within room
+        # add to those of gk without a carry, so then qe really is the
+        # exponent of rk minus that of gk
+        if qk < 0 or any(map(gt, qe, room)):
             raise ExactDivisionError(f"({g}) does not divide ({f})")
         qc, rem = divmod(r.pop(rk), gc)
         if rem:
             raise ExactDivisionError(f"({g}) does not divide ({f})")
         quotient[qe] = qc
-        qk = rk - gk
         for k, n in rest:
             k += qk
             v = r.get(k)

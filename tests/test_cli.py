@@ -440,6 +440,20 @@ class TestBudgets:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_degree70_rank_one_map(self, capsys):
+        """Two equal 2556-term components: every product of the Bareiss
+        elimination runs on large operands in the dense accumulator."""
+        start = time.perf_counter()
+        code = main(["foliation", str(GOLDEN / "map_rank1_degree70.txt"), "m"])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 30.0
+        assert code == 1
+        assert "(Jacobian rank 1)" in json.loads(out)["error"]
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "78551848944cb663fcb0ef16e038579bc24bca5c7b10b8e1e36f171ab0ffb374"
+        )
+
     def test_sum_of_large_expansions_is_a_parse_error(self, tmp_path, capsys):
         """Each power fits alone; the sum is rejected before any is expanded."""
         path = tmp_path / "sum.txt"

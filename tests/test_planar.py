@@ -51,6 +51,35 @@ class TestPlanarField:
         f = PlanarField.from_vector_field(v)
         assert (f.a, f.b) == (X, Y)
 
+    def test_from_vector_field_takes_one_gcd(self, monkeypatch):
+        """Saturation takes the content of (a, b) once.  The pair it
+        returns is coprime by construction, so no second gcd checks it."""
+        from liefol import linalg, poly
+
+        gcds, contents = [], []
+
+        def counted(record, function):
+            def wrapper(*args):
+                record.append(args)
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(poly, "gcd", counted(gcds, poly.gcd))
+        for module in (linalg, planar):
+            monkeypatch.setattr(module, "content", counted(contents, module.content))
+        common = (X + Y + 1) ** 3
+        v = VectorField.from_coefficients(XY, (common * X, common * (Y - 2)))
+        f = PlanarField.from_vector_field(v)
+        assert (f.a, f.b) == (X, Y - 2)
+        assert (len(contents), len(gcds)) == (1, 1)
+        # a direct construction still checks coprimality
+        gcds.clear()
+        contents.clear()
+        with pytest.raises(ValueError, match="saturate"):
+            PlanarField(common * X, common * Y)
+        assert (len(contents), len(gcds)) == (1, 1)
+
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError):
             PlanarField(ZERO, ZERO)
@@ -65,6 +94,10 @@ class TestPlanarField:
         x = one_var.var("x")
         with pytest.raises(ValueError):
             PlanarField(x, x + 1)
+        xyz = __import__("liefol").Chart(("x", "y", "z"))
+        v = VectorField.from_coefficients(xyz, xyz.vars())
+        with pytest.raises(ValueError, match="two-variable"):
+            PlanarField.from_vector_field(v)
 
 
 class TestChartTransform:

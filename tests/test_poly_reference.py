@@ -8,20 +8,29 @@ values.  Each result must also be in the canonical form the integer core
 promises: a positive denominator in lowest terms with the numerators,
 and denominator 1 for the zero polynomial.
 
-Multiplication and exact division pack exponents into fixed-width int
-fields whose width follows from the operands' degrees, so a second set
+Multiplication and exact division pack exponents into mixed-radix int
+keys whose radices follow from the operands' degrees, so a second set
 of operands on charts of one to five variables puts those degrees
-exactly at and just below a power of two (7/8, 15/16, 31/32), where a
-field that is one bit too narrow would carry into its neighbour.  The
-sum-of-products kernel `_dot` takes one width for a whole sum, so it is
-checked the same way on up to four pairs at once.
+exactly at and just below the powers of two 7/8, 15/16 and 31/32, and
+a third puts each variable's degree exactly at its own radix minus one,
+where a digit one too narrow would carry into its neighbour.  The
+sum-of-products kernel `_dot` takes one set of radices for a whole sum,
+so it is checked the same way on up to four pairs at once, with the
+dense list accumulator and the dict accumulator both reached (a huge
+exponent forces the dict) and cases on either side of the size rule
+that picks between them.  Each polynomial keeps its last packing, so
+one operand used in sums of different shapes must be packed afresh.
+Exact division is checked where a key difference has digits that look
+valid but come from a borrow between digits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -29,6 +38,7 @@ from hypothesis import strategies as st
 
 from fraction_poly import RefPoly, ReferenceDivisionError, format_ref
 from liefol import Chart, ChartMismatchError, ExactDivisionError, Poly, divexact, format_poly
+from liefol import poly
 from liefol.poly import _dot
 
 CHARTS = [Chart(tuple("xyz"[:n])) for n in range(1, 4)]
@@ -216,7 +226,10 @@ def test_products_at_field_edges_match(edge, data):
     q = data.draw(_terms(chart, tops_q))
     s = data.draw(_single(chart, tops_q))
     for a, b in ((p, q), (q, p), (p, s), (s, p)):
-        assert_matches(a * b, RefPoly.of(a) * RefPoly.of(b))
+        expected = RefPoly.of(a) * RefPoly.of(b)
+        assert_matches(a * b, expected)
+        # operands this small multiply directly: the kernel is checked too
+        assert_matches(_dot(chart, [(a, b)]), expected)
 
 
 @given(st.data())
@@ -278,15 +291,6 @@ def _dot_pairs(draw):
     return chart, pairs
 
 
-@given(_dot_pairs())
-def test_dot_matches_the_sum_of_products(drawn):
-    chart, pairs = drawn
-    expected = RefPoly(chart.size, {})
-    for a, b in pairs:
-        expected = expected + RefPoly.of(a) * RefPoly.of(b)
-    assert_matches(_dot(chart, pairs), expected)
-
-
 def test_dot_edge_cases():
     chart = WIDE_CHARTS[2]
     x, y, z = chart.vars()
@@ -304,6 +308,172 @@ def test_dot_edge_cases():
         _dot(chart, [(x, y), (other.var("x"), other.var("y"))])
     with pytest.raises(ChartMismatchError):
         _dot(chart, [(Poly.zero(other), x)])
+
+
+@contextmanager
+def _dense_sums():
+    """Count the `_dot` calls that take the dense list accumulator: the
+    only code in `poly` that scans with `compress`."""
+    calls = []
+    real = poly.compress
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(poly, "compress", spy):
+        yield calls
+
+
+def _fits_dense(pairs) -> bool:
+    """The size rule: the box of the sum's keys holds at most
+    `_DENSE_SLOTS_PER_TERM` slots per term of its nonzero pairs."""
+    live = [(a, b) for a, b in pairs if a and b]
+    if not live:
+        return False
+    n = live[0][0].chart.size
+    box = 1
+    for k in range(n):
+        box *= 1 + max(a.degree_in(k) + b.degree_in(k) for a, b in live)
+    size = sum(len(a) + len(b) for a, b in live)
+    return box <= poly._DENSE_SLOTS_PER_TERM * size
+
+
+def _reference_dot(chart: Chart, pairs) -> RefPoly:
+    expected = RefPoly(chart.size, {})
+    for a, b in pairs:
+        expected = expected + RefPoly.of(a) * RefPoly.of(b)
+    return expected
+
+
+@given(_dot_pairs(), st.booleans(), _nonzero_rationals())
+def test_dot_matches_the_sum_of_products(drawn, huge, c):
+    """On both accumulators, the dict one forced by x^1000000 * y."""
+    chart, pairs = drawn
+    if huge:
+        x = chart.vars()[0]
+        pairs = [*pairs, (x**1000000 * chart.vars()[-1] * c, x + c)]
+    with _dense_sums() as dense:
+        total = _dot(chart, pairs)
+    assert_matches(total, _reference_dot(chart, pairs))
+    assert len(dense) == _fits_dense(pairs)
+    if huge:
+        assert not dense
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("chart", WIDE_CHARTS[:2], ids=["x", "xy"])
+def test_dot_on_either_side_of_the_box_rule(chart, extra):
+    """Two pairs with 7 terms in all, so the dense box may hold
+    7 * _DENSE_SLOTS_PER_TERM slots (an even number); the box is that
+    plus ``extra``, or plus 2 * extra on two variables."""
+    limit = 7 * poly._DENSE_SLOTS_PER_TERM
+    if chart.size == 1:
+        tops = [limit - 1 + extra]
+    else:
+        tops = [1, limit // 2 - 1 + extra]
+    box = math.prod(t + 1 for t in tops)
+    third = Fraction(1, 3)
+    a = Poly(chart, {tuple(tops): 2, (0,) * chart.size: third})
+    b = Poly(chart, {(0,) * chart.size: -5, tuple(t // 2 for t in tops): 1})
+    top = Poly(chart, {(0,) * chart.size: 7})
+    pairs = [(a, top), (b, b)]
+    assert (box <= limit) == (extra == 0)
+    with _dense_sums() as dense:
+        total = _dot(chart, pairs)
+    assert_matches(total, _reference_dot(chart, pairs))
+    assert len(dense) == (extra == 0) == _fits_dense(pairs)
+
+
+@st.composite
+def _radix_pairs(draw):
+    """A chart of 1-5 variables, a degree t_k for each variable, and 1-4
+    pairs whose degree sums stay within t: the first pair's sum is
+    exactly t, so every radix r_k is t_k + 1 and its top monomial packs
+    to the last key of the box."""
+    chart = draw(st.sampled_from(WIDE_CHARTS))
+    t = [draw(st.integers(0, 12)) for _ in range(chart.size)]
+    pairs = []
+    for i in range(draw(st.integers(1, 4))):
+        sums = t if i == 0 else [draw(st.integers(0, k)) for k in t]
+        tops_a = [draw(st.integers(0, k)) for k in sums]
+        tops_b = [k - a for k, a in zip(sums, tops_a)]
+        pairs.append((draw(_terms(chart, tops_a)), draw(_terms(chart, tops_b))))
+    return chart, pairs
+
+
+@given(_radix_pairs())
+def test_dot_with_degrees_at_each_radix_matches(drawn):
+    chart, pairs = drawn
+    assert_matches(_dot(chart, pairs), _reference_dot(chart, pairs))
+
+
+def test_packing_memo_misses_when_the_strides_change():
+    chart = WIDE_CHARTS[1]
+    x, y = chart.vars()
+    p = 3 * x**2 * y + x - 5
+    narrow = x * y + Fraction(2, 3)
+    wide = y**4 - x**3 * y + 1
+    strides = []
+    for q in (narrow, wide, narrow, wide, wide):
+        pairs = [(p, q), (q, q)]
+        assert_matches(_dot(chart, pairs), _reference_dot(chart, pairs))
+        strides.append(p._packed[0])
+    assert strides[0] == strides[2] != strides[1] == strides[3] == strides[4]
+    # the same strides again: the kept packing is reused as it is
+    kept = p._packed
+    _dot(chart, [(p, wide), (wide, wide)])
+    assert p._packed is kept
+    # the memo slots take no part in equality or hashing
+    fresh = 3 * x**2 * y + x - 5
+    assert fresh == p and hash(fresh) == hash(p)
+
+
+def test_products_on_either_side_of_the_direct_cut_match():
+    """Products of up to and just over `_DIRECT_PRODUCTS` term pairs,
+    with terms that collide and cancel."""
+    chart = WIDE_CHARTS[2]
+    exps = list(itertools.product(range(4), repeat=3))
+    sizes = [(5, 12), (8, 8), (2, 32), (5, 13), (6, 11), (2, 33)]
+    products = [la * lb for la, lb in sizes]
+    assert poly._DIRECT_PRODUCTS in products and max(products) > poly._DIRECT_PRODUCTS
+    for la, lb in sizes:
+        a = Poly(chart, {e: Fraction(i + 1, 2) for i, e in enumerate(exps[:la])})
+        b = Poly(chart, {e: (-1) ** i * (i + 1) for i, e in enumerate(exps[1 : lb + 1])})
+        assert_matches(a * b, RefPoly.of(a) * RefPoly.of(b))
+        assert_matches(b * a, RefPoly.of(b) * RefPoly.of(a))
+
+
+def test_divexact_rejects_a_divisor_of_higher_degree_in_one_variable():
+    chart = WIDE_CHARTS[1]
+    x, y = chart.vars()
+    for f, g in ((x**4 * (x + 1), x * y + 1), ((x * y + 1) * x**3, y**2 + x)):
+        with pytest.raises(ReferenceDivisionError):
+            RefPoly.of(f).divexact(RefPoly.of(g))
+        with pytest.raises(ExactDivisionError):
+            divexact(f, g)
+
+
+def test_divexact_rejects_a_borrowed_quotient_exponent():
+    """Keys over deg f = (2, 2) are 3*e_x + e_y.  The leading key of
+    x^2 + y^2 is 6 and that of x*y + 1 is 4: their difference 2 has the
+    digits (0, 2), a valid exponent of the box, but x^2 / (x*y) is no
+    monomial.  Only the check q_k <= deg_k f - deg_k g = 1 sees it."""
+    chart = WIDE_CHARTS[1]
+    x, y = chart.vars()
+    cases = [
+        (x**2 + y**2, x * y + 1),
+        (x**2 * y + y**3, x * y**2 - 1),
+        ((x * y + 1) * (x - y) + y**2, x * y + 1),
+    ]
+    for f, g in cases:
+        with pytest.raises(ReferenceDivisionError):
+            RefPoly.of(f).divexact(RefPoly.of(g))
+        with pytest.raises(ExactDivisionError):
+            divexact(f, g)
+    # the same divisors divide their multiples
+    for f, g in cases:
+        assert_matches(divexact(f * g, g), RefPoly.of(f))
 
 
 def test_constructor_accepts_mixed_coefficients():
