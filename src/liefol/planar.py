@@ -40,7 +40,7 @@ with their magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -73,29 +73,26 @@ class PlanarField:
 
     a: Poly
     b: Poly
+    # True skips the coprimality gcd: ``from_vector_field`` passes it for
+    # a pair whose content saturation has just divided out
+    _coprime: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _coprime: bool) -> None:
         if self.a.chart != self.b.chart:
             raise ChartMismatchError("coefficients on different charts")
         if self.a.chart.size != 2:
             raise ValueError("planar analysis needs a two-variable chart")
         if self.a.is_zero() and self.b.is_zero():
             raise ValueError("the zero field has no direction at infinity")
+        if _coprime:
+            return
         if not content([c for c in (self.a, self.b) if not c.is_zero()]).is_constant():
             raise ValueError("coefficients share a common factor; saturate the field first")
 
     @classmethod
     def from_vector_field(cls, v: VectorField) -> "PlanarField":
-        if v.chart.size != 2:
-            raise ValueError("planar analysis needs a two-variable chart")
-        a, b = saturate_rank1(v).polynomial_coefficients()
-        # saturation rejects the zero field and divides out the content of
-        # (a, b), so the pair passes every check of ``__post_init__``: it
-        # is built without them, and without their gcd
-        field = cls.__new__(cls)
-        object.__setattr__(field, "a", a)
-        object.__setattr__(field, "b", b)
-        return field
+        coeffs = saturate_rank1(v).polynomial_coefficients()
+        return cls(coeffs[0], coeffs[1], _coprime=True)
 
     @property
     def chart(self) -> Chart:

@@ -29,29 +29,26 @@ keys, and int order on the keys is lexicographic order.
 
 * A sum of products, sum_i a_i * b_i (``_dot``), takes
   r_k = max_i (deg_k a_i + deg_k b_i) + 1.  A product f * g is the sum
-  with one pair, unless it has at most ``_DIRECT_PRODUCTS`` term
-  products: those are added up on tuple keys, where setting up the
-  kernel would cost more than it saves.  A monomial product is one int
-  addition, which never carries out of a digit.  Each pair is scaled to
-  the lcm of the denominators a_i._den * b_i._den, and all partial
-  products go into one accumulator: a sum of n products unpacks and
-  reduces to lowest terms once, not n times.  While the box holds at
-  most ``_DENSE_SLOTS_PER_TERM`` slots per input term (the sum of
+  with one pair, unless a side has one term: then there is nothing to
+  accumulate.  A monomial product is one int addition, which never
+  carries out of a digit.  Each pair is scaled to the lcm of the
+  denominators a_i._den * b_i._den, and all partial products go into
+  one accumulator: a sum of n products unpacks and reduces to lowest
+  terms once, not n times.  While the box holds at most
+  ``_DENSE_SLOTS_PER_TERM`` slots per input term (the sum of
   len a_i + len b_i), the accumulator is a plain list with one slot per
   key, read back by one scan for nonzero slots; above that the same keys
-  go into a dict, so memory stays linear in the input.  Each polynomial
-  keeps its degree vector and its last packed term list (with its
-  strides), so an operand that recurs in sums of one shape, such as a
-  field's coefficient in a bracket or a Bareiss pivot, is packed once.
-  Derivations, brackets, Bareiss steps and span tests are such sums.
+  go into a dict, so memory stays linear in the input.  Derivations,
+  brackets, Bareiss steps and span tests are such sums.
 * Exact division f / g takes r_k = deg_k f + 1 and divides in
   lexicographic order.  A quotient exponent is the digit vector of the
   difference of two keys, and it is used only if each digit q_k is at
   most deg_k f - deg_k g.  That check rules out a borrow between digits
   (q plus the exponent of g's leading term then adds up to the
   remainder's leading key without a carry, so q really is the difference
-  of the exponents), and it keeps every remainder term inside the box.  The next term is the builtin
-  ``max`` over the int keys: no key function, and no heap.
+  of the exponents), and it keeps every remainder term inside the box.
+  The next term is the builtin ``max`` over the int keys: no key
+  function, and no heap.
 
 The GCD is the heuristic GCDHEU of Char, Geddes and Gonnet: evaluate
 both polynomials at large integers, take the integer gcd and read the
@@ -76,9 +73,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
-
-# sets the slots of immutable Poly instances, past their __setattr__
-_set = object.__setattr__
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -145,13 +139,6 @@ def glex_key(exponents: Exponents) -> Tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
-# Poly.__mul__ multiplies directly on exponent tuples up to this many
-# term products, and in the packed kernel ``_dot`` above it.  Timed on
-# random operands with fresh packings, the two break even near 7 x 7
-# terms in two variables and near 9 x 9 in three.
-_DIRECT_PRODUCTS = 64
-
-
 class Poly:
     """A polynomial over Q on a fixed chart, stored sparsely.
 
@@ -162,12 +149,9 @@ class Poly:
     compare it directly.  Instances are immutable by convention: the
     numerator dict is never mutated after construction (polynomials may
     share one), so polynomials can be shared, compared and hashed freely.
-    The slots ``_degrees`` and ``_packed`` start as None and memoize what
-    the product kernel derives from a polynomial (see ``_degrees`` and
-    ``_packed``); they take no part in equality or hashing.
     """
 
-    __slots__ = ("chart", "_num", "_den", "_degrees", "_packed")
+    __slots__ = ("chart", "_num", "_den")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponents, Coeff]):
         width = chart.size
@@ -185,11 +169,9 @@ class Poly:
         # the lcm of reduced denominators leaves numerators without a
         # common factor with it: already lowest terms
         num = {e: c.numerator * (den // c.denominator) for e, c in items}
-        _set(self, "chart", chart)
-        _set(self, "_num", num)
-        _set(self, "_den", den)
-        _set(self, "_degrees", None)
-        _set(self, "_packed", None)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -206,11 +188,9 @@ class Poly:
         polynomial).  The dict is taken over, not copied.
         """
         obj = object.__new__(cls)
-        _set(obj, "chart", chart)
-        _set(obj, "_num", num)
-        _set(obj, "_den", den)
-        _set(obj, "_degrees", None)
-        _set(obj, "_packed", None)
+        object.__setattr__(obj, "chart", chart)
+        object.__setattr__(obj, "_num", num)
+        object.__setattr__(obj, "_den", den)
         return obj
 
     @classmethod
@@ -383,25 +363,15 @@ class Poly:
             return NotImplemented
         self._require_chart(other)
         num1, num2 = self._num, other._num
-        if len(num1) < 2 or len(num2) < 2:
-            # with one term (or none) on a side the products are all
-            # distinct: nothing to accumulate
-            num = {
-                tuple(map(add, e1, e2)): n1 * n2
-                for e1, n1 in num1.items()
-                for e2, n2 in num2.items()
-            }
-        elif len(num1) * len(num2) <= _DIRECT_PRODUCTS:
-            # few products: adding them up on tuple keys costs less than
-            # setting up the packed kernel
-            acc: Dict[Exponents, int] = {}
-            for e1, n1 in num1.items():
-                for e2, n2 in num2.items():
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = acc.get(e, 0) + n1 * n2
-            num = {e: n for e, n in acc.items() if n}
-        else:
+        if len(num1) >= 2 and len(num2) >= 2:
             return _dot(self.chart, [(self, other)])
+        # with one term (or none) on a side the products are all distinct:
+        # nothing to accumulate, so packing would not pay for itself
+        num = {
+            tuple(map(add, e1, e2)): n1 * n2
+            for e1, n1 in num1.items()
+            for e2, n2 in num2.items()
+        }
         return Poly._lowest(self.chart, num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -469,7 +439,7 @@ class Poly:
         # b^D once at the end
         scale = self._den
         tables = []
-        for v, top in zip(vals, _degrees(self)):
+        for v, top in zip(vals, _degree_vector(self)):
             a, b = v.numerator, v.denominator
             tables.append([a**e * b ** (top - e) for e in range(top + 1)])
             scale *= b**top
@@ -693,7 +663,7 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     no common factor explains, and every candidate would fail.
     """
     f, g = _integer_terms(p), _integer_terms(q)
-    bounds = [max(a, b) + 1 for a, b in zip(_degrees(p), _degrees(q))]
+    bounds = [max(a, b) + 1 for a, b in zip(_degree_vector(p), _degree_vector(q))]
     floor = 0
     for _ in range(_HEU_ATTEMPTS):
         points = []
@@ -731,13 +701,8 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
 _DENSE_SLOTS_PER_TERM = 16
 
 
-def _degrees(p: Poly) -> Tuple[int, ...]:
-    """p's degree in each variable (p nonzero), computed once per polynomial."""
-    degrees = p._degrees
-    if degrees is None:
-        degrees = tuple(map(max, zip(*p._num)))
-        _set(p, "_degrees", degrees)
-    return degrees
+def _degree_vector(p: Poly) -> List[int]:
+    return list(map(max, zip(*p._num)))
 
 
 def _strides(radices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -754,17 +719,6 @@ def _strides(radices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
 def _pack(num: Dict[Exponents, int], strides: Sequence[int]) -> List[Tuple[int, int]]:
     """The terms ``num`` as (key, numerator) pairs under ``strides``."""
     return [(sum(map(mul, e, strides)), n) for e, n in num.items()]
-
-
-def _packed(p: Poly, strides: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    """``_pack`` of p's numerators; each polynomial keeps its last packing
-    with its strides."""
-    memo = p._packed
-    if memo is not None and memo[0] == strides:
-        return memo[1]
-    terms = _pack(p._num, strides)
-    _set(p, "_packed", (strides, terms))
-    return terms
 
 
 def _unpacked(
@@ -794,7 +748,7 @@ def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
             raise ChartMismatchError(f"charts differ: {a.chart}, {b.chart} vs {chart}")
         if a._num and b._num:
             live.append((a, b))
-            tops = map(add, _degrees(a), _degrees(b))
+            tops = map(add, _degree_vector(a), _degree_vector(b))
             radices = list(tops) if radices is None else list(map(max, radices, tops))
             den = math.lcm(den, a._den * b._den)
             size += len(a._num) + len(b._num)
@@ -832,8 +786,8 @@ def _scaled_rows(
         if len(a._num) > len(b._num):
             a, b = b, a
         scale = den // (a._den * b._den)
-        terms2 = _packed(b, strides)
-        for k1, n1 in _packed(a, strides):
+        terms2 = _pack(b._num, strides)
+        for k1, n1 in _pack(a._num, strides):
             yield k1, n1 * scale, terms2
 
 
@@ -928,8 +882,8 @@ def divexact(f: Poly, g: Poly) -> Poly:
     # int order on them is lexicographic order.  A quotient exponent qe
     # is only used with qe_k <= deg_k f - deg_k g, so no remainder term
     # leaves the box (see the module docstring).
-    radices = [d + 1 for d in _degrees(f)]
-    room = list(map(sub, _degrees(f), _degrees(g)))
+    radices = [d + 1 for d in _degree_vector(f)]
+    room = list(map(sub, _degree_vector(f), _degree_vector(g)))
     if min(room) < 0:
         raise ExactDivisionError(f"({g}) does not divide ({f})")
     strides, _ = _strides(radices)
