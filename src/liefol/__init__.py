@@ -18,10 +18,16 @@ more than most calls compute; ``liefol.cli`` resolves each name at call
 time, so a call runs only the modules its subcommand uses.  ``cli``
 itself is imported the ordinary way, so that ``python -m liefol.cli``
 does not find it already in ``sys.modules``.
+
+The package's immutable value types (``Chart``, ``VectorField``,
+``SuspensionState`` and the rest) share ``_Frozen`` below.  It lives here
+because this module is always loaded, so ``hyperbolic`` can use it without
+running ``poly``.
 """
 
 import importlib.util
 import sys
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -118,6 +124,39 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_ORIGIN, "__version__"]
+
+
+class _Frozen:
+    """Base of an immutable value type: a subclass names its fields in
+    ``__slots__`` and sets them in its ``__init__`` with
+    ``object.__setattr__``.  Two instances are equal, and hash alike, when
+    they have the same type and equal fields; a value never equals a tuple
+    or an instance of another type."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:  # hot paths mostly compare a chart with itself
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _lazy_submodule(name: str):

@@ -33,8 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from . import expr, foliation, hyperbolic, liecalc, planar, poly
 
@@ -62,8 +61,7 @@ class ProblemError(ValueError):
         self.line = line
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     chart: poly.Chart
     fields: Dict[str, liecalc.VectorField]
     maps: Dict[str, Tuple[poly.Poly, ...]]

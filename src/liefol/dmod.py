@@ -25,9 +25,9 @@ input; the result carries a witness entry for exactly that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
+from . import _Frozen
 from .liecalc import VectorField, apply_derivation, jacobian_matrix
 from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
 
@@ -43,20 +43,19 @@ def _square(matrix: Sequence[Sequence[RatFunc]]) -> Tuple[Tuple[RatFunc, ...], .
     return rows
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(_Frozen):
     """``nabla = v + A`` on a free module with a chosen trivialization."""
 
-    base_field: VectorField
-    matrix: Tuple[Tuple[RatFunc, ...], ...]
+    __slots__ = ("base_field", "matrix")
 
-    def __post_init__(self) -> None:
-        rows = _square(self.matrix)
-        chart = self.base_field.chart
+    def __init__(self, base_field: VectorField, matrix: Sequence[Sequence[RatFunc]]) -> None:
+        rows = _square(matrix)
+        chart = base_field.chart
         for row in rows:
             for entry in row:
                 if entry.chart != chart:
                     raise ChartMismatchError("matrix entry on a different chart")
+        object.__setattr__(self, "base_field", base_field)
         object.__setattr__(self, "matrix", rows)
 
     @property
@@ -85,23 +84,22 @@ def nabla_apply(conn: Connection, section: Sequence[Union[RatFunc, Poly]]) -> Tu
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Frozen):
     """A polynomial map between charts, one component per target variable."""
 
-    source: Chart
-    target: Chart
-    components: Tuple[Poly, ...]
+    __slots__ = ("source", "target", "components")
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if len(comps) != self.target.size:
+    def __init__(self, source: Chart, target: Chart, components: Sequence[Poly]) -> None:
+        comps = tuple(components)
+        if len(comps) != target.size:
             raise ValueError(
-                f"map into {self.target} needs {self.target.size} components, got {len(comps)}"
+                f"map into {target} needs {target.size} components, got {len(comps)}"
             )
         for c in comps:
-            if c.chart != self.source:
+            if c.chart != source:
                 raise ChartMismatchError("component not defined on the source chart")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", comps)
 
     def jacobian(self) -> Tuple[Tuple[Poly, ...], ...]:

@@ -25,11 +25,10 @@ contain exactly one basis factor, to the first power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import Chart, Poly
 
@@ -65,8 +64,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | one of + - * ^ ( )
     text: str
     value: Optional[Fraction]

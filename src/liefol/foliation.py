@@ -20,11 +20,10 @@ its own derivative along the saturated generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import linalg
+from . import _Frozen, linalg
 from .liecalc import VectorField, lie_bracket
 from .poly import (
     Chart,
@@ -64,8 +63,7 @@ def same_rank1_foliation(v: VectorField, w: VectorField) -> bool:
     return linalg.rank([v.coefficients, w.coefficients]) == 1
 
 
-@dataclass(frozen=True)
-class FoliationGens:
+class FoliationGens(_Frozen):
     """A non-empty family of generating fields, stored saturated.
 
     Each admitted generator is cleared to polynomial coefficients of
@@ -73,19 +71,19 @@ class FoliationGens:
     independent.
     """
 
-    chart: Chart
-    generators: Tuple[VectorField, ...]
+    __slots__ = ("chart", "generators")
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, chart: Chart, generators: Sequence[VectorField]) -> None:
+        if not generators:
             raise ValueError("a foliation needs at least one generator")
         cleaned = []
-        for g in self.generators:
-            if g.chart != self.chart:
+        for g in generators:
+            if g.chart != chart:
                 raise ChartMismatchError("generator on a different chart")
             if g.is_zero():
                 raise ValueError("zero generator")
             cleaned.append(saturate_rank1(g))
+        object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
 
 
@@ -127,8 +125,7 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
     return InvarianceResult(True, None)
 
 
-@dataclass(frozen=True)
-class SingularIdeal:
+class SingularIdeal(_Frozen):
     """Generators for the locus where the generators drop rank.
 
     Normalized: the common content of the minors is divided away, each
@@ -137,8 +134,11 @@ class SingularIdeal:
     is empty.
     """
 
-    chart: Chart
-    generators: Tuple[Poly, ...]
+    __slots__ = ("chart", "generators")
+
+    def __init__(self, chart: Chart, generators: Tuple[Poly, ...]) -> None:
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "generators", generators)
 
     def is_trivial(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from . import _Frozen
 
 CAT: Tuple[Tuple[int, int], Tuple[int, int]] = ((2, 1), (1, 1))
 CAT_INV: Tuple[Tuple[int, int], Tuple[int, int]] = ((1, -1), (-1, 2))
@@ -76,19 +77,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"bad coordinate type: {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SuspensionState:
+class SuspensionState(_Frozen):
     """A point of the mapping torus: torus coordinates and roof coordinate,
     each normalized into [0, 1)."""
 
-    x: Fraction
-    y: Fraction
-    roof: Fraction
+    __slots__ = ("x", "y", "roof")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _mod1(_as_fraction(self.x)))
-        object.__setattr__(self, "y", _mod1(_as_fraction(self.y)))
-        object.__setattr__(self, "roof", _mod1(_as_fraction(self.roof)))
+    def __init__(self, x, y, roof) -> None:
+        object.__setattr__(self, "x", _mod1(_as_fraction(x)))
+        object.__setattr__(self, "y", _mod1(_as_fraction(y)))
+        object.__setattr__(self, "roof", _mod1(_as_fraction(roof)))
 
 
 def fixed_point() -> SuspensionState:
@@ -206,8 +204,10 @@ def _q5_lognorm(vec: _Q5Vec) -> float:
     )
 
 
-@dataclass(frozen=True)
-class TangentFrame:
+_FLOW = (0.0, 0.0, 1.0)  # the flow direction; a NamedTuple class holds no field values
+
+
+class TangentFrame(NamedTuple):
     """Float view of the splitting: stable / unstable torus directions plus
     the flow direction (0, 0, 1); the exact forms live module-private."""
 
@@ -216,7 +216,7 @@ class TangentFrame:
     lambda_stable: float
     lambda_unstable: float
 
-    FLOW: Tuple[float, float, float] = (0.0, 0.0, 1.0)
+    FLOW: Tuple[float, float, float] = _FLOW
 
     @classmethod
     def cat_frame(cls) -> "TangentFrame":
@@ -263,8 +263,7 @@ def _measure_rate(direction: _Q5Vec, matrix, t_max) -> Tuple[float, List[float]]
     return _regress_slope(list(enumerate(logs, start=1))), logs
 
 
-@dataclass(frozen=True)
-class AnosovReport:
+class AnosovReport(NamedTuple):
     """Outcome of the splitting verification.
 
     Rates are regression estimates from measured norms; the C constants
@@ -340,7 +339,7 @@ def verify_anosov_bounds(
     flow_points = []
     for state in states:
         for t in range(1, min(t_max, 32) + 1):
-            img = differential_flow(TangentFrame.FLOW, t, state)
+            img = differential_flow(_FLOW, t, state)
             flow_points.append((float(t), math.log(math.hypot(*img))))
     flow_exponent = _regress_slope(flow_points)
 
@@ -377,15 +376,13 @@ def verify_anosov_bounds(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledLine:
+class LabeledLine(NamedTuple):
     label: str  # "stable" | "flow" | "unstable"
     eigenvalue: float
     direction: Tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class LabeledPlane:
+class LabeledPlane(NamedTuple):
     label: str  # "stable" | "unstable" | "strong"
     basis: Tuple[Tuple[float, float, float], Tuple[float, float, float]]
 
@@ -441,7 +438,7 @@ def _torus_line(vec: _Q5Vec) -> _Vec3:
 # torus eigenvectors have first component 1, so they are already sign-normalized.
 _STABLE_LINE = _torus_line(_E_SS)
 _UNSTABLE_LINE = _torus_line(_E_SU)
-_EIGENLINES = (_STABLE_LINE, TangentFrame.FLOW, _UNSTABLE_LINE)
+_EIGENLINES = (_STABLE_LINE, _FLOW, _UNSTABLE_LINE)
 
 
 def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLine, ...]:
@@ -461,7 +458,7 @@ def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLin
     return (
         # lambda_s^n = 1 / lambda_u^n; its direct float would cancel catastrophically
         LabeledLine(label="stable", eigenvalue=1.0 / grow, direction=stable),
-        LabeledLine(label="flow", eigenvalue=1.0, direction=TangentFrame.FLOW),
+        LabeledLine(label="flow", eigenvalue=1.0, direction=_FLOW),
         LabeledLine(label="unstable", eigenvalue=grow, direction=unstable),
     )
 

@@ -31,11 +31,11 @@ or needed — truncations are compared coefficient-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence, Tuple, Union, TYPE_CHECKING
 
+from . import _Frozen
 from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,28 +58,27 @@ def _as_ratfunc(chart: Chart, value: FieldLike) -> RatFunc:
     raise TypeError(f"bad coefficient: {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(_Frozen):
     """A derivation of the rational function field of a chart.
 
     The zero field is permitted (``is_zero`` flags it); several
     downstream constructions reject it explicitly.
     """
 
-    chart: Chart
-    coefficients: Tuple[RatFunc, ...]
+    __slots__ = ("chart", "coefficients")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(_as_ratfunc(self.chart, c) for c in self.coefficients)
-        if len(coeffs) != self.chart.size:
+    def __init__(self, chart: Chart, coefficients: Sequence[FieldLike]) -> None:
+        coeffs = tuple(_as_ratfunc(chart, c) for c in coefficients)
+        if len(coeffs) != chart.size:
             raise ValueError(
-                f"need {self.chart.size} coefficients for chart {self.chart}, got {len(coeffs)}"
+                f"need {chart.size} coefficients for chart {chart}, got {len(coeffs)}"
             )
+        object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def from_coefficients(cls, chart: Chart, coeffs: Sequence[FieldLike]) -> "VectorField":
-        return cls(chart, tuple(_as_ratfunc(chart, c) for c in coeffs))
+        return cls(chart, coeffs)
 
     @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
@@ -114,8 +113,9 @@ class VectorField:
         return VectorField(self.chart, tuple(-c for c in self.coefficients))
 
     def scale(self, factor: FieldLike) -> "VectorField":
-        f = _as_ratfunc(self.chart, factor)
-        return VectorField(self.chart, tuple(f * c for c in self.coefficients))
+        if not isinstance(factor, (int, Fraction)):
+            factor = _as_ratfunc(self.chart, factor)
+        return VectorField(self.chart, tuple(c * factor for c in self.coefficients))
 
     def __str__(self) -> str:
         from .expr import basis_names
@@ -196,8 +196,7 @@ def lie_connection_matrix(v: VectorField) -> "Connection":
     return Connection(base_field=v, matrix=matrix)
 
 
-@dataclass(frozen=True)
-class FlowSeries:
+class FlowSeries(_Frozen):
     """Truncated formal flow expansion: coefficient k is (base's) k-th
     iterated derivative divided by k!.
 
@@ -205,17 +204,18 @@ class FlowSeries:
     (coefficients are VectorField).
     """
 
-    kind: str
-    order: int
-    coefficients: Tuple[object, ...]
+    __slots__ = ("kind", "order", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("function", "field"):
-            raise ValueError(f"bad series kind {self.kind!r}")
-        if self.order < 0:
+    def __init__(self, kind: str, order: int, coefficients: Tuple[object, ...]) -> None:
+        if kind not in ("function", "field"):
+            raise ValueError(f"bad series kind {kind!r}")
+        if order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.coefficients) != self.order + 1:
+        if len(coefficients) != order + 1:
             raise ValueError("need order + 1 coefficients")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def coefficient(self, k: int):
         return self.coefficients[k]

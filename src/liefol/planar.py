@@ -40,11 +40,12 @@ with their magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _Frozen
 from .liecalc import VectorField
 from .foliation import saturate_rank1
 from .poly import (
@@ -62,8 +63,7 @@ INFINITY_CHART = Chart(("s", "t"))
 LINE_CHART = Chart(("t",))
 
 
-@dataclass(frozen=True)
-class PlanarField:
+class PlanarField(_Frozen):
     """A polynomial field on a two-variable chart, with coprime coefficients.
 
     ``degree`` is the common working degree n = max(deg a, deg b); the
@@ -71,23 +71,21 @@ class PlanarField:
     of its direction (use ``from_vector_field`` to saturate first).
     """
 
-    a: Poly
-    b: Poly
-    # True skips the coprimality gcd: ``from_vector_field`` passes it for
-    # a pair whose content saturation has just divided out
-    _coprime: InitVar[bool] = False
+    __slots__ = ("a", "b")
 
-    def __post_init__(self, _coprime: bool) -> None:
-        if self.a.chart != self.b.chart:
+    def __init__(self, a: Poly, b: Poly, *, _coprime: bool = False) -> None:
+        # _coprime=True skips the coprimality gcd: ``from_vector_field``
+        # passes it for a pair whose content saturation has just divided out
+        if a.chart != b.chart:
             raise ChartMismatchError("coefficients on different charts")
-        if self.a.chart.size != 2:
+        if a.chart.size != 2:
             raise ValueError("planar analysis needs a two-variable chart")
-        if self.a.is_zero() and self.b.is_zero():
+        if a.is_zero() and b.is_zero():
             raise ValueError("the zero field has no direction at infinity")
-        if _coprime:
-            return
-        if not content([c for c in (self.a, self.b) if not c.is_zero()]).is_constant():
+        if not _coprime and not content([c for c in (a, b) if not c.is_zero()]).is_constant():
             raise ValueError("coefficients share a common factor; saturate the field first")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def from_vector_field(cls, v: VectorField) -> "PlanarField":
@@ -300,6 +298,8 @@ def rational_roots(p: Poly) -> List[Fraction]:
     return sorted(roots)
 
 
+# A dataclass, unlike the other value types: tests rebuild reports with
+# ``dataclasses.replace``.  It is why a ``planar`` call loads ``dataclasses``.
 @dataclass(frozen=True)
 class InfinityReport:
     """Everything this package knows about a field along the line at infinity.

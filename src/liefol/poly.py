@@ -64,12 +64,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add, gt, mul, sub
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+from . import _Frozen
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -85,22 +86,22 @@ class ExactDivisionError(ValueError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Frozen):
     """An ordered tuple of affine coordinate names, e.g. ``Chart(("x", "y"))``."""
 
-    variables: Tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.variables, list):
-            object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+    def __init__(self, variables: Tuple[str, ...]) -> None:
+        if isinstance(variables, list):
+            variables = tuple(variables)
+        if not variables:
             raise ValueError("a chart needs at least one variable")
-        for name in self.variables:
+        for name in variables:
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad variable name: {name!r}")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names in chart")
+        object.__setattr__(self, "variables", variables)
 
     @property
     def size(self) -> int:
@@ -741,7 +742,7 @@ def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     radices: Optional[List[int]] = None
     den, size = 1, 0
     for a, b in pairs:
-        # identity first: the dataclass comparison costs a Python call
+        # identity first: Chart.__eq__ is a Python-level call
         if (a.chart is not chart or b.chart is not chart) and (
             a.chart != chart or b.chart != chart
         ):
@@ -1095,8 +1096,12 @@ class RatFunc:
         cross-cancellation, so the constructor's full gcd is redundant
         on those paths.
         """
+        return cls._trusted(*_unit_normalized(num, den))
+
+    @classmethod
+    def _trusted(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair that is already in the canonical form above."""
         obj = object.__new__(cls)
-        num, den = _unit_normalized(num, den)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
         return obj
@@ -1181,6 +1186,11 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other: Union["RatFunc", Poly, Coeff]) -> "RatFunc":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar leaves num and den coprime and den normalized
+            if not other:
+                return RatFunc.zero(self.chart)
+            return RatFunc._trusted(self.num * other, self.den)
         o = self._coerce(other)
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.num * o.num)

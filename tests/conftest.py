@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,24 @@ def random_ratfunc(rng: random.Random, chart: Chart, max_degree: int = 2) -> Rat
     num = random_poly(rng, chart, max_degree)
     den = random_poly(rng, chart, max_degree, allow_zero=False)
     return RatFunc(num, den)
+
+
+def assert_value_type(value, same, other) -> None:
+    """The contract of the package's immutable value types: ``same``, built
+    separately from equal fields, is equal with the same hash; ``other``
+    and the plain tuple of the fields are not; no field can be set or
+    deleted; the repr names the fields."""
+    fields = type(value).__slots__
+    assert value is not same and value == same and hash(value) == hash(same)
+    assert value != other and not value == other
+    assert value != tuple(getattr(value, name) for name in fields)
+    for name in fields:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert value == same
+    assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
 
 
 # --- hypothesis strategies -------------------------------------------------

@@ -46,6 +46,12 @@ class TestParseProblem:
         assert problem.chart.variables == ("x", "y")
         assert set(problem.fields) == {"v", "w"}
         assert str(problem.curves["C"]) == "x*y - 1"
+        assert problem._fields == ("chart", "fields", "maps", "foliations", "curves")
+        assert problem.sole("curve") == "C"
+        with pytest.raises(ValueError, match="declares 2 fields; name one explicitly"):
+            problem.sole("field")
+        with pytest.raises(AttributeError):
+            problem.chart = None
 
     def test_vars_must_come_first(self):
         with pytest.raises(ProblemError, match="vars"):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import XY, random_field, random_poly
+from conftest import XY, assert_value_type, random_field, random_poly
 from liefol import (
     Chart,
     ChartMismatchError,
@@ -91,6 +91,30 @@ class TestNablaApply:
             nabla_apply(conn, (r(X),))
 
 
+class TestValueTypes:
+    def test_connection(self):
+        v = VectorField.from_coefficients(XY, (X, Y))
+        conn = Connection(v, [[r(X), r(Y)], [r(Y), r(X)]])
+        assert conn.matrix == ((r(X), r(Y)), (r(Y), r(X)))
+        same = Connection(base_field=v, matrix=((r(X), r(Y)), (r(Y), r(X))))
+        assert_value_type(conn, same, Connection(v, ((r(X), r(Y)), (r(Y), r(Y)))))
+
+    def test_connection_errors(self):
+        v = VectorField.from_coefficients(XY, (X, Y))
+        with pytest.raises(ValueError, match="empty connection matrix"):
+            Connection(v, ())
+        with pytest.raises(ValueError, match="connection matrix must be square"):
+            Connection(v, ((r(X), r(Y)),))
+        with pytest.raises(ChartMismatchError, match="matrix entry on a different chart"):
+            Connection(v, ((RatFunc.constant(U_CHART, 1),),))
+
+    def test_poly_map(self):
+        phi = PolyMap(XY, UV_CHART, [X**2 + Y**2, X * Y])
+        assert phi.components == (X**2 + Y**2, X * Y)
+        same = PolyMap(source=XY, target=UV_CHART, components=(X**2 + Y**2, X * Y))
+        assert_value_type(phi, same, PolyMap(XY, UV_CHART, (X, Y)))
+
+
 class TestPolyMap:
     def test_jacobian(self):
         phi = PolyMap(XY, UV_CHART, (X**2 + Y**2, X * Y))
@@ -106,12 +130,12 @@ class TestPolyMap:
         assert phi.pull_back(u + 1) == r(X**2 + 1)
 
     def test_component_count_must_match_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"map into \(u, v\) needs 2 components, got 1"):
             PolyMap(XY, UV_CHART, (X,))
 
     def test_components_live_on_source(self):
         u = U_CHART.var("u")
-        with pytest.raises(ChartMismatchError):
+        with pytest.raises(ChartMismatchError, match="component not defined on the source chart"):
             PolyMap(XY, U_CHART, (u,))
 
 

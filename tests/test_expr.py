@@ -29,6 +29,18 @@ def test_rational_literals():
     assert parse_polynomial("1/2*x + 1/3", XY) == X * Fraction(1, 2) + Fraction(1, 3)
 
 
+def test_tokens():
+    from fractions import Fraction
+
+    from liefol.expr import _Token, _tokenize
+
+    assert _tokenize("3/2*x") == [
+        _Token("num", "3/2", Fraction(3, 2), 0),
+        _Token("*", "*", None, 3),
+        _Token(kind="name", text="x", value=None, pos=4),
+    ]
+
+
 def test_unknown_name_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("x + q", XY)

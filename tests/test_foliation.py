@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from conftest import XY, XYZ, random_field, random_poly
+from conftest import XY, XYZ, assert_value_type, random_field, random_poly
 from liefol import (
+    ChartMismatchError,
     FoliationGens,
     Poly,
     RatFunc,
@@ -25,6 +26,7 @@ from liefol import (
     tangent_foliation,
 )
 from liefol.dmod import PolyMap
+from liefol.foliation import SingularIdeal
 from test_dmod import product_morphism
 
 X, Y = XY.vars()
@@ -68,6 +70,27 @@ class TestSaturation:
             s = saturate_rank1(v)
             assert saturate_rank1(s) == s
             assert same_rank1_foliation(v, s)
+
+
+class TestValueTypes:
+    def test_foliation_gens(self):
+        fol = FoliationGens(XY, (vf2(X**2, X * Y),))
+        assert fol.generators == (RADIAL,)
+        same = FoliationGens(chart=XY, generators=[RADIAL])
+        assert_value_type(fol, same, FoliationGens(XY, (ROTATION,)))
+
+    def test_foliation_gens_errors(self):
+        with pytest.raises(ValueError, match="a foliation needs at least one generator"):
+            FoliationGens(XY, ())
+        with pytest.raises(ValueError, match="zero generator"):
+            FoliationGens(XY, (VectorField.zero(XY),))
+        with pytest.raises(ChartMismatchError, match="generator on a different chart"):
+            FoliationGens(XYZ, (RADIAL,))
+
+    def test_singular_ideal(self):
+        ideal = singular_locus(FoliationGens(XY, (RADIAL,)))
+        same = SingularIdeal(chart=XY, generators=(X, Y))
+        assert_value_type(ideal, same, SingularIdeal(XY, (ONE2,)))
 
 
 class TestSameRank1:

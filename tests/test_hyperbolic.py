@@ -8,8 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_value_type
 from liefol import (
     CAT,
+    AnosovReport,
+    LabeledLine,
+    LabeledPlane,
     SuspensionState,
     TangentFrame,
     cat_power,
@@ -94,6 +98,33 @@ class TestFlow:
             s = SuspensionState(*(Fraction(rng.random()) for _ in range(3)))
             t = rng.randint(1, 300)
             assert crossings(s, t) - crossings(s, 0) == t
+
+
+class TestValueTypes:
+    def test_suspension_state(self):
+        s = SuspensionState(Fraction(5, 4), Fraction(-1, 3), 2)
+        assert (s.x, s.y, s.roof) == (Fraction(1, 4), Fraction(2, 3), Fraction(0))
+        assert all(type(c) is Fraction for c in (s.x, s.y, s.roof))
+        same = SuspensionState(x=0.25, y=Fraction(2, 3), roof=Fraction(-3))
+        assert_value_type(s, same, SuspensionState(Fraction(1, 4), Fraction(2, 3), Fraction(1, 2)))
+        with pytest.raises(TypeError, match="bad coordinate type: str"):
+            SuspensionState("1/2", 0, 0)
+
+    def test_records(self):
+        frame = TangentFrame.cat_frame()
+        assert frame._fields[-1] == "FLOW" and frame.FLOW == (0.0, 0.0, 1.0)
+        assert TangentFrame(*frame[:4]) == frame
+        report = verify_anosov_bounds(samples=2, t_max=5, seed=0)
+        assert report._fields[0] == "lambda_stable_est" and report.swapped is False
+        assert AnosovReport(**report._asdict()) == report
+        line = LabeledLine("flow", 1.0, (0.0, 0.0, 1.0))
+        assert line in classify_invariant_lines(fixed_point(), 1)
+        plane = LabeledPlane(label="strong", basis=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        for record in (frame, report, line, plane):
+            assert type(record)(*record) == record
+            assert hash(type(record)(*record)) == hash(record)
+            with pytest.raises(AttributeError):
+                record.label = "other"
 
 
 class TestTorusDistance:

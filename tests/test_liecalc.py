@@ -17,10 +17,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import XY, XYZ, field_strategy, random_field, random_poly, random_ratfunc
+from conftest import (
+    XY,
+    XYZ,
+    assert_value_type,
+    field_strategy,
+    random_field,
+    random_poly,
+    random_ratfunc,
+)
 from liefol import (
     ChartMismatchError,
     Connection,
+    FlowSeries,
     Poly,
     RatFunc,
     VectorField,
@@ -257,6 +266,37 @@ class TestJacobian:
         assert jac[0][1] == RatFunc.from_poly(X)
         assert jac[1][0].is_zero()
         assert jac[1][1] == RatFunc.from_poly(2 * Y)
+
+
+class TestValueTypes:
+    def test_vector_field(self):
+        v = VectorField(XY, (X, 1))
+        same = VectorField(chart=XY, coefficients=[RatFunc(X), Fraction(1)])
+        assert_value_type(v, same, vf(X, ZERO))
+        assert v.coefficients == (RatFunc(X), RatFunc.constant(XY, 1))
+        assert VectorField.from_coefficients(XY, (X, ONE)) == v
+
+    def test_vector_field_errors(self):
+        with pytest.raises(ValueError, match=r"need 2 coefficients for chart \(x, y\), got 1"):
+            VectorField(XY, (X,))
+        with pytest.raises(ChartMismatchError, match="coefficient lives on a different chart"):
+            VectorField(XY, (X, XYZ.var("z")))
+        with pytest.raises(TypeError, match="bad coefficient: str"):
+            VectorField(XY, (X, "y"))
+
+    def test_flow_series(self):
+        series = flow_series_function(vf(X, Y), X, 2)
+        same = FlowSeries(kind="function", order=2, coefficients=tuple(series.coefficients))
+        other = FlowSeries("function", 0, (RatFunc(X),))
+        assert_value_type(series, same, other)
+
+    def test_flow_series_errors(self):
+        with pytest.raises(ValueError, match="bad series kind 'vector'"):
+            FlowSeries("vector", 0, (RatFunc(X),))
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            FlowSeries("function", -1, ())
+        with pytest.raises(ValueError, match=r"need order \+ 1 coefficients"):
+            FlowSeries("field", 1, (vf(X, Y),))
 
 
 class TestFlowSeries:

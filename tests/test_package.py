@@ -20,9 +20,14 @@ GOLDEN = ROOT / "tests" / "golden"
 
 LAZY = ("poly", "expr", "liecalc", "dmod", "linalg", "foliation", "planar", "hyperbolic")
 
+# Modules a call should not load: ``dataclasses`` costs more to import, with
+# the ``inspect`` it pulls in, than most calls spend computing.
+HEAVY = ("dataclasses", "inspect")
+
 # Run in a fresh interpreter: import liefol (and optionally run cli.main on
-# argv), then print the lazy submodules whose code has run.  type() reads
-# the module's class without an attribute access, so it triggers no load.
+# argv), then print the lazy submodules whose code has run, whether
+# liefol.cli is imported, and which of HEAVY are.  type() reads the
+# module's class without an attribute access, so it triggers no load.
 _PROBE = """
 import contextlib, io, sys, types
 import liefol
@@ -34,6 +39,7 @@ if argv:
 names = {lazy!r}
 print(*sorted(n for n in names if type(sys.modules["liefol." + n]) is types.ModuleType))
 print("liefol.cli" in sys.modules)
+print(*[m for m in {heavy!r} if m in sys.modules])
 """
 
 
@@ -43,25 +49,26 @@ def _env():
 
 
 def _executed(*argv):
-    """The lazy submodules executed in a fresh process, and whether
-    ``liefol.cli`` is imported."""
+    """The lazy submodules executed in a fresh process, whether
+    ``liefol.cli`` is imported, and the modules of HEAVY imported."""
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(lazy=LAZY), *argv],
+        [sys.executable, "-c", _PROBE.format(lazy=LAZY, heavy=HEAVY), *argv],
         cwd=ROOT,
         env=_env(),
         capture_output=True,
         text=True,
         check=True,
     )
-    executed, cli_loaded = out.stdout.splitlines()
-    return set(executed.split()), cli_loaded == "True"
+    executed, cli_loaded, heavy = out.stdout.splitlines()
+    return set(executed.split()), cli_loaded == "True", set(heavy.split())
 
 
 def test_import_registers_but_runs_no_submodule():
     # the probe reads sys.modules["liefol.<name>"] for every lazy name
-    executed, cli_loaded = _executed()
+    executed, cli_loaded, heavy = _executed()
     assert executed == set()
     assert not cli_loaded
+    assert heavy == set()
 
 
 @pytest.mark.parametrize(
@@ -92,8 +99,13 @@ def test_import_registers_but_runs_no_submodule():
     ],
 )
 def test_cli_runs_only_what_the_subcommand_uses(argv, ran):
-    executed, _ = _executed(*argv)
+    executed, _, heavy = _executed(*argv)
     assert executed == ran
+    if "planar" in ran:
+        # planar.InfinityReport is a dataclass: the one reason planar loads them
+        assert heavy == set(HEAVY)
+    else:
+        assert heavy == set()
 
 
 def test_public_names_are_the_defining_modules_objects():

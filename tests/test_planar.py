@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import XY, random_poly
+from conftest import XY, assert_value_type, random_poly
 from liefol import (
     CONSISTENT,
     EXCLUDED,
+    ChartMismatchError,
     PlanarField,
     Poly,
     RatFunc,
@@ -43,8 +44,18 @@ HYPERBOLIC = PlanarField(X, -Y)  # x dx - y dy
 
 class TestPlanarField:
     def test_common_factor_rejected(self):
-        with pytest.raises(ValueError, match="saturate"):
+        with pytest.raises(ValueError, match="coefficients share a common factor; saturate"):
             PlanarField(X**2, X * Y)
+
+    def test_value_type(self):
+        assert_value_type(PlanarField(X, -Y), PlanarField(a=X, b=-Y), ROTATION)
+        # the skip of the coprimality check is keyword-only
+        assert PlanarField(X, Y, _coprime=True) == RADIAL
+        with pytest.raises(TypeError):
+            PlanarField(X, Y, True)
+        other = __import__("liefol").Chart(("u", "v"))
+        with pytest.raises(ChartMismatchError, match="coefficients on different charts"):
+            PlanarField(X, other.var("u"))
 
     def test_from_vector_field_saturates(self):
         v = VectorField.from_coefficients(XY, (X**2, X * Y))
@@ -81,7 +92,7 @@ class TestPlanarField:
         assert (len(contents), len(gcds)) == (1, 1)
 
     def test_zero_field_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the zero field has no direction at infinity"):
             PlanarField(ZERO, ZERO)
 
     def test_degree(self):

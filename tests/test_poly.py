@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import XY, XYZ, fraction_strategy, poly_strategy, random_poly
+from conftest import XY, XYZ, assert_value_type, fraction_strategy, poly_strategy, random_poly
 from liefol import (
     Chart,
     ChartMismatchError,
@@ -51,12 +51,21 @@ def _gcd_triples(draw):
 
 class TestChart:
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate variable names in chart"):
             Chart(("x", "x"))
 
     def test_bad_identifier_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad variable name: '2y'"):
             Chart(("x", "2y"))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="a chart needs at least one variable"):
+            Chart(())
+
+    def test_value_type(self):
+        assert_value_type(Chart(("x", "y")), Chart(variables=["x", "y"]), Chart(("y", "x")))
+        assert Chart(["x", "y"]).variables == ("x", "y")
+        assert repr(XY) == "Chart(variables=('x', 'y'))"
 
     def test_mismatch_raises(self):
         other = Chart(("u",))
@@ -405,6 +414,22 @@ class TestRatFunc:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(X, Poly.zero(XY))
+
+    @given(
+        poly_strategy(XY),
+        poly_strategy(XY, coeff_bound=4),
+        st.one_of(st.integers(-6, 6), fraction_strategy(), st.just(Fraction(0))),
+    )
+    def test_scalar_product_matches_coerced_product(self, p, q, c):
+        """A scalar scales the numerator alone; the product is the one
+        the constant-RatFunc product gives, in the same canonical form."""
+        f = RatFunc(p, q if q else Poly.one(XY))
+        expected = f * f._coerce(c)
+        for product in (f * c, c * f):
+            # Poly equality compares the canonical numerators and denominator
+            assert (product.num, product.den) == (expected.num, expected.den)
+        if not c:
+            assert (f * c).den.is_one()
 
     @given(poly_strategy(XY), poly_strategy(XY, coeff_bound=4))
     def test_field_axioms(self, p, q):
