@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
-from .liecalc import VectorField, apply_derivation, jacobian_matrix
+from .liecalc import VectorField, _as_ratfunc, _derive, jacobian_matrix
 from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
 
 
@@ -70,12 +70,13 @@ class Connection(_Frozen):
 def nabla_apply(conn: Connection, section: Sequence[Union[RatFunc, Poly]]) -> Tuple[RatFunc, ...]:
     """Apply the connection to a coefficient column: v(f_i) + sum_j A[i][j] f_j."""
     chart = conn.chart
-    col = [f if isinstance(f, RatFunc) else RatFunc(f) for f in section]
+    col = [_as_ratfunc(chart, f) for f in section]
     if len(col) != conn.rank:
         raise ValueError(f"section has length {len(col)}, connection has rank {conn.rank}")
+    qv, pv = _common_denominator(conn.base_field.coefficients)
     out = []
     for i in range(conn.rank):
-        acc = apply_derivation(conn.base_field, col[i])
+        acc = _derive(qv, pv, col[i])
         for j in range(conn.rank):
             entry = conn.matrix[i][j]
             if not entry.is_zero():
@@ -167,8 +168,10 @@ def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismRe
     if w.chart != phi.target:
         raise ChartMismatchError("w must live on the target chart")
 
+    # v's common denominator once, for its n + n^2 derivations below
+    qv, pv = _common_denominator(v.coefficients)
     for j, component in enumerate(phi.components):
-        lhs = apply_derivation(v, component)
+        lhs = _derive(qv, pv, RatFunc(component))
         rhs = phi.pull_back(w.coefficients[j])
         if lhs != rhs:
             raise MorphismPreconditionError(j, phi.target.variables[j], lhs, rhs)
@@ -190,7 +193,7 @@ def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismRe
         for k in range(p):
             left = RatFunc(_dot(chart, [(row_b[j], jac[j][k]) for j in range(q)]), den_b)
             den_a, column_a = a_columns[k]
-            right = apply_derivation(v, jac[i][k]) + RatFunc(
+            right = _derive(qv, pv, RatFunc(jac[i][k])) + RatFunc(
                 _dot(chart, [(jac[i][j], column_a[j]) for j in range(p)]), den_a
             )
             if left != right:

@@ -27,6 +27,22 @@ Flow series are formal: ``exp(t v)`` applied to a function collects
 ``v^k(f)/k!`` as the t^k coefficient; applied to a field it collects
 iterated Lie derivatives the same way.  No convergence claims are made
 or needed — truncations are compared coefficient-wise.
+
+For f = a/b in lowest terms the powers v^k(f) live over powers of q and
+b alone: v^k(f) = A_k / (q^e * b^m) with A_0 = a, e = 0, m = 1 and
+
+    e = 0:   A' = b * D(A) - m * A * D(b),                      e -> 1
+    e >= 1:  A' = q*b * D(A) - A * (e * b * D(q) + m * q * D(b)),  e -> e + 2
+
+and m -> m + 1, so D(b) and D(q) are taken once and each order is two
+sums of products.  For a polynomial field (q = 1) the numerators need no
+reduction when gcd(b, D(b)) = 1: A' = -m * A * D(b) modulo b, so no
+irreducible factor of b ever divides an A_k.  A factor p of b that does
+divide D(b) = v(b) is an invariant hypersurface of v (Darboux): v(p)
+vanishes on p = 0, the flow keeps p = 0, and A_k may pick up powers of
+p.  Then, and for rational fields, each order is reduced once, and a
+reduction that cancels something restarts the recurrence from the
+reduced coefficient.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ from math import factorial
 from typing import Sequence, Tuple, Union, TYPE_CHECKING
 
 from . import _Frozen
-from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
+from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot, gcd
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dmod import Connection
@@ -134,15 +150,18 @@ def apply_derivation(v: VectorField, f: Union[RatFunc, Poly]) -> RatFunc:
     return _derive(*_common_denominator(v.coefficients), g)
 
 
+def _along(coeffs: Sequence[Poly], h: Poly) -> Poly:
+    """D(h) = sum_k coeffs[k] * dh/dx_k, as one sum of products."""
+    return _dot(h.chart, [(p, h.partial(k)) for k, p in enumerate(coeffs) if p])
+
+
 def _derive(q: Poly, coeffs: Sequence[Poly], f: RatFunc) -> RatFunc:
     """v(f) for the field v = coeffs / q: one reduction to lowest terms."""
-    chart = q.chart
     a, b = f.num, f.den
-    da = _dot(chart, [(p, a.partial(k)) for k, p in enumerate(coeffs) if p])
+    da = _along(coeffs, a)
     if b.is_one():
         return RatFunc(da, q)
-    db = _dot(chart, [(p, b.partial(k)) for k, p in enumerate(coeffs) if p])
-    return RatFunc(_dot(chart, [(b, da), (-a, db)]), q * b * b)
+    return RatFunc(_dot(q.chart, [(b, da), (-a, _along(coeffs, b))]), q * b * b)
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -247,16 +266,39 @@ class FlowSeries(_Frozen):
 
 
 def flow_series_function(v: VectorField, f: Union[RatFunc, Poly], order: int) -> FlowSeries:
-    """Formal expansion of f along the flow of v, truncated at ``order``."""
+    """Formal expansion of f along the flow of v, truncated at ``order``.
+
+    v^k(f) is carried as num / (q^e * b^m) over a fixed base b, so that
+    only the numerator changes from one order to the next (see the
+    module docstring)."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    g = _as_ratfunc(v.chart, f)
+    chart = v.chart
+    q, coeffs_v = _common_denominator(v.coefficients)
+    dq = _along(coeffs_v, q)
+    c = _as_ratfunc(chart, f)
     coeffs = []
-    current = g
     for k in range(order + 1):
-        coeffs.append(current * Fraction(1, factorial(k)))
-        if k < order:
-            current = apply_derivation(v, current)
+        if k:
+            c = RatFunc._reduced(num, den) if coprime else RatFunc(num, den)
+        if not k or c.den != den:
+            # (re)start the recurrence from c = a/b in lowest terms
+            b, num, den, e, m = c.den, c.num, c.den, 0, 1
+            db, qb = _along(coeffs_v, b), q * b
+            coprime = q.is_one() and (b.is_one() or gcd(b, db).is_constant())
+        coeffs.append(c * Fraction(1, factorial(k)))
+        if k == order:
+            break
+        dnum = _along(coeffs_v, num)
+        if e:
+            t = e * b * dq + m * q * db
+            num, den, e = _dot(chart, [(qb, dnum), (num, -t)]), den * q * qb, e + 2
+        else:
+            # for q = 1 this step is every step, and e stays 0
+            num = dnum if b.is_one() else _dot(chart, [(b, dnum), (num, -m * db)])
+            if not qb.is_one():
+                den, e = den * qb, 0 if q.is_one() else 1
+        m += 1
     return FlowSeries("function", order, tuple(coeffs))
 
 

@@ -61,6 +61,7 @@ from .poly import (
 
 INFINITY_CHART = Chart(("s", "t"))
 LINE_CHART = Chart(("t",))
+_TWO_VARIABLES = "planar analysis needs a two-variable chart"
 
 
 class PlanarField(_Frozen):
@@ -79,7 +80,7 @@ class PlanarField(_Frozen):
         if a.chart != b.chart:
             raise ChartMismatchError("coefficients on different charts")
         if a.chart.size != 2:
-            raise ValueError("planar analysis needs a two-variable chart")
+            raise ValueError(_TWO_VARIABLES)
         if a.is_zero() and b.is_zero():
             raise ValueError("the zero field has no direction at infinity")
         if not _coprime and not content([c for c in (a, b) if not c.is_zero()]).is_constant():
@@ -89,8 +90,10 @@ class PlanarField(_Frozen):
 
     @classmethod
     def from_vector_field(cls, v: VectorField) -> "PlanarField":
-        coeffs = saturate_rank1(v).polynomial_coefficients()
-        return cls(coeffs[0], coeffs[1], _coprime=True)
+        if v.chart.size != 2:
+            raise ValueError(_TWO_VARIABLES)
+        a, b = saturate_rank1(v).polynomial_coefficients()
+        return cls(a, b, _coprime=True)
 
     @property
     def chart(self) -> Chart:

@@ -235,6 +235,15 @@ class TestPlanar:
         path.write_text(SPATIAL)
         code, report = run(capsys, "planar", str(path), "--field", "rot")
         assert code == 1
+        assert report["error"] == "planar analysis needs a two-variable chart"
+
+    @pytest.mark.parametrize("extra", [[], ["--curve", "C"]])
+    def test_one_variable_chart_rejected(self, tmp_path, capsys, extra):
+        path = tmp_path / "p.txt"
+        path.write_text("vars: x\nfield v = x*dx\ncurve C = x\n")
+        code, report = run(capsys, "planar", str(path), *extra)
+        assert code == 1
+        assert report["error"] == "planar analysis needs a two-variable chart"
 
 
 class TestFlowSeries:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import XY, assert_value_type, random_field, random_poly
+from liefol import liecalc
+from liefol import dmod as dmod_module
 from liefol import (
     Chart,
     ChartMismatchError,
@@ -31,6 +33,22 @@ X, Y = XY.vars()
 
 def r(p):
     return RatFunc.from_poly(p)
+
+
+def _denominators_of(monkeypatch, v, call):
+    """The result of ``call()`` and how often it put v's coefficients over
+    their common denominator, in ``dmod`` or through ``liecalc``."""
+    seen = []
+    real = dmod_module._common_denominator
+
+    def counting(fs):
+        fs = tuple(fs)
+        seen.append(fs == v.coefficients)
+        return real(fs)
+
+    monkeypatch.setattr(dmod_module, "_common_denominator", counting)
+    monkeypatch.setattr(liecalc, "_common_denominator", counting)
+    return call(), sum(seen)
 
 
 class TestNablaApply:
@@ -83,6 +101,21 @@ class TestNablaApply:
             return tuple(p - q for p, q in zip(out1, out2))
 
         assert diff(scaled) == tuple(a * d for d in diff(section))
+
+    def test_rational_field_matches_derivation(self, monkeypatch):
+        """v(f_i) + sum_j A[i][j] f_j, with v's common denominator taken once."""
+        v = VectorField.from_coefficients(XY, (RatFunc(X, Y + 1), RatFunc(Y**2, X**2 + 1)))
+        conn = Connection(v, ((r(X), RatFunc(Y, X + 2)), (RatFunc.zero(XY), r(Y**2))))
+        section = (RatFunc(X * Y, X - Y), r(X + 3))
+        expected = tuple(
+            apply_derivation(v, section[i])
+            + sum((conn.matrix[i][j] * section[j] for j in range(2)), RatFunc.zero(XY))
+            for i in range(2)
+        )
+        assert _denominators_of(monkeypatch, v, lambda: nabla_apply(conn, section)) == (
+            expected,
+            1,
+        )
 
     def test_wrong_section_length(self):
         v = VectorField.zero(XY)
@@ -249,6 +282,24 @@ class TestCheckDMorphism:
         v2 = VectorField.from_coefficients(XY, (X, Y))
         w2 = VectorField.from_coefficients(U_CHART, (2 * u,))
         assert check_dmorphism(phi, v2, w2).ok
+
+    def test_rational_field_denominator_taken_once(self, monkeypatch):
+        """check_dmorphism derives n + n^2 functions along v over one
+        common denominator, and still accepts the triples of
+        test_rational_fields."""
+        u = U_CHART.var("u")
+        projection = PolyMap(XY, U_CHART, (X,))
+        w = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 1),))
+        lifted = VectorField.from_coefficients(XY, (RatFunc(X, X**2 + 1), RatFunc(Y, X - 2)))
+        result, count = _denominators_of(
+            monkeypatch, lifted, lambda: check_dmorphism(projection, lifted, w)
+        )
+        assert result == (True, None) and count == 1
+        identity = PolyMap(XY, XY, (X, Y))
+        result, count = _denominators_of(
+            monkeypatch, lifted, lambda: check_dmorphism(identity, lifted, lifted)
+        )
+        assert result == (True, None) and count == 1
 
     def test_rational_fields(self):
         """Rational coefficients: each sum runs over its common denominator."""

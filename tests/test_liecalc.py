@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,17 @@ def _reference_lie_bracket(v, w):
     return VectorField(chart, tuple(out))
 
 
+def _reference_flow_series_function(v, f, order):
+    """v^k(f)/k!, each v^k(f) by a derivation of the one before."""
+    current = f if isinstance(f, RatFunc) else RatFunc(f)
+    coeffs = []
+    for k in range(order + 1):
+        coeffs.append(current * Fraction(1, factorial(k)))
+        if k < order:
+            current = apply_derivation(v, current)
+    return tuple(coeffs)
+
+
 def _mixed_field(rng, chart):
     """Coefficients drawn from zero, polynomials and rational functions."""
     coeffs = []
@@ -170,6 +182,67 @@ class TestAgainstReference:
         calls.clear()
         _reference_apply_derivation(v, f)
         assert fused <= 2 < len(calls)
+
+    def test_flow_series_function_matches(self):
+        """The recurrence over powers of the base denominator against the
+        loop of derivations.  Rational fields stop at order 2: past it the
+        reference's gcds reach the PRS fallback and take seconds."""
+        rng = random.Random(44)
+        zero = VectorField.zero(XY)
+        for _ in range(12):
+            for v in (_mixed_field(rng, XY), random_field(rng, XY, 2, 5), zero):
+                top = 4 if v.is_polynomial() else 2
+                for f in _functions(rng, XY):
+                    for order in range(top + 1):
+                        got = flow_series_function(v, f, order).coefficients
+                        assert got == _reference_flow_series_function(v, f, order)
+
+    def test_flow_series_function_special_denominators(self):
+        """Square factors in b, and factors of b that are invariant curves
+        of v (they divide v(b)), where the numerators do share factors with
+        the denominator and each order is reduced."""
+        y2 = Y**2 - 1
+        fields = [
+            vf(X * Y, y2),  # y^2 - 1 is invariant: v(y^2 - 1) = 2y(y^2 - 1)
+            vf(X, Y),  # radial: every homogeneous factor is invariant
+            vf(Y, -X),
+            vf(X**2 - Y, X * Y + 1),
+            vf(RatFunc(X, y2), Y),
+        ]
+        functions = [
+            RatFunc(X + 1, y2),
+            RatFunc(X * Y - 3, y2 * (X + 2)),
+            RatFunc(X, (Y - 1) ** 2),
+            RatFunc(ONE, (X + Y) ** 2 * (X - 2 * Y + 1)),
+            RatFunc(X**2 + Y, X * Y),
+        ]
+        for v in fields:
+            for f in functions:
+                for order in range(5):
+                    got = flow_series_function(v, f, order).coefficients
+                    assert got == _reference_flow_series_function(v, f, order)
+
+    def test_one_gcd_per_polynomial_flow_series(self, monkeypatch):
+        """For a polynomial field and f = a/b with gcd(b, v(b)) = 1 the
+        only gcd of a series is that coprimality test; the loop of
+        derivations reduces every order."""
+        v = vf(X**2 - Y, X * Y + 1)
+        f = RatFunc(X * Y - 2, X**2 + Y + 3)
+        assert poly_module.gcd(f.den, apply_derivation(v, f.den).num).is_one()
+        expected = _reference_flow_series_function(v, f, 4)
+        calls = []
+        real_gcd = poly_module._gcd
+
+        def counting_gcd(p, q):
+            calls.append((p, q))
+            return real_gcd(p, q)
+
+        monkeypatch.setattr(poly_module, "_gcd", counting_gcd)
+        assert flow_series_function(v, f, 4).coefficients == expected
+        assert len(calls) == 1
+        calls.clear()
+        _reference_flow_series_function(v, f, 4)
+        assert len(calls) >= 4
 
 
 class TestApplyDerivation:
