@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .poly import Chart, Poly
 
@@ -364,18 +364,3 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
         coeffs[k][exps[:n]] = coeff
     return tuple(Poly._lowest(chart, c, p._den) for c in coeffs)
 
-
-def format_field(coefficients: Sequence[Poly], chart: Chart) -> str:
-    """Render coefficients as a field expression in the same grammar."""
-    names = basis_names(chart)
-    pieces = []
-    for coeff, name in zip(coefficients, names):
-        if coeff.is_zero():
-            continue
-        if coeff.is_one():
-            pieces.append(name)
-        else:
-            pieces.append(f"({coeff})*{name}")
-    if not pieces:
-        return "0*" + names[0]
-    return " + ".join(pieces)

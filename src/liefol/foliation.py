@@ -24,13 +24,12 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen, linalg
-from .liecalc import VectorField, lie_bracket
+from .liecalc import VectorField, _along, lie_bracket
 from .poly import (
     Chart,
     ChartMismatchError,
     Poly,
     RatFunc,
-    _dot,
     content,
     divexact,
     divides,
@@ -220,7 +219,5 @@ def invariant_hypersurface(f: Poly, v: VectorField) -> bool:
     if squarefree_part(f) != normalize(f):
         raise ValueError("equation must be squarefree")
     w = saturate_rank1(v)
-    derivative = _dot(
-        f.chart, [(coeff, f.partial(k)) for k, coeff in enumerate(w.polynomial_coefficients())]
-    )
+    derivative = _along(w.polynomial_coefficients(), f)
     return derivative.is_zero() or divides(f, derivative)

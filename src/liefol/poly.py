@@ -55,9 +55,11 @@ both polynomials at large integers, take the integer gcd and read the
 candidate back from its digits.  A candidate is accepted only if it
 divides both inputs exactly, which proves it is the gcd; otherwise, or
 when the integers would grow too long, a primitive polynomial remainder
-sequence (PRS) in a chosen main variable, recursing on the coefficient
-ring, computes it instead.  Both keep every operation exact; there is
-deliberately no factorization and no Groebner machinery here.
+sequence (PRS) in a chosen main variable computes it instead.  The PRS
+takes the contents of its polynomials in that variable through ``gcd``
+again, so each coefficient gcd tries GCDHEU first.  Both keep every
+operation exact; there is deliberately no factorization and no Groebner
+machinery here.
 """
 
 from __future__ import annotations
@@ -557,73 +559,21 @@ def _coeff_in(p: Poly, k: int, d: int) -> Poly:
     return Poly._lowest(p.chart, acc, p._den)
 
 
-def _shift(p: Poly, k: int, d: int) -> Poly:
-    """Multiply by x_k^d."""
-    if d == 0 or p.is_zero():
-        return p
-    acc = {exps[:k] + (exps[k] + d,) + exps[k + 1 :]: n for exps, n in p._num.items()}
-    return Poly._trusted(p.chart, acc, p._den)
-
-
 def _pseudo_rem(f: Poly, g: Poly, k: int) -> Poly:
     """Pseudo-remainder of f by g in the variable x_k (deg_k g >= 1)."""
     dg = g.degree_in(k)
     lcg = _coeff_in(g, k, dg)
+    xk = Poly.variable(f.chart, f.chart.variables[k])
     r = f
     while not r.is_zero() and r.degree_in(k) >= dg:
         dr = r.degree_in(k)
-        lcr = _coeff_in(r, k, dr)
-        r = lcg * r - _shift(lcr * g, k, dr - dg)
+        r = _dot(f.chart, [(lcg, r), (-_coeff_in(r, k, dr) * xk ** (dr - dg), g)])
     return r
 
 
 def _content_in(p: Poly, k: int) -> Poly:
-    coeffs = [_coeff_in(p, k, d) for d in range(p.degree_in(k) + 1)]
-    c = Poly.zero(p.chart)
-    for q in coeffs:
-        if q.is_zero():
-            continue
-        c = _gcd_impl(c, q)
-        if c.is_constant():
-            break
-    return c if not c.is_constant() else Poly.one(p.chart)
-
-
-def _gcd_impl(p: Poly, q: Poly) -> Poly:
-    """A gcd of p and q, up to a rational unit."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    main = -1
-    for k in range(p.chart.size):
-        if p.degree_in(k) > 0 or q.degree_in(k) > 0:
-            main = k
-            break
-    if main < 0:
-        return Poly.one(p.chart)  # both constants
-    cp = _content_in(p, main)
-    cq = _content_in(q, main)
-    c = _gcd_impl(cp, cq)
-    # keep every element of the remainder sequence integer-primitive:
-    # without the rational normalization the coefficient bit-length
-    # doubles per step
-    a = normalize(divexact(p, cp))
-    b = normalize(divexact(q, cq))
-    if a.degree_in(main) < b.degree_in(main):
-        a, b = b, a
-    # primitive remainder sequence in x_main
-    while True:
-        if b.is_zero():
-            g = a
-            break
-        if b.degree_in(main) == 0:
-            g = Poly.one(p.chart)
-            break
-        r = _pseudo_rem(a, b, main)
-        a = b
-        b = r if r.is_zero() else normalize(divexact(r, _content_in(r, main)))
-    return c * g
+    """The normalized content of p as a polynomial in x_k."""
+    return content([_coeff_in(p, k, d) for d in range(p.degree_in(k) + 1)])
 
 
 # GCDHEU gives up after this many evaluation points and leaves the gcd
@@ -835,7 +785,26 @@ def _gcd(p: Poly, q: Poly) -> Poly:
     if p.is_constant() or q.is_constant():
         return Poly.one(p.chart)
     h = _heu_gcd(p, q)
-    return h if h is not None else normalize(_gcd_impl(p, q))
+    if h is not None:
+        return h
+    # primitive remainder sequence in the first variable that p or q
+    # depends on; the contents are gcds on the other variables, so they
+    # recurse through gcd and try GCDHEU first
+    main = next(k for k in range(p.chart.size) if p.degree_in(k) or q.degree_in(k))
+    cp = _content_in(p, main)
+    cq = _content_in(q, main)
+    # keep every element of the remainder sequence integer-primitive:
+    # without the rational normalization the coefficient bit-length
+    # doubles per step
+    a = normalize(divexact(p, cp))
+    b = normalize(divexact(q, cq))
+    if a.degree_in(main) < b.degree_in(main):
+        a, b = b, a
+    while b and b.degree_in(main):
+        r = _pseudo_rem(a, b, main)
+        a = b
+        b = r if r.is_zero() else normalize(divexact(r, _content_in(r, main)))
+    return normalize(_gcd(cp, cq) * (a if b.is_zero() else Poly.one(p.chart)))
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

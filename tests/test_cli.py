@@ -445,6 +445,12 @@ class TestBudgets:
                 "planar_degree36_line_not_invariant.txt",
                 "c0cd1399c9049d155bd89c3d4645ea37842055b4379fe6d737e6b01d5a96b49a",
             ),
+            # GCDHEU gives up on the pair's coprimality gcd, and the PRS
+            # fallback answers
+            (
+                "planar_degree50.txt",
+                "8a9ce598d3737ff99fdc7eb1aacd774ab96c4928b820d8b03f8634262ec5fdc9",
+            ),
         ],
     )
     def test_degree36_planar_field(self, name, sha256, capsys):

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given
 
 from conftest import XY, XYZ, poly_strategy
-from liefol import ParseError, Poly, format_poly, parse_field_coefficients, parse_polynomial
-from liefol.expr import MAX_COEFF_BITS, MAX_POWER_DEGREE, MAX_TERMS, basis_names, format_field
+from liefol import (
+    ParseError,
+    Poly,
+    VectorField,
+    format_poly,
+    parse_field_coefficients,
+    parse_polynomial,
+)
+from liefol.expr import MAX_COEFF_BITS, MAX_POWER_DEGREE, MAX_TERMS, basis_names
 
 X, Y = XY.vars()
 
@@ -203,6 +210,7 @@ class TestFieldGrammar:
             parse_field_coefficients("x + y", XY)
 
     def test_format_field_roundtrip(self):
+        """A field's printed form re-parses to its coefficients."""
         coeffs = (X**2 - 1, -Y)
-        text = format_field(coeffs, XY)
+        text = str(VectorField.from_coefficients(XY, coeffs))
         assert parse_field_coefficients(text, XY) == coeffs

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ from liefol import (
 )
 from liefol import poly as poly_module
 from liefol.expr import parse_polynomial
-from liefol.poly import _gcd_impl
 
 X, Y = XY.vars()
 CHARTS = [Chart(tuple("xyzw"[:n])) for n in range(1, 5)]
@@ -47,6 +47,24 @@ def _gcd_triples(draw):
     """p, q, h on one chart of 1-4 variables, degree <= 3, |coefficients| <= 10^6."""
     poly = poly_strategy(draw(st.sampled_from(CHARTS)), max_degree=3, coeff_bound=10**6)
     return draw(poly), draw(poly), draw(poly)
+
+
+def _prs_gcd(p, q):
+    """gcd with GCDHEU switched off at every level: the PRS alone."""
+    with mock.patch.object(poly_module, "_heu_gcd", return_value=None):
+        return gcd(p, q)
+
+
+def _seed12_pair():
+    """A calculus-workload input (seed 12) on which every GCDHEU
+    candidate keeps a spurious integer factor, so the PRS answers."""
+    p = parse_polynomial(
+        "91/2*x^5 - 35*x^4*y - 21*x^3*y^2 - 35*x^2*y^3 + 91/2*x*y^4 - 261*x^4"
+        " + 156*x^3*y + 111*x^2*y^2 + 60*x*y^3 - 66*y^4 + 573*x^3 - 249*x^2*y"
+        " - 129*x*y^2 - 48*y^3 - 611*x^2 + 176*x*y + 36*y^2 + 639/2*x - 48*y - 66",
+        XY,
+    )
+    return p, (X - Y - 1) ** 6
 
 
 class TestChart:
@@ -201,7 +219,7 @@ class TestGcd:
         """GCDHEU (or its fallback) returns the normalized PRS gcd."""
         p, q, h = triple
         a, b = p * h, q * h
-        assert gcd(a, b) == normalize(_gcd_impl(a, b))
+        assert gcd(a, b) == _prs_gcd(a, b)
 
     def test_forced_fallback_gives_same_result(self, monkeypatch):
         x, y, z = XYZ.vars()
@@ -258,19 +276,19 @@ class TestGcd:
         assert gcd(f, g) == normalize(h)
 
     def test_heuristic_fallback_case_matches_prs(self):
-        """A calculus-workload input (seed 12) on which every GCDHEU
-        candidate keeps a spurious integer factor, so the PRS answers."""
-        p = parse_polynomial(
-            "91/2*x^5 - 35*x^4*y - 21*x^3*y^2 - 35*x^2*y^3 + 91/2*x*y^4 - 261*x^4"
-            " + 156*x^3*y + 111*x^2*y^2 + 60*x*y^3 - 66*y^4 + 573*x^3 - 249*x^2*y"
-            " - 129*x*y^2 - 48*y^3 - 611*x^2 + 176*x*y + 36*y^2 + 639/2*x - 48*y - 66",
-            XY,
-        )
-        q = (X - Y - 1) ** 6
+        p, q = _seed12_pair()
         assert poly_module._heu_gcd(p, q) is None
-        assert gcd(p, q) == normalize(_gcd_impl(p, q)) == (X - Y - 1) ** 2
+        assert gcd(p, q) == _prs_gcd(p, q) == (X - Y - 1) ** 2
         # the reduction the workload asked for: p / q in lowest terms
         assert RatFunc(p, q).den == (X - Y - 1) ** 4
+
+    def test_fallback_contents_try_the_heuristic(self):
+        """The PRS takes its coefficient gcds through gcd, so GCDHEU runs
+        again below the call it gave up on."""
+        p, q = _seed12_pair()
+        with mock.patch.object(poly_module, "_heu_gcd", wraps=poly_module._heu_gcd) as heu:
+            assert gcd(p, q) == (X - Y - 1) ** 2
+        assert heu.call_count > 1
 
     def test_content(self):
         assert content([X**2, X * Y]) == X
