@@ -49,7 +49,6 @@ _EXPORTS = {
         "normalize",
         "poly_det",
         "rational_content",
-        "resultant",
         "squarefree_part",
     ),
     "expr": ("ParseError", "parse_field_coefficients", "parse_polynomial"),
@@ -61,7 +60,6 @@ _EXPORTS = {
         "flow_series_function",
         "jacobian_matrix",
         "lie_bracket",
-        "lie_connection_matrix",
     ),
     "dmod": (
         "Connection",
@@ -69,6 +67,7 @@ _EXPORTS = {
         "MorphismPreconditionError",
         "PolyMap",
         "check_dmorphism",
+        "lie_connection_matrix",
         "nabla_apply",
         "pullback_connection",
     ),

@@ -67,6 +67,19 @@ class Connection(_Frozen):
         return len(self.matrix)
 
 
+def lie_connection_matrix(v: VectorField) -> Connection:
+    """Package the Lie derivative along ``v`` as a connection on the
+    trivialized tangent module.
+
+    With A[i][j] = dv_i/dx_j, the Lie derivative of a field w along v
+    acts on coefficient columns as (d/dv) - A; the returned connection
+    therefore stores -A so that applying it reproduces lie_bracket(v, .).
+    """
+    jac = jacobian_matrix(v)
+    matrix = tuple(tuple(-entry for entry in row) for row in jac)
+    return Connection(base_field=v, matrix=matrix)
+
+
 def nabla_apply(conn: Connection, section: Sequence[Union[RatFunc, Poly]]) -> Tuple[RatFunc, ...]:
     """Apply the connection to a coefficient column: v(f_i) + sum_j A[i][j] f_j."""
     chart = conn.chart

@@ -49,13 +49,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Tuple, Union, TYPE_CHECKING
+from typing import Sequence, Tuple, Union
 
 from . import _Frozen
 from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot, gcd
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dmod import Connection
 
 FieldLike = Union[RatFunc, Poly, int, Fraction]
 
@@ -198,21 +195,6 @@ def jacobian_matrix(v: VectorField) -> Tuple[Tuple[RatFunc, ...], ...]:
         tuple(v.coefficients[i].partial(j) for j in range(v.chart.size))
         for i in range(v.chart.size)
     )
-
-
-def lie_connection_matrix(v: VectorField) -> "Connection":
-    """Package the Lie derivative along ``v`` as a connection on the
-    trivialized tangent module.
-
-    With A[i][j] = dv_i/dx_j, the Lie derivative of a field w along v
-    acts on coefficient columns as (d/dv) - A; the returned connection
-    therefore stores -A so that applying it reproduces lie_bracket(v, .).
-    """
-    from .dmod import Connection
-
-    jac = jacobian_matrix(v)
-    matrix = tuple(tuple(-entry for entry in row) for row in jac)
-    return Connection(base_field=v, matrix=matrix)
 
 
 class FlowSeries(_Frozen):

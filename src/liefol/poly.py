@@ -977,33 +977,6 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     return m[n - 1][n - 1] * sign if len(pivots) == n else Poly.zero(rows[0][0].chart)
 
 
-def resultant(p: Poly, q: Poly, var: Union[str, int]) -> Poly:
-    """Resultant of p and q with respect to one variable (Sylvester determinant)."""
-    if p.chart != q.chart:
-        raise ChartMismatchError("resultant operands on different charts")
-    k = var if isinstance(var, int) else p.chart.index(var)
-    dp = p.degree_in(k)
-    dq = q.degree_in(k)
-    if p.is_zero() or q.is_zero():
-        return Poly.zero(p.chart)
-    if dp <= 0 and dq <= 0:
-        return Poly.one(p.chart)
-    if dp <= 0:
-        return p**dq
-    if dq <= 0:
-        return q**dp
-    pc = [_coeff_in(p, k, d) for d in range(dp, -1, -1)]
-    qc = [_coeff_in(q, k, d) for d in range(dq, -1, -1)]
-    size = dp + dq
-    zero = Poly.zero(p.chart)
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (size - dq - 1 - i))
-    return poly_det(rows)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from liefol import (
     normalize,
     poly_det,
     rational_content,
-    resultant,
     squarefree_part,
 )
 from liefol import poly as poly_module
@@ -385,21 +384,6 @@ class TestDeterminant:
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
             )
             assert poly_det(m) == cof
-
-
-class TestResultant:
-    def test_common_root(self):
-        # x^2 - y and x - y share a root along y = x = 1... resultant in x
-        r = resultant(X**2 - Y, X - Y, "x")
-        assert r == Y**2 - Y
-
-    def test_coprime_is_nonzero(self):
-        assert not resultant(X - 1, X + 1, "x").is_zero()
-
-    def test_shared_factor_kills_resultant(self):
-        p = (X - Y) * (X + 1)
-        q = (X - Y) * (X + 2)
-        assert resultant(p, q, "x").is_zero()
 
 
 class TestFormatting:
