@@ -68,13 +68,16 @@ class ProblemFile(NamedTuple):
     foliations: Dict[str, foliation.FoliationGens]
     curves: Dict[str, poly.Poly]
 
-    def sole(self, kind: str) -> str:
+    def lookup(self, kind: str, name: Optional[str] = None) -> Tuple[str, object]:
+        """The name and value of the ``kind`` declared as ``name``, or with
+        no name of the only one declared."""
         table = getattr(self, kind + "s")
-        if len(table) != 1:
-            raise ValueError(
-                f"problem file declares {len(table)} {kind}s; name one explicitly"
-            )
-        return next(iter(table))
+        if name is None and len(table) != 1:
+            raise ValueError(f"problem file declares {len(table)} {kind}s; name one explicitly")
+        name = next(iter(table)) if name is None else name
+        if name not in table:
+            raise ValueError(f"no {kind} named {name!r} in the problem file")
+        return name, table[name]
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -184,12 +187,6 @@ def _read_problem(path: Optional[str]) -> ProblemFile:
         return parse_problem(handle.read())
 
 
-def _get(table: Dict[str, object], name: str, kind: str) -> object:
-    if name not in table:
-        raise ValueError(f"no {kind} named {name!r} in the problem file")
-    return table[name]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -206,8 +203,8 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         name_v, name_w = declared
     else:
         raise ValueError("name either both fields or neither")
-    v = _get(problem.fields, name_v, "field")
-    w = _get(problem.fields, name_w, "field")
+    _, v = problem.lookup("field", name_v)
+    _, w = problem.lookup("field", name_w)
     result = liecalc.lie_bracket(v, w)
     return _ok(
         "bracket",
@@ -230,8 +227,7 @@ def _resolve_foliation(problem: ProblemFile, name: str) -> foliation.FoliationGe
 
 def _cmd_invariance(args: argparse.Namespace) -> int:
     problem = _read_problem(args.problem)
-    field_name = args.field if args.field is not None else problem.sole("field")
-    v = _get(problem.fields, field_name, "field")
+    field_name, v = problem.lookup("field", args.field)
     if args.foliation is None and args.curve is None:
         raise ValueError("nothing to check: pass --foliation and/or --curve")
     inputs: Dict[str, object] = {
@@ -251,7 +247,7 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
             "witness": None if verdict.witness is None else _field_json(verdict.witness),
         }
     if args.curve is not None:
-        curve = _get(problem.curves, args.curve, "curve")
+        _, curve = problem.lookup("curve", args.curve)
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
         result["curve"] = {"invariant": foliation.invariant_hypersurface(curve, v)}
     return _ok("invariance", inputs, result)
@@ -297,8 +293,7 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
 
 def _cmd_planar(args: argparse.Namespace) -> int:
     problem = _read_problem(args.problem)
-    field_name = args.field if args.field is not None else problem.sole("field")
-    v = _get(problem.fields, field_name, "field")
+    field_name, v = problem.lookup("field", args.field)
     field = planar.PlanarField.from_vector_field(v)
     report = planar.infinity_analysis(field)
     result: Dict[str, object] = {
@@ -317,7 +312,7 @@ def _cmd_planar(args: argparse.Namespace) -> int:
         "field": _named_field(field_name, v),
     }
     if args.curve is not None:
-        curve = _get(problem.curves, args.curve, "curve")
+        _, curve = problem.lookup("curve", args.curve)
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
         result["curve_verdict"] = planar.invariant_curve_constraint(curve, field)
     return _ok("planar", inputs, result)
@@ -325,8 +320,7 @@ def _cmd_planar(args: argparse.Namespace) -> int:
 
 def _cmd_flow_series(args: argparse.Namespace) -> int:
     problem = _read_problem(args.problem)
-    field_name = args.v if args.v is not None else problem.sole("field")
-    v = _get(problem.fields, field_name, "field")
+    field_name, v = problem.lookup("field", args.v)
     target = args.target
     inputs: Dict[str, object] = {
         "vars": list(problem.chart.variables),

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
-from .liecalc import VectorField, _as_ratfunc, _derive, jacobian_matrix
-from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot
+from .liecalc import VectorField, _derive, jacobian_matrix
+from .poly import Chart, ChartMismatchError, Poly, RatFunc, _as_ratfunc, _common_denominator, _dot
 
 
 def _square(matrix: Sequence[Sequence[RatFunc]]) -> Tuple[Tuple[RatFunc, ...], ...]:
@@ -124,10 +124,7 @@ class PolyMap(_Frozen):
 
     def pull_back(self, f: Union[RatFunc, Poly]) -> RatFunc:
         """f o phi for a function on the target chart."""
-        g = f if isinstance(f, RatFunc) else RatFunc(f)
-        if g.chart != self.target:
-            raise ChartMismatchError("can only pull back functions on the target chart")
-        return g.substitute(self.components)
+        return _as_ratfunc(self.target, f).substitute(self.components)
 
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.components)

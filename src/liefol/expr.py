@@ -1,9 +1,10 @@
 """Parser for the shared polynomial / vector-field expression grammar.
 
-The grammar is deliberately small: integers, rational literals ``p/q``,
-variable names, ``+ - * ^`` with non-negative integer exponents, and
-parentheses; whitespace is insignificant.  ``/`` is only legal between
-two integer literals, so every expression denotes a polynomial.  A power
+The grammar is deliberately small and ASCII: integers, rational literals
+``p/q``, variable names, ``+ - * ^`` with non-negative integer exponents,
+and parentheses; whitespace is insignificant.  ``/`` is only legal
+between two integer literals, so every expression denotes a polynomial.
+A digit or letter outside ASCII is a bad character.  A power
 ``base ^ n`` or a product may reach total degree at most
 ``MAX_POWER_DEGREE`` (in a field expression the basis factor counts as
 one), at most ``MAX_TERMS`` terms and coefficients of at most
@@ -25,12 +26,14 @@ contain exactly one basis factor, to the first power.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .poly import Chart, Poly
+from .poly import _NAME, Chart, Poly
 
 # Largest total degree a power ``base ^ n`` or a product may reach, most
 # terms it may have (as many as a dense bivariate polynomial of that
@@ -71,63 +74,55 @@ class _Token(NamedTuple):
     pos: int
 
 
+def _integer(m: re.Match[str], group: str) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # longer than the int/str conversion limit
+        limit = sys.get_int_max_str_digits()
+        message = f"integer literal of {len(m[group])} digits exceeds the limit {limit}"
+        raise ParseError(message, m.start(group)) from None
+
+
+# ASCII tokens: an integer or rational p/q literal, a name spelled as a
+# chart variable is (poly._NAME), an operator, or the characters that
+# str.isspace() takes for whitespace; anything else is a bad character.
+_SPACE = r"[\t-\r\x1c- ]"
+_TOKEN_RE = re.compile(
+    rf"(?P<num>(?P<p>[0-9]+)(?:{_SPACE}*/{_SPACE}*(?P<q>[0-9]+)?)?)"
+    rf"|(?P<name>{_NAME})|(?P<op>[-+*^(),])|{_SPACE}+|(?P<bad>[\s\S])"
+)
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            numerator = int(text[start:i])
-            # peek for a rational literal p/q
-            j = i
-            while j < n and text[j].isspace():
-                j += 1
-            if j < n and text[j] == "/":
-                j += 1
-                while j < n and text[j].isspace():
-                    j += 1
-                if j >= n or not text[j].isdigit():
-                    raise ParseError("expected an integer after '/'", j if j < n else n - 1)
-                dstart = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                denominator = int(text[dstart:j])
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos, value = m.lastgroup, m.start(), None
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", pos)
+        if kind == "num":
+            value = Fraction(_integer(m, "p"))
+            if m["q"] is not None:
+                denominator = _integer(m, "q")
                 if denominator == 0:
-                    raise ParseError("zero denominator in rational literal", dstart)
-                tokens.append(_Token("num", text[start:j], Fraction(numerator, denominator), start))
-                i = j
-            else:
-                tokens.append(_Token("num", text[start:i], Fraction(numerator), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], None, start))
-            continue
-        if ch in "+-*^(),":
-            tokens.append(_Token(ch, ch, None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+                    raise ParseError("zero denominator in rational literal", m.start("q"))
+                value /= denominator
+            elif m.end() > m.end("p"):
+                raise ParseError("expected an integer after '/'", min(m.end(), len(text) - 1))
+        if kind is not None:  # not whitespace
+            tokens.append(_Token(m[0] if kind == "op" else kind, m[0], value, pos))
     return tokens
 
 
 class _Parser:
     """Recursive descent over the token list, producing a Poly."""
 
-    def __init__(self, tokens: List[_Token], chart: Chart, names: Dict[str, int], length: int):
-        self.tokens = tokens
+    def __init__(self, text: str, chart: Chart, names: Dict[str, int]):
+        self.tokens = _tokenize(text)
+        if not self.tokens:
+            raise ParseError("empty expression", 0)
         self.chart = chart
         self.names = names
-        self.length = length
+        self.length = len(text)
         self.i = 0
         # what the expansions charged so far add up to: terms, and the sum
         # of terms times coefficient bits
@@ -295,11 +290,8 @@ def _expand_sum(products: List[Tuple[int, List[Tuple[Poly, int]]]]) -> Poly:
 
 
 def _parse(text: str, chart: Chart, components: bool) -> List[Poly]:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
     names = {v: k for k, v in enumerate(chart.variables)}
-    return _Parser(tokens, chart, names, len(text)).parse(components)
+    return _Parser(text, chart, names).parse(components)
 
 
 def parse_polynomial(text: str, chart: Chart) -> Poly:
@@ -347,10 +339,7 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
     Example: ``x*dx + (y^2 - 1)*dy`` on chart (x, y) gives (x, y^2 - 1).
     """
     extended, names = _field_name_table(chart)
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    (p,) = _Parser(tokens, extended, names, len(text)).parse()
+    (p,) = _Parser(text, extended, names).parse()
     n = chart.size
     coeffs: List[Dict[Tuple[int, ...], int]] = [dict() for _ in range(n)]
     for exps, coeff in p._num.items():

@@ -30,6 +30,7 @@ from .poly import (
     ChartMismatchError,
     Poly,
     RatFunc,
+    _as_ratfunc,
     content,
     divexact,
     divides,
@@ -185,12 +186,9 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
     The Jacobian must have full rank (= number of components) at the
     generic point, and the map must have positive-dimensional fibres.
     """
-    comps = [c if isinstance(c, RatFunc) else RatFunc(c) for c in components]
+    comps = [_as_ratfunc(chart, c) for c in components]
     if not comps:
         raise ValueError("a map needs at least one component")
-    for c in comps:
-        if c.chart != chart:
-            raise ChartMismatchError("component on a different chart")
     m = len(comps)
     n = chart.size
     kernel = linalg.kernel_basis([[c.partial(k) for k in range(n)] for c in comps])

@@ -220,18 +220,11 @@ class TangentFrame(NamedTuple):
 
     @classmethod
     def cat_frame(cls) -> "TangentFrame":
-        ls = (3.0 - _SQRT5) / 2.0
-        lu = (3.0 + _SQRT5) / 2.0
-
-        def unit(vx: float, vy: float) -> Tuple[float, float]:
-            n = math.hypot(vx, vy)
-            return (vx / n, vy / n)
-
         return cls(
-            stable=unit(1.0, ls - 2.0),
-            unstable=unit(1.0, lu - 2.0),
-            lambda_stable=ls,
-            lambda_unstable=lu,
+            stable=_STABLE_LINE[:2],
+            unstable=_UNSTABLE_LINE[:2],
+            lambda_stable=(3.0 - _SQRT5) / 2.0,
+            lambda_unstable=(3.0 + _SQRT5) / 2.0,
         )
 
 

@@ -52,23 +52,18 @@ from math import factorial
 from typing import Sequence, Tuple, Union
 
 from . import _Frozen
-from .poly import Chart, ChartMismatchError, Poly, RatFunc, _common_denominator, _dot, gcd
+from .poly import (
+    Chart,
+    ChartMismatchError,
+    Poly,
+    RatFunc,
+    _as_ratfunc,
+    _common_denominator,
+    _dot,
+    gcd,
+)
 
 FieldLike = Union[RatFunc, Poly, int, Fraction]
-
-
-def _as_ratfunc(chart: Chart, value: FieldLike) -> RatFunc:
-    if isinstance(value, RatFunc):
-        if value.chart != chart:
-            raise ChartMismatchError("coefficient lives on a different chart")
-        return value
-    if isinstance(value, Poly):
-        if value.chart != chart:
-            raise ChartMismatchError("coefficient lives on a different chart")
-        return RatFunc(value)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc(Poly.constant(chart, value))
-    raise TypeError(f"bad coefficient: {type(value).__name__}")
 
 
 class VectorField(_Frozen):
@@ -126,8 +121,6 @@ class VectorField(_Frozen):
         return VectorField(self.chart, tuple(-c for c in self.coefficients))
 
     def scale(self, factor: FieldLike) -> "VectorField":
-        if not isinstance(factor, (int, Fraction)):
-            factor = _as_ratfunc(self.chart, factor)
         return VectorField(self.chart, tuple(c * factor for c in self.coefficients))
 
     def __str__(self) -> str:

@@ -63,11 +63,6 @@ def rank(rows: Matrix) -> int:
     return len(bareiss([list(clear_denominators(row)) for row in rows])[1])
 
 
-def in_row_span(rows: Matrix, vector: Sequence[RatFunc]) -> bool:
-    """Does ``vector`` lie in the row space of ``rows`` over the function field?"""
-    return vector in RowSpace(rows)
-
-
 def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
     """Basis of the right kernel {u : rows . u = 0}: for each non-pivot
     column, a polynomial vector of content one whose entry there is

@@ -66,8 +66,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import add, gt, mul, sub
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -77,7 +78,8 @@ from . import _Frozen
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # ASCII; the expression tokenizer reads names by it too
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 class ChartMismatchError(ValueError):
@@ -508,7 +510,13 @@ def format_poly(p: Poly) -> str:
         # the coefficient |n| / den in lowest terms
         g = math.gcd(n, den)
         a, b = abs(n) // g, den // g
-        mag = str(a) if b == 1 else f"{a}/{b}"
+        try:
+            mag = str(a) if b == 1 else f"{a}/{b}"
+        except ValueError:  # longer than the int/str conversion limit
+            raise ValueError(
+                f"a coefficient of {max(a, b).bit_length()} bits has more than "
+                f"{sys.get_int_max_str_digits()} digits, too many to print"
+            ) from None
         if not mono:
             body = mag
         elif a == 1 and b == 1:
@@ -818,7 +826,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return _gcd(p, q)
 
 
-def content(polys: Sequence[Poly]) -> Poly:
+def content(polys: Iterable[Poly]) -> Poly:
     """Normalized GCD of a non-empty family of polynomials."""
     it = iter(polys)
     try:
@@ -921,13 +929,7 @@ def squarefree_part(p: Poly) -> Poly:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no squarefree part")
-    if p.is_constant():
-        return Poly.one(p.chart)
-    g = p
-    for k in range(p.chart.size):
-        g = _gcd(g, p.partial(k))
-        if g.is_constant():
-            break
+    g = content(chain([p], (p.partial(k) for k in range(p.chart.size))))
     return normalize(divexact(p, g))
 
 
@@ -1085,19 +1087,10 @@ class RatFunc:
             raise ValueError(f"{self} is not constant")
         return self.num.constant_value()
 
-    def _coerce(self, other: Union["RatFunc", Poly, Coeff]) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(Poly.constant(self.chart, other))
-        raise TypeError(f"cannot combine RatFunc with {type(other).__name__}")
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Union["RatFunc", Poly, Coeff]) -> "RatFunc":
-        o = self._coerce(other)
+        o = _as_ratfunc(self.chart, other)
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.num + o.num)
         g = gcd(self.den, o.den)
@@ -1122,7 +1115,7 @@ class RatFunc:
         return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other: Union["RatFunc", Poly, Coeff]) -> "RatFunc":
-        return self + (-self._coerce(other))
+        return self + (-_as_ratfunc(self.chart, other))
 
     def __rsub__(self, other: Union[Poly, Coeff]) -> "RatFunc":
         return (-self) + other
@@ -1133,7 +1126,7 @@ class RatFunc:
             if not other:
                 return RatFunc.zero(self.chart)
             return RatFunc._trusted(self.num * other, self.den)
-        o = self._coerce(other)
+        o = _as_ratfunc(self.chart, other)
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.num * o.num)
         num1, den2 = self.num, o.den
@@ -1151,13 +1144,13 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["RatFunc", Poly, Coeff]) -> "RatFunc":
-        o = self._coerce(other)
+        o = _as_ratfunc(self.chart, other)
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return self * RatFunc(o.den, o.num)
 
     def __rtruediv__(self, other: Union[Poly, Coeff]) -> "RatFunc":
-        return self._coerce(other) / self
+        return _as_ratfunc(self.chart, other) / self
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -1165,9 +1158,9 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
             try:
-                other = self._coerce(other)
-            except TypeError:  # pragma: no cover
-                return NotImplemented
+                other = _as_ratfunc(self.chart, other)
+            except ChartMismatchError:
+                return False
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -1206,6 +1199,17 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self!s})"
+
+
+def _as_ratfunc(chart: Chart, value: Union[RatFunc, Poly, Coeff]) -> RatFunc:
+    """``value`` as a rational function on ``chart``."""
+    if isinstance(value, (RatFunc, Poly)):
+        if value.chart != chart:
+            raise ChartMismatchError("coefficient lives on a different chart")
+        return value if isinstance(value, RatFunc) else RatFunc(value)
+    if isinstance(value, (int, Fraction)):
+        return RatFunc(Poly.constant(chart, value))
+    raise TypeError(f"bad coefficient: {type(value).__name__}")
 
 
 def _common_denominator(fs: Iterable[RatFunc]) -> Tuple[Poly, Tuple[Poly, ...]]:

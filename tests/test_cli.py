@@ -47,9 +47,12 @@ class TestParseProblem:
         assert set(problem.fields) == {"v", "w"}
         assert str(problem.curves["C"]) == "x*y - 1"
         assert problem._fields == ("chart", "fields", "maps", "foliations", "curves")
-        assert problem.sole("curve") == "C"
+        assert problem.lookup("curve") == ("C", problem.curves["C"])
+        assert problem.lookup("field", "w") == ("w", problem.fields["w"])
         with pytest.raises(ValueError, match="declares 2 fields; name one explicitly"):
-            problem.sole("field")
+            problem.lookup("field")
+        with pytest.raises(ValueError, match="no curve named 'D' in the problem file"):
+            problem.lookup("curve", "D")
         with pytest.raises(AttributeError):
             problem.chart = None
 
@@ -411,6 +414,33 @@ class TestBudgets:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and report["status"] == "error"
         assert "line 3" in report["error"] and "bits exceeds the limit" in report["error"]
+
+    @pytest.mark.parametrize(
+        "problem, argv, message",
+        [
+            (
+                f"vars: x\nfield v = {'9' * 1500}*x^2*dx\ncurve f = x\n",
+                ["flow-series", "f", "--order", "3"],
+                "a coefficient of 14949 bits has more than 4300 digits, too many to print",
+            ),
+            (
+                f"vars: x\nfield v = x*dx\ncurve f = x + {'7' * 5000}\n",
+                ["invariance", "--curve", "f"],
+                "line 3: integer literal of 5000 digits exceeds the limit 4300 (at column 5)",
+            ),
+        ],
+        ids=["render", "parse"],
+    )
+    def test_digit_limit_is_reported_by_liefol(self, problem, argv, message, tmp_path, capsys):
+        """A literal or a result past CPython's int/str digit limit (4300 by
+        default) is an error the program words itself."""
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("needs the default int/str conversion limit")
+        path = tmp_path / "digits.txt"
+        path.write_text(problem)
+        code, report = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert report == {"op": argv[0], "status": "error", "error": message}
 
     @pytest.mark.parametrize("components", [2, 4])
     def test_map_components_share_one_budget(self, components, tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import XY, XYZ, poly_strategy
 from liefol import (
@@ -16,7 +18,7 @@ from liefol import (
     parse_field_coefficients,
     parse_polynomial,
 )
-from liefol.expr import MAX_COEFF_BITS, MAX_POWER_DEGREE, MAX_TERMS, basis_names
+from liefol.expr import MAX_COEFF_BITS, MAX_POWER_DEGREE, MAX_TERMS, _tokenize, basis_names
 
 X, Y = XY.vars()
 
@@ -73,6 +75,70 @@ def test_error_carries_position():
     else:  # pragma: no cover
         pytest.fail("expected a ParseError")
 
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("\u0663*x", 0),  # ARABIC-INDIC DIGIT THREE
+        ("\uff11\uff12*x", 0),  # FULLWIDTH DIGITS ONE, TWO
+        ("x^\u00b2", 2),  # SUPERSCRIPT TWO
+        ("2 + \u00b2", 4),
+    ],
+)
+def test_tokens_are_ascii(text, position):
+    """Digits and names outside ASCII are bad characters, reported with
+    their column, not read as numbers."""
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_polynomial(text, XY)
+    assert err.value.position == position
+    assert f"(at column {position + 1})" in str(err.value)
+
+
+# CPython's int/str conversion limit; 0 where the interpreter has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str conversion limit")
+
+
+@needs_digit_limit
+def test_literal_over_the_digit_limit():
+    text = "x + 1/" + "7" * (DIGIT_LIMIT + 1)
+    with pytest.raises(ParseError, match=f"integer literal of {DIGIT_LIMIT + 1} digits") as err:
+        parse_polynomial(text, XY)
+    assert err.value.position == 6
+    # the limit still holds for the whole process
+    with pytest.raises(ValueError):
+        int("7" * (DIGIT_LIMIT + 1))
+
+
+@needs_digit_limit
+def test_coefficient_over_the_digit_limit_does_not_print():
+    p = X * 10 ** (DIGIT_LIMIT + 1) + Y
+    with pytest.raises(ValueError, match=f"bits has more than {DIGIT_LIMIT} digits"):
+        format_poly(p)
+
+
+_TOKEN_TEXT = st.text(
+    st.sampled_from("0123456789xyz_aZ+-*^(),/ \t\n\x1c#.?"), max_size=30
+) | st.text(st.characters(max_codepoint=127), max_size=30)
+
+
+@given(_TOKEN_TEXT)
+def test_tokens_tile_the_text(text):
+    """On ASCII text the tokenizer either fails at a position inside the
+    text, or returns tokens, in order, that are slices of the text and
+    cover every character that is not whitespace."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError as err:
+        assert 0 <= err.position < len(text)
+        return
+    covered = set()
+    for t in tokens:
+        assert text[t.pos : t.pos + len(t.text)] == t.text
+        covered.update(range(t.pos, t.pos + len(t.text)))
+    assert [t.pos for t in tokens] == sorted({t.pos for t in tokens})
+    assert all(ch.isspace() for k, ch in enumerate(text) if k not in covered)
 
 
 def test_power_degree_budget():

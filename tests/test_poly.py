@@ -36,6 +36,7 @@ from liefol import (
 )
 from liefol import poly as poly_module
 from liefol.expr import parse_polynomial
+from liefol.poly import _as_ratfunc
 
 X, Y = XY.vars()
 CHARTS = [Chart(tuple("xyzw"[:n])) for n in range(1, 5)]
@@ -357,6 +358,26 @@ class TestSquarefree:
             return
         assert squarefree_part(p * p) == squarefree_part(p)
 
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+    def test_repeated_factors_against_sympy(self, names):
+        sympy = pytest.importorskip("sympy")
+        chart = Chart(names)
+        gens = sympy.symbols(names)
+        rng = random.Random(len(names))
+        repeated = 0
+        for _ in range(12):
+            p = Poly.constant(chart, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3)):
+                factor = random_poly(rng, chart, max_degree=2, coeff_bound=5, allow_zero=False)
+                p = p * factor ** rng.randint(1, 3)
+            if p.is_constant():
+                continue
+            radical = sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *gens).sqf_part()
+            expected = {e: Fraction(int(c.p), int(c.q)) for e, c in radical.terms()}
+            assert squarefree_part(p) == normalize(Poly(chart, expected))
+            repeated += squarefree_part(p) != normalize(p)
+        assert repeated >= 6
+
 
 class TestDeterminant:
     def test_2x2(self):
@@ -417,6 +438,16 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(X, Poly.zero(XY))
 
+    def test_operands_on_another_chart(self):
+        u = Chart(("u",)).var("u")
+        f = RatFunc(X, Y)
+        assert f != u and RatFunc(X) != Chart(("x",)).var("x")
+        for op in (f.__add__, f.__sub__, f.__mul__, f.__truediv__, f.__rtruediv__):
+            with pytest.raises(ChartMismatchError, match="coefficient lives on a different chart"):
+                op(u)
+        with pytest.raises(TypeError, match="bad coefficient: str"):
+            f + "x"
+
     @given(
         poly_strategy(XY),
         poly_strategy(XY, coeff_bound=4),
@@ -426,7 +457,7 @@ class TestRatFunc:
         """A scalar scales the numerator alone; the product is the one
         the constant-RatFunc product gives, in the same canonical form."""
         f = RatFunc(p, q if q else Poly.one(XY))
-        expected = f * f._coerce(c)
+        expected = f * _as_ratfunc(XY, c)
         for product in (f * c, c * f):
             # Poly equality compares the canonical numerators and denominator
             assert (product.num, product.den) == (expected.num, expected.den)
