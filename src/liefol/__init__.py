@@ -130,12 +130,15 @@ class _Frozen:
     ``__slots__`` and sets them in its ``__init__`` with
     ``object.__setattr__``.  Two instances are equal, and hash alike, when
     they have the same type and equal fields; a value never equals a tuple
-    or an instance of another type."""
+    or an instance of another type.  A slot whose name starts with ``_``
+    is not a field but a memo of something the fields determine: equality,
+    hash and repr ignore it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
         if self is other:  # hot paths mostly compare a chart with itself
@@ -154,7 +157,7 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 

@@ -114,7 +114,7 @@ def parse_problem(text: str) -> ProblemFile:
                 "expected '<field|map|foliation|curve> <name> = <payload>'", lineno
             )
         kind, name = declaration
-        if not name.isidentifier():
+        if not poly._NAME_RE.match(name):
             raise ProblemError(f"bad name {name!r}", lineno)
         if known(name) or name in chart.variables:
             raise ProblemError(f"duplicate name {name!r}", lineno)

@@ -3,11 +3,13 @@
 Everything here happens at the generic point: rank means rank over the
 rational function field and span membership is exact linear algebra
 there, answered by fraction-free elimination on polynomial rows
-(``linalg``).  Each invariance test eliminates the generators once into
-a ``linalg.RowSpace`` and asks it about every bracket.  The singular
-locus is cut out by the maximal minors of the coefficient matrix after
-the codimension-one part common to all of them is divided away; a
-family with no nonzero maximal minor is dependent.
+(``linalg``).  One elimination per foliation: ``FoliationGens.span``
+eliminates the generators once, on first use, into a ``linalg.RowSpace``
+and keeps it.  The rank is its number of pivots, the involutivity and
+invariance tests ask it about every bracket, and the singular locus
+reads most maximal minors off its reduced form.  The locus is cut out by
+those minors after the codimension-one part common to all of them is
+divided away; a family with no nonzero maximal minor is dependent.
 
 The two geometric constructions are ``tangent_foliation`` — the kernel
 of the Jacobian of a dominant rational map, whose basis vectors come out
@@ -68,10 +70,11 @@ class FoliationGens(_Frozen):
 
     Each admitted generator is cleared to polynomial coefficients of
     content one (zero fields are rejected); generators need not be
-    independent.
+    independent.  The memo slot ``_span`` holds ``span`` once it is
+    built; equality, hash and repr ignore it.
     """
 
-    __slots__ = ("chart", "generators")
+    __slots__ = ("chart", "generators", "_span")
 
     def __init__(self, chart: Chart, generators: Sequence[VectorField]) -> None:
         if not generators:
@@ -85,11 +88,22 @@ class FoliationGens(_Frozen):
             cleaned.append(saturate_rank1(g))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
+        object.__setattr__(self, "_span", None)
+
+    @property
+    def span(self) -> linalg.RowSpace:
+        """The generic span of the generators in reduced fraction-free
+        echelon form, eliminated on first use and kept."""
+        if self._span is None:
+            object.__setattr__(
+                self, "_span", linalg.RowSpace([g.coefficients for g in self.generators])
+            )
+        return self._span
 
 
 def generic_rank(fol: FoliationGens) -> int:
     """Rank of the coefficient matrix over the rational function field."""
-    return linalg.rank([g.coefficients for g in fol.generators])
+    return len(fol.span.pivots)
 
 
 class InvolutivityResult(NamedTuple):
@@ -99,7 +113,7 @@ class InvolutivityResult(NamedTuple):
 
 def is_involutive(fol: FoliationGens) -> InvolutivityResult:
     """Are all pairwise brackets of generators inside the generic span?"""
-    span = linalg.RowSpace([g.coefficients for g in fol.generators])
+    span = fol.span
     for i, gi in enumerate(fol.generators):
         for gj in fol.generators[i + 1 :]:
             br = lie_bracket(gi, gj)
@@ -117,7 +131,7 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
     """Does bracketing with ``v`` preserve the generic span of the foliation?"""
     if v.chart != fol.chart:
         raise ChartMismatchError("field on a different chart")
-    span = linalg.RowSpace([g.coefficients for g in fol.generators])
+    span = fol.span
     for g in fol.generators:
         br = lie_bracket(v, g)
         if br.coefficients not in span:
@@ -154,17 +168,34 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     Requires the generators to be generically independent (rank equal to
     their number); a dependent family, whose maximal minors all vanish,
     has no well-defined minor ideal.
+
+    Most minors are read off the reduced form R of ``fol.span``, with
+    pivot columns P and common pivot d = ±det A_P: R = d·A_P⁻¹·A, so
+    det R_S = ±d^(p-1)·det A_S for the generator matrix A.  A column set
+    S with k = |S∖P| columns off the pivots has det A_S = ±d when k = 0,
+    and ±R[i][j] when k = 1, where row i has the pivot S leaves out and j
+    is the column S adds.  For k ≥ 2 one Bareiss determinant of A_S
+    costs less than the k×k block of R, whose entries are p×p minors of
+    A, divided by d^(k-1).  The normalization below drops the signs.
     """
     p = len(fol.generators)
+    span = fol.span
+    # some maximal minor is nonzero exactly when the rank is p
+    if len(span.pivots) < p:
+        raise ValueError("generators are dependent at the generic point")
+    rows, pivots, den = span.rows, span.pivots, span.den
     matrix = [g.polynomial_coefficients() for g in fol.generators]
     minors: List[Poly] = []
     for cols in combinations(range(fol.chart.size), p):
-        det = poly_det([[row[c] for c in cols] for row in matrix])
-        if not det.is_zero():
-            minors.append(det)
-    # some maximal minor is nonzero exactly when the rank is p
-    if not minors:
-        raise ValueError("generators are dependent at the generic point")
+        free = [c for c in cols if c not in pivots]
+        if not free:
+            minor = den
+        elif len(free) == 1:
+            minor = next(row[free[0]] for row, c in zip(rows, pivots) if c not in cols)
+        else:
+            minor = poly_det([[row[c] for c in cols] for row in matrix])
+        if not minor.is_zero():
+            minors.append(minor)
     common = content(minors)
     reduced = []
     for m in minors:

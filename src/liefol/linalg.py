@@ -6,7 +6,10 @@ elimination, ``poly.bareiss``, answers every question without a gcd.
 ``rank`` eliminates below the pivots only.  ``RowSpace`` holds the
 reduced form, cleared above the pivots too; ``rref``, ``kernel_basis``
 and span membership read it, so a family of span questions about one
-matrix costs one elimination.
+matrix costs one elimination.  A foliation keeps the ``RowSpace`` of its
+generators (``foliation.FoliationGens.span``): one elimination per
+foliation answers its rank, involutivity and invariance, and gives most
+maximal minors of its singular locus.
 """
 
 from __future__ import annotations

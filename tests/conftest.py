@@ -77,19 +77,20 @@ def random_ratfunc(rng: random.Random, chart: Chart, max_degree: int = 2) -> Rat
 def assert_value_type(value, same, other) -> None:
     """The contract of the package's immutable value types: ``same``, built
     separately from equal fields, is equal with the same hash; ``other``
-    and the plain tuple of the fields are not; no field can be set or
-    deleted; the repr names the fields."""
-    fields = type(value).__slots__
+    and the plain tuple of the fields are not; no slot, field or memo, can
+    be set or deleted; the repr names the fields and no memo slot."""
+    fields = type(value)._fields
     assert value is not same and value == same and hash(value) == hash(same)
     assert value != other and not value == other
     assert value != tuple(getattr(value, name) for name in fields)
-    for name in fields:
+    for name in type(value).__slots__:
         with pytest.raises(AttributeError, match="immutable"):
             setattr(value, name, getattr(other, name))
         with pytest.raises(AttributeError, match="immutable"):
             delattr(value, name)
     assert value == same
     assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
+    assert all(f"{name}=" not in repr(value) for name in type(value).__slots__ if name[0] == "_")
 
 
 # --- hypothesis strategies -------------------------------------------------

@@ -85,6 +85,14 @@ class TestParseProblem:
         else:  # pragma: no cover
             pytest.fail("expected a ProblemError")
 
+    @pytest.mark.parametrize("name", ["\u00e9", "x\u00e9", "\u0663", "v2\u00b2"])
+    def test_names_are_ascii_like_chart_variables(self, name, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(f"vars: x\nfield {name} = x*dx\n", encoding="utf-8")
+        code, report = run(capsys, "invariance", str(path), "--field", name, "--curve", "C")
+        assert code == 1
+        assert report["error"] == f"line 2: bad name {name!r}"
+
     def test_comments_and_blanks_ignored(self):
         problem = parse_problem("# top\n\nvars: x\n# middle\nfield v = dx\n")
         assert set(problem.fields) == {"v"}
@@ -196,6 +204,20 @@ class TestFoliation:
         assert result["rank"] == 1
         assert result["singular_locus"] is None
         assert "note" in result
+
+    def test_four_variables_two_generators(self, capsys):
+        """p = 2 on four variables: the minor on the two columns off the
+        pivots is a determinant, the other five are read off the reduced form."""
+        code = main(["foliation", str(GOLDEN / "foliation_four_vars.txt"), "F"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["result"]["singular_locus"] == [
+            "x*z^2", "x*z^2 - z^2*w - 6*x*y", "x^2", "x*y", "x*y - y*w", "y^2"
+        ]
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "ffc0136d1626b2ac2c695ccb6dbfae63c9f02b0732dc23cad609de36182e7ae1"
+        )
 
     def test_map_argument(self, tmp_path, capsys):
         path = tmp_path / "p.txt"

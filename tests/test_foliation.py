@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import XY, XYZ, assert_value_type, random_field, random_poly
 from liefol import (
+    Chart,
     ChartMismatchError,
     FoliationGens,
     Poly,
@@ -25,14 +28,17 @@ from liefol import (
     singular_locus,
     tangent_foliation,
 )
+from liefol import foliation as foliation_module
 from liefol.dmod import PolyMap
 from liefol.foliation import SingularIdeal
+from liefol.poly import content, divexact, glex_key, normalize, poly_det
 from test_dmod import product_morphism
 
 X, Y = XY.vars()
 X3, Y3, Z3 = XYZ.vars()
 ZERO2, ONE2 = Poly.zero(XY), Poly.one(XY)
 ZERO3, ONE3 = Poly.zero(XYZ), Poly.one(XYZ)
+XYZW = Chart(("x", "y", "z", "w"))
 
 
 def vf2(*coeffs):
@@ -91,6 +97,17 @@ class TestValueTypes:
         ideal = singular_locus(FoliationGens(XY, (RADIAL,)))
         same = SingularIdeal(chart=XY, generators=(X, Y))
         assert_value_type(ideal, same, SingularIdeal(XY, (ONE2,)))
+
+    def test_queried_foliation_equals_a_fresh_one(self):
+        gens = (vf3(-Y3, X3, ZERO3), vf3(ZERO3, X3, ONE3))
+        fol = FoliationGens(XYZ, gens)
+        generic_rank(fol)
+        singular_locus(fol)
+        assert fol._span is not None
+        fresh = FoliationGens(XYZ, gens)
+        assert fresh._span is None
+        assert repr(fol) == repr(fresh)
+        assert_value_type(fol, fresh, FoliationGens(XYZ, gens[:1]))
 
 
 class TestSameRank1:
@@ -193,6 +210,92 @@ class TestSingularLocus:
     def test_str(self):
         ideal = singular_locus(FoliationGens(XY, (RADIAL,)))
         assert str(ideal) == "(x, y)"
+
+
+def _reference_singular_locus(fol: FoliationGens) -> SingularIdeal:
+    """The minor ideal with one Bareiss determinant per maximal column set
+    of the generator matrix, the computation that reading the minors off
+    the reduced form replaces."""
+    p = len(fol.generators)
+    matrix = [g.polynomial_coefficients() for g in fol.generators]
+    minors = []
+    for cols in combinations(range(fol.chart.size), p):
+        det = poly_det([[row[c] for c in cols] for row in matrix])
+        if not det.is_zero():
+            minors.append(det)
+    if not minors:
+        raise ValueError("generators are dependent at the generic point")
+    common = content(minors)
+    reduced = []
+    for m in minors:
+        q = normalize(divexact(m, common))
+        if q not in reduced:
+            reduced.append(q)
+    if any(q.is_constant() for q in reduced):
+        reduced = [Poly.one(fol.chart)]
+    reduced.sort(key=lambda q: glex_key(q.leading_term()[0]), reverse=True)
+    return SingularIdeal(fol.chart, tuple(reduced))
+
+
+def _singular_corpus(seed: int):
+    """Seeded families on 2-4 variables: rational coefficients, columns
+    zero in every generator (pivots off the leading columns), p = 2 on
+    four variables, where a minor has k = 2 columns off the pivots, and
+    dependent families."""
+    rng = random.Random(seed)
+    shapes = [(XY, 1), (XYZ, 1), (XYZ, 2), (XYZW, 1), (XYZW, 2), (XYZW, 2), (XYZW, 3)]
+    for chart, p in shapes * 4:
+        if p > 1 and rng.random() < 0.2:
+            gens = [random_field(rng, chart, 2, 5, nonzero=True) for _ in range(p - 1)]
+            dependent = gens[0].scale(random_poly(rng, chart, 1, 5, allow_zero=False))
+            gens.append(dependent if p == 2 else dependent + gens[1])
+            yield FoliationGens(chart, tuple(gens))
+            continue
+        dead = rng.randrange(chart.size) if rng.random() < 0.3 else None
+        gens = []
+        for _ in range(p):
+            coeffs = []
+            for k in range(chart.size):
+                c = random_poly(rng, chart, max_degree=2, coeff_bound=5)
+                if k == dead:
+                    c = Poly.zero(chart)
+                elif rng.random() < 0.3:
+                    c = c * Fraction(rng.randint(-4, 4) or 1, rng.randint(2, 7))
+                coeffs.append(c)
+            v = VectorField.from_coefficients(chart, coeffs)
+            if v.is_zero():
+                break
+            gens.append(v)
+        else:
+            yield FoliationGens(chart, tuple(gens))
+
+
+class TestSingularLocusReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_one_determinant_per_minor(self, seed, monkeypatch):
+        real_det, dets = foliation_module.poly_det, []
+        monkeypatch.setattr(
+            foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows)
+        )
+        dependent = rational = 0
+        for fol in _singular_corpus(seed):
+            rational += any(
+                c.denominator != 1
+                for g in fol.generators
+                for p in g.polynomial_coefficients()
+                for c in p.terms.values()
+            )
+            try:
+                expected = _reference_singular_locus(fol)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    singular_locus(fol)
+                assert str(got.value) == str(exc)
+                dependent += 1
+                continue
+            assert singular_locus(fol) == expected
+        # each kind of family occurred, and some minor had k >= 2
+        assert dependent and rational and dets
 
 
 class TestTangentFoliation:

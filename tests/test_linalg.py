@@ -13,7 +13,18 @@ import time
 import pytest
 
 from conftest import XY, XYZ, random_poly, random_ratfunc
-from liefol import FoliationGens, Poly, RatFunc, VectorField, is_invariant_subsheaf, is_involutive
+from liefol import (
+    Chart,
+    FoliationGens,
+    Poly,
+    RatFunc,
+    VectorField,
+    generic_rank,
+    is_invariant_subsheaf,
+    is_involutive,
+    singular_locus,
+)
+from liefol import foliation as foliation_module
 from liefol import linalg
 from liefol import poly as poly_module
 from liefol.linalg import RowSpace, clear_to_polynomials, kernel_basis, rank, rref
@@ -222,7 +233,7 @@ def test_membership_matches_the_rank_reference():
         assert [RatFunc.zero(chart)] * 2 + [RatFunc.constant(chart, 1)] not in RowSpace(zeros)
 
 
-def test_one_elimination_per_invariance_question(monkeypatch):
+def test_one_elimination_per_foliation(monkeypatch):
     x, y, z = XYZ.vars()
     one, zero = Poly.one(XYZ), Poly.zero(XYZ)
     # d/dx and x d/dx + d/dy: their bracket d/dx is a nonzero member of their span
@@ -235,16 +246,36 @@ def test_one_elimination_per_invariance_question(monkeypatch):
     )
     # brackets -2x d/dy and (y - 1) d/dx - 2x^2 d/dy, both members
     v = VectorField.from_coefficients(XYZ, (y, x**2, z))
-    calls = []
-    real = linalg.bareiss
+    eliminations, dets = [], []
+    real_bareiss, real_det = linalg.bareiss, foliation_module.poly_det
     monkeypatch.setattr(
-        linalg, "bareiss", lambda rows, reduced=False: calls.append(1) or real(rows, reduced)
+        linalg,
+        "bareiss",
+        lambda rows, reduced=False: eliminations.append(1) or real_bareiss(rows, reduced),
     )
+    monkeypatch.setattr(foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows))
+    assert generic_rank(fol) == 2
     assert is_involutive(fol).ok
-    assert len(calls) == 1
-    calls.clear()
     assert is_invariant_subsheaf(fol, v).ok
-    assert len(calls) == 1
+    # p = n - 1: every maximal minor is the common pivot or one entry
+    assert [str(g) for g in singular_locus(fol).generators] == ["1"]
+    assert len(eliminations) == 1 and not dets
+    # a fresh, equal foliation eliminates again; the memo is not shared
+    assert generic_rank(FoliationGens(XYZ, fol.generators)) == 2
+    assert len(eliminations) == 2
+    # p = 2 on four variables: only the column set off both pivots takes a determinant
+    four = Chart(("x", "y", "z", "w"))
+    a, b, c, d = four.vars()
+    one, zero = Poly.one(four), Poly.zero(four)
+    fol4 = FoliationGens(
+        four,
+        (
+            VectorField.from_coefficients(four, (one, zero, b, c**2)),
+            VectorField.from_coefficients(four, (zero, a, a - d, 2 * b)),
+        ),
+    )
+    assert len(singular_locus(fol4).generators) == 6
+    assert len(eliminations) == 3 and len(dets) == 1
 
 
 def test_rank_matches_sympy():
