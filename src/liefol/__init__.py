@@ -132,7 +132,9 @@ class _Frozen:
     they have the same type and equal fields; a value never equals a tuple
     or an instance of another type.  A slot whose name starts with ``_``
     is not a field but a memo of something the fields determine: equality,
-    hash and repr ignore it."""
+    hash and repr ignore it.  ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    a value through its constructor from its fields, so a memo is not
+    carried over."""
 
     __slots__ = ()
 
@@ -155,6 +157,9 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

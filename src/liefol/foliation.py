@@ -12,12 +12,15 @@ those minors after the codimension-one part common to all of them is
 divided away; a family with no nonzero maximal minor is dependent.
 
 The two geometric constructions are ``tangent_foliation`` — the kernel
-of the Jacobian of a dominant rational map, whose basis vectors come out
-of the elimination as polynomial generators — and the invariance tests:
+of the Jacobian of a dominant rational map — and the invariance tests:
 a foliation is invariant under a field when all brackets of the field
 with generators stay inside the generic span; a squarefree hypersurface
 is invariant under a rank-one field exactly when its equation divides
-its own derivative along the saturated generator.
+its own derivative along the saturated generator.  The kernel basis
+comes out of the Jacobian's elimination as content-one polynomial
+vectors already in reduced form, with the Jacobian's free columns as
+pivots, so a tangent foliation takes them as its generators and its span
+as they are: the Jacobian's is its only elimination.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class FoliationGens(_Frozen):
     Each admitted generator is cleared to polynomial coefficients of
     content one (zero fields are rejected); generators need not be
     independent.  The memo slot ``_span`` holds ``span`` once it is
-    built; equality, hash and repr ignore it.
+    built (``tangent_foliation`` builds it with the foliation); equality,
+    hash and repr ignore it.
     """
 
     __slots__ = ("chart", "generators", "_span")
@@ -89,6 +93,27 @@ class FoliationGens(_Frozen):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
         object.__setattr__(self, "_span", None)
+
+    @classmethod
+    def _trusted(
+        cls, chart: Chart, generators: Sequence[Sequence[Poly]], span: linalg.RowSpace
+    ) -> "FoliationGens":
+        """Wrap polynomial generators and their span built by the caller,
+        skipping saturation and elimination.
+
+        The caller guarantees that each generator is nonzero with content
+        one on ``chart`` (``saturate_rank1`` would return it unchanged), and
+        that ``span`` is their reduced row space whose common pivot is
+        exactly the determinant of the generators on its pivot columns, as
+        ``singular_locus`` reads minors off it.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "chart", chart)
+        object.__setattr__(
+            obj, "generators", tuple(VectorField.from_coefficients(chart, g) for g in generators)
+        )
+        object.__setattr__(obj, "_span", span)
+        return obj
 
     @property
     def span(self) -> linalg.RowSpace:
@@ -222,7 +247,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
         raise ValueError("a map needs at least one component")
     m = len(comps)
     n = chart.size
-    kernel = linalg.kernel_basis([[c.partial(k) for k in range(n)] for c in comps])
+    kernel, free = linalg._kernel([[c.partial(k) for k in range(n)] for c in comps])
     r = n - len(kernel)
     if r != m:
         raise ValueError(
@@ -230,9 +255,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
         )
     if m == n:
         raise ValueError("map has finite generic fibres; the tangent foliation is zero")
-    return FoliationGens(
-        chart, tuple(VectorField.from_coefficients(chart, vec) for vec in kernel)
-    )
+    return FoliationGens._trusted(chart, kernel, linalg.RowSpace._diagonal(kernel, free))
 
 
 def invariant_hypersurface(f: Poly, v: VectorField) -> bool:

@@ -10,10 +10,17 @@ matrix costs one elimination.  A foliation keeps the ``RowSpace`` of its
 generators (``foliation.FoliationGens.span``): one elimination per
 foliation answers its rank, involutivity and invariance, and gives most
 maximal minors of its singular locus.
+
+The kernel vectors come out already reduced: the vector of a free column
+is zero on every other free column, so ``RowSpace._diagonal`` builds
+their row space, pivoted on the free columns, with no elimination.  The
+only elimination of a tangent foliation is therefore its Jacobian's.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .poly import (
@@ -39,6 +46,26 @@ class RowSpace:
     def __init__(self, rows: Matrix) -> None:
         self.rows, self.pivots, _ = bareiss([list(clear_denominators(r)) for r in rows], True)
         self.den = self.rows[0][self.pivots[0]] if self.pivots else None
+
+    @classmethod
+    def _diagonal(cls, rows: Sequence[Sequence[Poly]], pivots: Sequence[int]) -> "RowSpace":
+        """The row space of polynomial rows that are already diagonal on the
+        columns ``pivots``: row i is c_i ≠ 0 at p_i and zero at every other
+        p_j.  With d = Π c_j, the determinant of that block, the reduced
+        form is (d / c_i)·row_i and needs no elimination.  The pivots need
+        not be the leftmost columns that ``RowSpace(rows)`` would pick."""
+        diagonal = [row[c] for row, c in zip(rows, pivots)]
+        space = object.__new__(cls)
+        space.rows = []
+        for i, row in enumerate(rows):
+            others = diagonal[:i] + diagonal[i + 1 :]
+            if others:
+                cofactor = reduce(mul, others)
+                row = [cofactor * p for p in row]
+            space.rows.append(list(row))
+        space.pivots = list(pivots)
+        space.den = space.rows[0][space.pivots[0]] if space.pivots else None
+        return space
 
     def __contains__(self, vector: Sequence[RatFunc]) -> bool:
         """v is a combination of the rows exactly when, with its denominators
@@ -70,21 +97,30 @@ def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
     """Basis of the right kernel {u : rows . u = 0}: for each non-pivot
     column, a polynomial vector of content one whose entry there is
     integer-primitive with positive leading coefficient."""
+    return [[RatFunc(p) for p in vec] for vec in _kernel(rows)[0]]
+
+
+def _kernel(rows: Matrix) -> Tuple[List[Tuple[Poly, ...]], List[int]]:
+    """``kernel_basis`` as polynomial vectors, with the free (non-pivot)
+    columns they belong to: vector i is nonzero at free[i] and zero at
+    every other free column, so ``RowSpace._diagonal`` takes them as they
+    are."""
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
     space = RowSpace(rows)
     m, pivots = space.rows, space.pivots
     den = space.den if pivots else Poly.one(m[0][0].chart)
-    basis: List[List[RatFunc]] = []
-    for free in (c for c in range(len(m[0])) if c not in pivots):
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    basis: List[Tuple[Poly, ...]] = []
+    for f in free:
         vec = [Poly.zero(den.chart)] * len(m[0])
-        vec[free] = den
+        vec[f] = den
         for row, col in zip(m, pivots):
-            vec[col] = -row[free]
+            vec[col] = -row[f]
         g = content([p for p in vec if not p.is_zero()])
         scale = divexact(den, normalize(divexact(den, g)))
-        basis.append([RatFunc(divexact(p, scale)) for p in vec])
-    return basis
+        basis.append(tuple(divexact(p, scale) for p in vec))
+    return basis, free
 
 
 def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:

@@ -181,6 +181,9 @@ class Poly:
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly._trusted, (self.chart, self._num, self._den)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -1029,6 +1032,9 @@ class RatFunc:
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc._trusted, (self.num, self.den)
 
     # -- constructors ---------------------------------------------------
 

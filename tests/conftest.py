@@ -7,7 +7,9 @@ properties.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -78,7 +80,8 @@ def assert_value_type(value, same, other) -> None:
     """The contract of the package's immutable value types: ``same``, built
     separately from equal fields, is equal with the same hash; ``other``
     and the plain tuple of the fields are not; no slot, field or memo, can
-    be set or deleted; the repr names the fields and no memo slot."""
+    be set or deleted; the repr names the fields and no memo slot; copy,
+    deepcopy and a pickle round trip give an equal value."""
     fields = type(value)._fields
     assert value is not same and value == same and hash(value) == hash(same)
     assert value != other and not value == other
@@ -91,6 +94,14 @@ def assert_value_type(value, same, other) -> None:
     assert value == same
     assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
     assert all(f"{name}=" not in repr(value) for name in type(value).__slots__ if name[0] == "_")
+    assert_round_trips(value)
+
+
+def assert_round_trips(value) -> None:
+    """copy, deepcopy and pickle rebuild an equal value of the same type."""
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
 
 
 # --- hypothesis strategies -------------------------------------------------

@@ -219,6 +219,21 @@ class TestFoliation:
             == "ffc0136d1626b2ac2c695ccb6dbfae63c9f02b0732dc23cad609de36182e7ae1"
         )
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("map_foliation_m1.json", ["foliation", "map_foliation.txt", "m1"]),
+            ("map_foliation_m2.json", ["foliation", "map_foliation.txt", "m2"]),
+            ("map_invariance.json", ["invariance", "map_foliation.txt", "--field", "v", "--foliation", "m1"]),
+        ],
+    )
+    def test_tangent_foliation_of_a_dominant_map(self, golden, argv, capsys):
+        """Rank one and rank two on four variables, rational coefficients:
+        the reports are byte-identical to the committed ones."""
+        code = main([argv[0], str(GOLDEN / argv[1]), *argv[2:]])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
     def test_map_argument(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         path.write_text("vars: x y\nmap m = x^2 + y^2\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -108,6 +110,17 @@ class TestValueTypes:
         assert fresh._span is None
         assert repr(fol) == repr(fresh)
         assert_value_type(fol, fresh, FoliationGens(XYZ, gens[:1]))
+
+    def test_copies_rebuild_without_the_memo(self):
+        queried = FoliationGens(XYZ, (vf3(-Y3, X3, ZERO3), vf3(ZERO3, X3, ONE3)))
+        singular_locus(queried)
+        tangent = tangent_foliation((X3 * Y3 + Z3 * Fraction(1, 2),), XYZ)
+        for fol in (queried, tangent):
+            assert fol._span is not None
+            for clone in (copy.copy(fol), copy.deepcopy(fol), pickle.loads(pickle.dumps(fol))):
+                assert clone == fol and hash(clone) == hash(fol)
+                assert clone._span is None
+                assert singular_locus(clone) == singular_locus(fol)
 
 
 class TestSameRank1:
@@ -296,6 +309,58 @@ class TestSingularLocusReference:
             assert singular_locus(fol) == expected
         # each kind of family occurred, and some minor had k >= 2
         assert dependent and rational and dets
+
+
+def _map_corpus(seed: int):
+    """Seeded maps on 2-4 variables with m < n components of degree at most
+    two: rational coefficients, some components rational functions, and
+    some maps that are not dominant."""
+    rng = random.Random(seed)
+    for chart in (XY, XYZ, XYZ, XYZW, XYZW, XYZW) * 6:
+        comps = []
+        for _ in range(rng.randint(1, chart.size - 1)):
+            f = random_poly(rng, chart, max_degree=2, coeff_bound=5)
+            if rng.random() < 0.3:
+                f = f * Fraction(rng.randint(-4, 4) or 1, rng.randint(2, 7))
+            if rng.random() < 0.2:
+                f = RatFunc(f, random_poly(rng, chart, max_degree=1, coeff_bound=5, allow_zero=False))
+            comps.append(f)
+        yield chart, comps
+
+
+class TestTangentFoliationDifferential:
+    """``tangent_foliation`` takes the kernel vectors and their diagonal
+    reduced form as they are; the constructor, which saturates the
+    generators again and eliminates them on first use, must agree."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_a_foliation_built_from_its_generators(self, seed):
+        rng = random.Random(100 + seed)
+        kinds = {"rejected": 0, "moved pivots": 0, "p = 2": 0}
+        for chart, comps in _map_corpus(seed):
+            try:
+                fol = tangent_foliation(comps, chart)
+            except ValueError:
+                kinds["rejected"] += 1
+                continue
+            ref = FoliationGens(chart, fol.generators)
+            assert fol.generators == ref.generators
+            assert all(saturate_rank1(g) == g for g in fol.generators)
+            kinds["moved pivots"] += fol.span.pivots != ref.span.pivots
+            kinds["p = 2"] += len(fol.generators) == 2
+            assert generic_rank(fol) == generic_rank(ref) == len(fol.generators)
+            assert is_involutive(fol) == is_involutive(ref)
+            v = random_field(rng, chart, max_degree=2, coeff_bound=5)
+            assert is_invariant_subsheaf(fol, v) == is_invariant_subsheaf(ref, v)
+            assert singular_locus(fol) == singular_locus(ref)
+            combination = [RatFunc.zero(chart)] * chart.size
+            for g in fol.generators:
+                factor = RatFunc(random_poly(rng, chart, 1, 5), random_poly(rng, chart, 1, 5, allow_zero=False))
+                combination = [a + factor * c for a, c in zip(combination, g.coefficients)]
+            assert combination in fol.span and combination in ref.span
+            other = random_field(rng, chart, max_degree=2, coeff_bound=5).coefficients
+            assert (other in fol.span) == (other in ref.span)
+        assert all(kinds.values()), kinds
 
 
 class TestTangentFoliation:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from liefol import (
     is_invariant_subsheaf,
     is_involutive,
     singular_locus,
+    tangent_foliation,
 )
 from liefol import foliation as foliation_module
 from liefol import linalg
@@ -276,6 +278,43 @@ def test_one_elimination_per_foliation(monkeypatch):
     )
     assert len(singular_locus(fol4).generators) == 6
     assert len(eliminations) == 3 and len(dets) == 1
+
+
+def test_one_elimination_per_tangent_foliation(monkeypatch):
+    """The Jacobian's elimination is the only one: the kernel vectors are
+    taken as the generators, and their span is read off their diagonal on
+    the free columns, with no second content or elimination."""
+    four = Chart(("x", "y", "z", "w"))
+    a, b, c, d = four.vars()
+    v = VectorField.from_coefficients(four, (b, c * Fraction(1, 2), -d, a))
+    rank_one = (a * b + c * Fraction(1, 2), b - c * d, a + d**2 * Fraction(1, 3))
+    rank_two = (a**2 + b * c - d * Fraction(2, 3), b * d + a * c * Fraction(1, 5))
+    eliminations, dets, gcds = [], [], []
+    real_bareiss, real_det, real_gcd = linalg.bareiss, foliation_module.poly_det, poly_module._gcd
+    monkeypatch.setattr(
+        linalg,
+        "bareiss",
+        lambda rows, reduced=False: eliminations.append(1) or real_bareiss(rows, reduced),
+    )
+    monkeypatch.setattr(foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows))
+    monkeypatch.setattr(poly_module, "_gcd", lambda p, q: gcds.append(1) or real_gcd(p, q))
+    kernel_basis([[f.partial(k) for k in range(4)] for f in map(RatFunc, rank_one)])
+    kernel_gcds = len(gcds)
+    del eliminations[:], gcds[:]
+    fol = tangent_foliation(rank_one, four)
+    assert kernel_gcds and len(gcds) == kernel_gcds
+    assert generic_rank(fol) == 1
+    assert is_involutive(fol).ok
+    assert not is_invariant_subsheaf(fol, v).ok
+    assert len(singular_locus(fol).generators) == 4
+    assert len(eliminations) == 1 and not dets
+    # p = 2: the column set off both free columns takes a determinant
+    fol = tangent_foliation(rank_two, four)
+    assert generic_rank(fol) == 2
+    assert is_involutive(fol).ok
+    assert not is_invariant_subsheaf(fol, v).ok
+    assert len(singular_locus(fol).generators) == 6
+    assert len(eliminations) == 2 and len(dets) == 1
 
 
 def test_rank_matches_sympy():

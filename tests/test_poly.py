@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import XY, XYZ, assert_value_type, fraction_strategy, poly_strategy, random_poly
+from conftest import (
+    XY,
+    XYZ,
+    assert_round_trips,
+    assert_value_type,
+    fraction_strategy,
+    poly_strategy,
+    random_poly,
+)
 from liefol import (
     Chart,
     ChartMismatchError,
@@ -92,6 +100,13 @@ class TestChart:
 
 
 class TestArithmetic:
+    def test_copy_and_pickle_round_trip(self):
+        rng = random.Random(8)
+        polys = [Poly.zero(XY), Poly.one(XYZ), X * Fraction(2, 3) + Y**5 - 7]
+        polys += [random_poly(rng, XYZ) * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5)]
+        for p in polys:
+            assert_round_trips(p)
+
     @given(poly_strategy(XY), poly_strategy(XY), poly_strategy(XY))
     def test_ring_axioms(self, p, q, r):
         assert p + q == q + p
@@ -422,6 +437,10 @@ class TestFormatting:
 
 
 class TestRatFunc:
+    def test_copy_and_pickle_round_trip(self):
+        for f in (RatFunc.zero(XY), RatFunc(X, 2 * Y), RatFunc(X**2 * Fraction(1, 3) - Y, X * Y + 1)):
+            assert_round_trips(f)
+
     def test_reduction(self):
         f = RatFunc(X**2 - Y**2, X - Y)
         assert f == RatFunc.from_poly(X + Y)
