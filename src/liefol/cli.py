@@ -15,6 +15,16 @@ with non-negative integer exponents, and parentheses.  Field
 expressions additionally use the basis symbols ``d<var>`` (``dx1 ..
 dxn`` also accepted); map components are comma-separated.
 
+A name is declared once, and no chart variable is reused as one.  Every
+subcommand finds the objects it needs by one rule, `ProblemFile.lookup`:
+a name given on the command line must be declared with a kind that the
+argument accepts (``--foliation`` takes a foliation or a map, the
+``flow-series`` target a field or a curve); a name left out means the
+only object of the first accepted kind that the file declares at all, so
+``foliation FILE`` takes the file's one foliation, or its one map when it
+declares no foliation.  ``bracket`` takes both field names or neither,
+and neither means the file's two fields.  ``anosov`` reads no file.
+
 Every subcommand prints a single JSON report to standard output —
 ``{"op": ..., "inputs": ..., "result": ..., "status": "ok"}`` on
 success, ``{"op": ..., "status": "error", "error": msg}`` with exit
@@ -63,48 +73,45 @@ class ProblemError(ValueError):
 
 class ProblemFile(NamedTuple):
     chart: poly.Chart
-    fields: Dict[str, liecalc.VectorField]
-    maps: Dict[str, Tuple[poly.Poly, ...]]
-    foliations: Dict[str, foliation.FoliationGens]
-    curves: Dict[str, poly.Poly]
+    # the declared objects in file order: name -> (kind, value)
+    objects: Dict[str, Tuple[str, object]]
 
-    def lookup(self, kind: str, name: Optional[str] = None) -> Tuple[str, object]:
-        """The name and value of the ``kind`` declared as ``name``, or with
-        no name of the only one declared."""
-        table = getattr(self, kind + "s")
-        if name is None and len(table) != 1:
-            raise ValueError(f"problem file declares {len(table)} {kind}s; name one explicitly")
-        name = next(iter(table)) if name is None else name
-        if name not in table:
-            raise ValueError(f"no {kind} named {name!r} in the problem file")
-        return name, table[name]
+    def lookup(self, kinds: str, name: Optional[str] = None) -> Tuple[str, str, object]:
+        """The name, kind and value of the object declared as ``name``,
+        which must be of one of ``kinds`` ("field", "foliation or map",
+        ...); with no name, of the only object of the first of ``kinds``
+        that the file declares at all."""
+        allowed = kinds.split(" or ")
+        if name is None:
+            declared = [kind for kind, _ in self.objects.values()]
+            kind = next((k for k in allowed if k in declared), allowed[0])
+            count = declared.count(kind)
+            if count != 1:
+                raise ValueError(f"problem file declares {count} {kind}s; name one explicitly")
+            name = next(n for n, (k, _) in self.objects.items() if k == kind)
+        kind, value = self.objects.get(name, ("", None))
+        if kind not in allowed:
+            raise ValueError(f"no {kinds} named {name!r} in the problem file")
+        return name, kind, value
 
 
 def parse_problem(text: str) -> ProblemFile:
-    chart: Optional[poly.Chart] = None
-    fields: Dict[str, liecalc.VectorField] = {}
-    maps: Dict[str, Tuple[poly.Poly, ...]] = {}
-    foliations: Dict[str, foliation.FoliationGens] = {}
-    curves: Dict[str, poly.Poly] = {}
-
-    def known(name: str) -> bool:
-        return name in fields or name in maps or name in foliations or name in curves
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if chart is None:
-            if not line.startswith("vars:"):
-                raise ProblemError("the first declaration must be 'vars: <names>'", lineno)
-            names = line[len("vars:") :].replace(",", " ").split()
-            if not names:
-                raise ProblemError("no variables declared", lineno)
-            try:
-                chart = poly.Chart(tuple(names))
-            except ValueError as exc:
-                raise ProblemError(str(exc), lineno) from None
-            continue
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+    if not lines:
+        raise ProblemError("empty problem file", 1)
+    lineno, line = lines[0]
+    if not line.startswith("vars:"):
+        raise ProblemError("the first declaration must be 'vars: <names>'", lineno)
+    names = line[len("vars:") :].replace(",", " ").split()
+    if not names:
+        raise ProblemError("no variables declared", lineno)
+    try:
+        chart = poly.Chart(tuple(names))
+    except ValueError as exc:
+        raise ProblemError(str(exc), lineno) from None
+    problem = ProblemFile(chart, {})
+    for lineno, line in lines[1:]:
         if line.startswith("vars:"):
             raise ProblemError("variables are already declared", lineno)
         head, _, payload = line.partition("=")
@@ -116,34 +123,32 @@ def parse_problem(text: str) -> ProblemFile:
         kind, name = declaration
         if not poly._NAME_RE.match(name):
             raise ProblemError(f"bad name {name!r}", lineno)
-        if known(name) or name in chart.variables:
+        if name in problem.objects or name in chart.variables:
             raise ProblemError(f"duplicate name {name!r}", lineno)
         payload = payload.strip()
+        value: object
         try:
             if kind == "field":
                 coeffs = expr.parse_field_coefficients(payload, chart)
-                fields[name] = liecalc.VectorField.from_coefficients(chart, coeffs)
+                value = liecalc.VectorField.from_coefficients(chart, coeffs)
             elif kind == "map":
-                maps[name] = expr.parse_polynomials(payload, chart)
+                value = expr.parse_polynomials(payload, chart)
             elif kind == "foliation":
-                gen_names = payload.replace(",", " ").split()
                 gens = []
-                for g in gen_names:
-                    if g not in fields:
-                        raise ProblemError(f"foliation references unknown field {g!r}", lineno)
-                    gens.append(fields[g])
+                for g in payload.replace(",", " ").split():
+                    try:
+                        gens.append(problem.lookup("field", g)[2])
+                    except ValueError:
+                        raise ValueError(f"foliation references unknown field {g!r}") from None
                 if not gens:
-                    raise ProblemError("foliation needs at least one generator", lineno)
-                foliations[name] = foliation.FoliationGens(chart, tuple(gens))
+                    raise ValueError("foliation needs at least one generator")
+                value = foliation.FoliationGens(chart, tuple(gens))
             else:  # curve
-                curves[name] = expr.parse_polynomial(payload, chart)
-        except ProblemError:
-            raise
-        except (expr.ParseError, ValueError) as exc:
+                value = expr.parse_polynomial(payload, chart)
+        except ValueError as exc:  # expr.ParseError too
             raise ProblemError(str(exc), lineno) from None
-    if chart is None:
-        raise ProblemError("empty problem file", 1)
-    return ProblemFile(chart, fields, maps, foliations, curves)
+        problem.objects[name] = (kind, value)
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +173,6 @@ def _emit(report: Dict[str, object]) -> None:
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
-def _ok(op: str, inputs: Dict[str, object], result: Dict[str, object]) -> int:
-    _emit({"op": op, "inputs": inputs, "result": result, "status": "ok"})
-    return 0
-
-
 def _fail(op: Optional[str], message: str) -> int:
     _emit({"op": op, "status": "error", "error": message})
     return 1
@@ -188,57 +188,45 @@ def _read_problem(path: Optional[str]) -> ProblemFile:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns the report's inputs and result
 # ---------------------------------------------------------------------------
 
+Report = Tuple[Dict[str, object], Dict[str, object]]
 
-def _cmd_bracket(args: argparse.Namespace) -> int:
-    problem = _read_problem(args.problem)
-    if args.v is not None and args.w is not None:
-        name_v, name_w = args.v, args.w
-    elif args.v is None and args.w is None:
-        declared = list(problem.fields)
-        if len(declared) != 2:
+
+def _cmd_bracket(args: argparse.Namespace, problem: ProblemFile) -> Report:
+    names = [args.v, args.w]
+    if names == [None, None]:
+        names = [n for n, (kind, _) in problem.objects.items() if kind == "field"]
+        if len(names) != 2:
             raise ValueError("name two fields (the file does not declare exactly two)")
-        name_v, name_w = declared
-    else:
+    elif None in names:
         raise ValueError("name either both fields or neither")
-    _, v = problem.lookup("field", name_v)
-    _, w = problem.lookup("field", name_w)
-    result = liecalc.lie_bracket(v, w)
-    return _ok(
-        "bracket",
-        {
-            "vars": list(problem.chart.variables),
-            "v": _named_field(name_v, v),
-            "w": _named_field(name_w, w),
-        },
-        {"coefficients": _field_json(result)},
+    (name_v, _, v), (name_w, _, w) = [problem.lookup("field", n) for n in names]
+    return (
+        {"v": _named_field(name_v, v), "w": _named_field(name_w, w)},
+        {"coefficients": _field_json(liecalc.lie_bracket(v, w))},
     )
 
 
-def _resolve_foliation(problem: ProblemFile, name: str) -> foliation.FoliationGens:
-    if name in problem.foliations:
-        return problem.foliations[name]
-    if name in problem.maps:
-        return foliation.tangent_foliation(problem.maps[name], problem.chart)
-    raise ValueError(f"no foliation or map named {name!r} in the problem file")
+def _foliation(problem: ProblemFile, name: Optional[str]) -> Tuple[str, foliation.FoliationGens]:
+    """The foliation declared as ``name``, or the tangent foliation of the map."""
+    name, kind, value = problem.lookup("foliation or map", name)
+    if kind == "map":
+        value = foliation.tangent_foliation(value, problem.chart)
+    return name, value
 
 
-def _cmd_invariance(args: argparse.Namespace) -> int:
-    problem = _read_problem(args.problem)
-    field_name, v = problem.lookup("field", args.field)
+def _cmd_invariance(args: argparse.Namespace, problem: ProblemFile) -> Report:
+    field_name, _, v = problem.lookup("field", args.field)
     if args.foliation is None and args.curve is None:
         raise ValueError("nothing to check: pass --foliation and/or --curve")
-    inputs: Dict[str, object] = {
-        "vars": list(problem.chart.variables),
-        "field": _named_field(field_name, v),
-    }
+    inputs: Dict[str, object] = {"field": _named_field(field_name, v)}
     result: Dict[str, object] = {}
     if args.foliation is not None:
-        fol = _resolve_foliation(problem, args.foliation)
+        name, fol = _foliation(problem, args.foliation)
         inputs["foliation"] = {
-            "name": args.foliation,
+            "name": name,
             "generators": [_field_json(g) for g in fol.generators],
         }
         verdict = foliation.is_invariant_subsheaf(fol, v)
@@ -247,23 +235,14 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
             "witness": None if verdict.witness is None else _field_json(verdict.witness),
         }
     if args.curve is not None:
-        _, curve = problem.lookup("curve", args.curve)
+        _, _, curve = problem.lookup("curve", args.curve)
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
         result["curve"] = {"invariant": foliation.invariant_hypersurface(curve, v)}
-    return _ok("invariance", inputs, result)
+    return inputs, result
 
 
-def _cmd_foliation(args: argparse.Namespace) -> int:
-    problem = _read_problem(args.problem)
-    if args.name is not None:
-        name = args.name
-    elif len(problem.foliations) == 1:
-        name = next(iter(problem.foliations))
-    elif not problem.foliations and len(problem.maps) == 1:
-        name = next(iter(problem.maps))
-    else:
-        raise ValueError("name a foliation or map explicitly")
-    fol = _resolve_foliation(problem, name)
+def _cmd_foliation(args: argparse.Namespace, problem: ProblemFile) -> Report:
+    name, fol = _foliation(problem, args.name)
     rank = foliation.generic_rank(fol)
     involutive = foliation.is_involutive(fol)
     if rank == len(fol.generators):
@@ -280,20 +259,11 @@ def _cmd_foliation(args: argparse.Namespace) -> int:
     }
     if note:
         result["note"] = note
-    return _ok(
-        "foliation",
-        {
-            "vars": list(problem.chart.variables),
-            "name": name,
-            "generators": [_field_json(g) for g in fol.generators],
-        },
-        result,
-    )
+    return {"name": name, "generators": [_field_json(g) for g in fol.generators]}, result
 
 
-def _cmd_planar(args: argparse.Namespace) -> int:
-    problem = _read_problem(args.problem)
-    field_name, v = problem.lookup("field", args.field)
+def _cmd_planar(args: argparse.Namespace, problem: ProblemFile) -> Report:
+    field_name, _, v = problem.lookup("field", args.field)
     field = planar.PlanarField.from_vector_field(v)
     report = planar.infinity_analysis(field)
     result: Dict[str, object] = {
@@ -307,44 +277,34 @@ def _cmd_planar(args: argparse.Namespace) -> int:
         "sing_infinity": None if report.sing_infinity is None else str(report.sing_infinity),
         "rational_infinity_points": [[str(px), str(py)] for px, py in report.rational_points],
     }
-    inputs: Dict[str, object] = {
-        "vars": list(problem.chart.variables),
-        "field": _named_field(field_name, v),
-    }
+    inputs: Dict[str, object] = {"field": _named_field(field_name, v)}
     if args.curve is not None:
-        _, curve = problem.lookup("curve", args.curve)
+        _, _, curve = problem.lookup("curve", args.curve)
         inputs["curve"] = {"name": args.curve, "equation": str(curve)}
         result["curve_verdict"] = planar.invariant_curve_constraint(curve, field)
-    return _ok("planar", inputs, result)
+    return inputs, result
 
 
-def _cmd_flow_series(args: argparse.Namespace) -> int:
-    problem = _read_problem(args.problem)
-    field_name, v = problem.lookup("field", args.v)
-    target = args.target
-    inputs: Dict[str, object] = {
-        "vars": list(problem.chart.variables),
-        "field": _named_field(field_name, v),
-        "order": args.order,
-    }
-    if target in problem.fields:
-        series = liecalc.flow_series_field(v, problem.fields[target], args.order)
-        inputs["target"] = {"kind": "field", "name": target}
+def _cmd_flow_series(args: argparse.Namespace, problem: ProblemFile) -> Report:
+    field_name, _, v = problem.lookup("field", args.v)
+    target, kind, value = problem.lookup("field or curve", args.target)
+    if kind == "field":
+        series = liecalc.flow_series_field(v, value, args.order)
         coeffs: object = [_field_json(c) for c in series.coefficients]
-    elif target in problem.curves:
-        series = liecalc.flow_series_function(v, problem.curves[target], args.order)
-        inputs["target"] = {"kind": "function", "name": target}
-        coeffs = [str(c) for c in series.coefficients]
     else:
-        raise ValueError(f"no field or curve named {target!r} to expand")
-    return _ok(
-        "flow-series",
-        inputs,
+        series = liecalc.flow_series_function(v, value, args.order)
+        coeffs = [str(c) for c in series.coefficients]
+    return (
+        {
+            "field": _named_field(field_name, v),
+            "order": args.order,
+            "target": {"kind": series.kind, "name": target},
+        },
         {"kind": series.kind, "order": series.order, "coefficients": coeffs},
     )
 
 
-def _cmd_anosov(args: argparse.Namespace) -> int:
+def _cmd_anosov(args: argparse.Namespace, _: None) -> Report:
     bounds = hyperbolic.verify_anosov_bounds(
         samples=args.samples,
         t_max=args.t_max,
@@ -404,7 +364,7 @@ def _cmd_anosov(args: argparse.Namespace) -> int:
         "arc_length": _f12(args.arc_length),
         "swap_bundles": args.swap_bundles,
     }
-    return _ok("anosov", inputs, result)
+    return inputs, result
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(exc.op, str(exc))
     try:
         _check_flag_ranges(args)
-        return args.handler(args)
+        problem = None if args.op == "anosov" else _read_problem(args.problem)
+        inputs, result = args.handler(args, problem)
+        if problem is not None:
+            inputs = {"vars": list(problem.chart.variables), **inputs}
+        _emit({"op": args.op, "inputs": inputs, "result": result, "status": "ok"})
+        return 0
     except BrokenPipeError:  # pragma: no cover
         return 1
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:

@@ -33,7 +33,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .poly import _NAME, Chart, Poly
+from .poly import _NAME, Chart, Poly, glex_key
 
 # Largest total degree a power ``base ^ n`` or a product may reach, most
 # terms it may have (as many as a dense bivariate polynomial of that
@@ -337,19 +337,24 @@ def parse_field_coefficients(text: str, chart: Chart) -> Tuple[Poly, ...]:
     """Parse a vector-field expression, returning one coefficient per variable.
 
     Example: ``x*dx + (y^2 - 1)*dy`` on chart (x, y) gives (x, y^2 - 1).
+    A term of the expansion without exactly one basis factor is an error
+    that names the leading such term, since no column of the text holds it.
     """
     extended, names = _field_name_table(chart)
     (p,) = _Parser(text, extended, names).parse()
     n = chart.size
     coeffs: List[Dict[Tuple[int, ...], int]] = [dict() for _ in range(n)]
+    bad = []
     for exps, coeff in p._num.items():
         basis_part = exps[n:]
-        weight = sum(basis_part)
-        if weight == 0:
-            raise ParseError("field term carries no basis factor (dx, dy, ...)", 0)
-        if weight > 1:
-            raise ParseError("field term multiplies two basis factors", 0)
-        k = basis_part.index(1)
-        coeffs[k][exps[:n]] = coeff
+        if sum(basis_part) == 1:
+            coeffs[basis_part.index(1)][exps[:n]] = coeff
+        else:
+            bad.append(exps)
+    if bad:
+        exps = max(bad, key=glex_key)
+        term = Poly._lowest(extended, {exps: p._num[exps]}, p._den)
+        fault = "carries no basis factor" if sum(exps[n:]) == 0 else "multiplies two basis factors"
+        raise ValueError(f"field term {term} {fault}")
     return tuple(Poly._lowest(chart, c, p._den) for c in coeffs)
 

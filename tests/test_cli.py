@@ -44,11 +44,15 @@ class TestParseProblem:
     def test_basic(self):
         problem = parse_problem(BASIC)
         assert problem.chart.variables == ("x", "y")
-        assert set(problem.fields) == {"v", "w"}
-        assert str(problem.curves["C"]) == "x*y - 1"
-        assert problem._fields == ("chart", "fields", "maps", "foliations", "curves")
-        assert problem.lookup("curve") == ("C", problem.curves["C"])
-        assert problem.lookup("field", "w") == ("w", problem.fields["w"])
+        assert problem._fields == ("chart", "objects")
+        assert [(name, kind) for name, (kind, _) in problem.objects.items()] == [
+            ("v", "field"), ("w", "field"), ("C", "curve")
+        ]
+        curve = problem.objects["C"][1]
+        assert str(curve) == "x*y - 1"
+        assert problem.lookup("curve") == ("C", "curve", curve)
+        assert problem.lookup("field", "w") == ("w", "field", problem.objects["w"][1])
+        assert problem.lookup("field or curve", "C") == ("C", "curve", curve)
         with pytest.raises(ValueError, match="declares 2 fields; name one explicitly"):
             problem.lookup("field")
         with pytest.raises(ValueError, match="no curve named 'D' in the problem file"):
@@ -93,9 +97,181 @@ class TestParseProblem:
         assert code == 1
         assert report["error"] == f"line 2: bad name {name!r}"
 
+    def test_bad_field_term_names_the_term(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text("vars: x y\nfield v = x*dx + y\n")
+        code, report = run(capsys, "planar", str(path))
+        assert (code, report["error"]) == (1, "line 2: field term y carries no basis factor")
+
     def test_comments_and_blanks_ignored(self):
         problem = parse_problem("# top\n\nvars: x\n# middle\nfield v = dx\n")
-        assert set(problem.fields) == {"v"}
+        assert list(problem.objects) == ["v"]
+
+
+# problem files for the name rule, by the objects they declare
+PROBLEMS = {
+    "one_of_each": """\
+vars: x y
+field v = x*dx + -1*y*dy
+curve C = x*y - 1
+foliation F = v
+map m = x*y
+""",
+    "several": """\
+vars: x y
+field u = dy
+field v = x*dx + -1*y*dy
+field w = dx
+curve C = x*y - 1
+curve D = x
+foliation F = v
+foliation G = w
+map m = x*y
+""",
+    "two_fields_two_maps": """\
+vars: x y
+field v = x*dx + -1*y*dy
+field w = dx
+map m = x*y
+map n = x + y
+""",
+    "one_map": "vars: x y\nmap m = x*y\n",
+    "one_field": "vars: x y\nfield v = dx\n",
+}
+
+
+def _picked(inputs):
+    """The object names a report's inputs resolved to."""
+    return {
+        key: value["name"] if isinstance(value, dict) else value
+        for key, value in inputs.items()
+        if key in ("name", "v", "w", "field", "foliation", "curve", "target")
+    }
+
+
+class TestNameResolution:
+    """Which declared object each subcommand picks for a name, given or
+    omitted, and the message when none fits."""
+
+    @pytest.mark.parametrize(
+        "problem, argv, expected",
+        [
+            # bracket: both names or neither; neither means exactly two fields
+            ("two_fields_two_maps", ["bracket"], {"v": "v", "w": "w"}),
+            ("one_of_each", ["bracket"], "name two fields (the file does not declare exactly two)"),
+            ("several", ["bracket"], "name two fields (the file does not declare exactly two)"),
+            ("several", ["bracket", "v"], "name either both fields or neither"),
+            ("several", ["bracket", "v", "ghost"], "no field named 'ghost' in the problem file"),
+            ("several", ["bracket", "C", "v"], "no field named 'C' in the problem file"),
+            # invariance
+            ("one_of_each", ["invariance", "--curve", "C"], {"field": "v", "curve": "C"}),
+            (
+                "several",
+                ["invariance", "--curve", "C"],
+                "problem file declares 3 fields; name one explicitly",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "ghost", "--curve", "C"],
+                "no field named 'ghost' in the problem file",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "C", "--curve", "C"],
+                "no field named 'C' in the problem file",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "v", "--foliation", "m", "--curve", "D"],
+                {"field": "v", "foliation": "m", "curve": "D"},
+            ),
+            (
+                "several",
+                ["invariance", "--field", "v", "--foliation", "ghost"],
+                "no foliation or map named 'ghost' in the problem file",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "v", "--foliation", "w"],
+                "no foliation or map named 'w' in the problem file",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "v", "--curve", "ghost"],
+                "no curve named 'ghost' in the problem file",
+            ),
+            (
+                "several",
+                ["invariance", "--field", "v", "--curve", "m"],
+                "no curve named 'm' in the problem file",
+            ),
+            # foliation: the only foliation, else the only map
+            ("one_of_each", ["foliation"], {"name": "F"}),
+            ("one_of_each", ["foliation", "m"], {"name": "m"}),
+            ("one_map", ["foliation"], {"name": "m"}),
+            ("several", ["foliation"], "problem file declares 2 foliations; name one explicitly"),
+            (
+                "two_fields_two_maps",
+                ["foliation"],
+                "problem file declares 2 maps; name one explicitly",
+            ),
+            ("one_field", ["foliation"], "problem file declares 0 foliations; name one explicitly"),
+            (
+                "several",
+                ["foliation", "ghost"],
+                "no foliation or map named 'ghost' in the problem file",
+            ),
+            ("several", ["foliation", "v"], "no foliation or map named 'v' in the problem file"),
+            # planar
+            ("one_of_each", ["planar", "--curve", "C"], {"field": "v", "curve": "C"}),
+            ("several", ["planar"], "problem file declares 3 fields; name one explicitly"),
+            (
+                "several",
+                ["planar", "--field", "ghost"],
+                "no field named 'ghost' in the problem file",
+            ),
+            ("several", ["planar", "--field", "C"], "no field named 'C' in the problem file"),
+            (
+                "several",
+                ["planar", "--field", "v", "--curve", "F"],
+                "no curve named 'F' in the problem file",
+            ),
+            # flow-series: the target is a field or a curve
+            ("one_of_each", ["flow-series", "C"], {"field": "v", "target": "C"}),
+            ("several", ["flow-series", "w", "--v", "v"], {"field": "v", "target": "w"}),
+            (
+                "several",
+                ["flow-series", "C"],
+                "problem file declares 3 fields; name one explicitly",
+            ),
+            (
+                "several",
+                ["flow-series", "C", "--v", "ghost"],
+                "no field named 'ghost' in the problem file",
+            ),
+            ("several", ["flow-series", "C", "--v", "D"], "no field named 'D' in the problem file"),
+            (
+                "several",
+                ["flow-series", "ghost", "--v", "v"],
+                "no field or curve named 'ghost' in the problem file",
+            ),
+            (
+                "several",
+                ["flow-series", "m", "--v", "v"],
+                "no field or curve named 'm' in the problem file",
+            ),
+        ],
+    )
+    def test_name_rule(self, problem, argv, expected, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(PROBLEMS[problem])
+        order = ["--order", "1"] if argv[0] == "flow-series" else []
+        code, report = run(capsys, argv[0], str(path), *argv[1:], *order)
+        if isinstance(expected, str):
+            assert (code, report) == (1, {"op": argv[0], "status": "error", "error": expected})
+        else:
+            assert code == 0
+            assert _picked(report["inputs"]) == expected
 
 
 class TestBracket(object):
@@ -493,7 +669,9 @@ class TestBudgets:
 
     def test_map_components_parse_as_before(self):
         problem = parse_problem("vars: x y\nmap m = x^2 + y, -x*y , 1/2\n")
-        assert [str(c) for c in problem.maps["m"]] == ["x^2 + y", "-x*y", "1/2"]
+        kind, components = problem.objects["m"]
+        assert kind == "map"
+        assert [str(c) for c in components] == ["x^2 + y", "-x*y", "1/2"]
         for payload in ("x, , y", "x,", ", x"):
             with pytest.raises(ProblemError, match="line 2"):
                 parse_problem(f"vars: x y\nmap m = {payload}\n")

@@ -264,16 +264,33 @@ class TestFieldGrammar:
             parse_field_coefficients("dx + dz", chart_x)
 
     def test_mixed_basis_product_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match=r"^field term dx\*dy multiplies two basis factors$"):
             parse_field_coefficients("dx*dy", XY)
 
     def test_basis_power_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match=r"^field term dx\^2 multiplies two basis factors$"):
             parse_field_coefficients("dx^2", XY)
 
     def test_no_basis_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="^field term x carries no basis factor$"):
             parse_field_coefficients("x + y", XY)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x*dx + y", "field term y carries no basis factor"),
+            ("x*dx + 3/4", "field term 3/4 carries no basis factor"),
+            ("x*dx + (y + 1)*(dy - dx)*dy", "field term -y*dx*dy multiplies two basis factors"),
+            ("1/2*x*dx1*dx2 + dx", "field term 1/2*x*dx*dy multiplies two basis factors"),
+        ],
+    )
+    def test_bad_term_is_named_not_placed(self, text, message):
+        """The check runs on the expansion, where no column holds the bad
+        term: the error names the leading one in canonical form instead."""
+        with pytest.raises(ValueError) as info:
+            parse_field_coefficients(text, XY)
+        assert not isinstance(info.value, ParseError)
+        assert str(info.value) == message
 
     def test_format_field_roundtrip(self):
         """A field's printed form re-parses to its coefficients."""
