@@ -62,14 +62,10 @@ _EXPORTS = {
         "lie_bracket",
     ),
     "dmod": (
-        "Connection",
         "DMorphismResult",
         "MorphismPreconditionError",
         "PolyMap",
         "check_dmorphism",
-        "lie_connection_matrix",
-        "nabla_apply",
-        "pullback_connection",
     ),
     "linalg": (),
     "foliation": (

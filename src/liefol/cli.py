@@ -134,12 +134,7 @@ def parse_problem(text: str) -> ProblemFile:
             elif kind == "map":
                 value = expr.parse_polynomials(payload, chart)
             elif kind == "foliation":
-                gens = []
-                for g in payload.replace(",", " ").split():
-                    try:
-                        gens.append(problem.lookup("field", g)[2])
-                    except ValueError:
-                        raise ValueError(f"foliation references unknown field {g!r}") from None
+                gens = [problem.lookup("field", g)[2] for g in payload.replace(",", " ").split()]
                 if not gens:
                     raise ValueError("foliation needs at least one generator")
                 value = foliation.FoliationGens(chart, tuple(gens))

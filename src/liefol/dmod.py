@@ -1,18 +1,16 @@
-"""Connections on trivialized modules and the differential-morphism check.
+"""Polynomial maps between charts and the differential-morphism check.
 
-A connection here is the data ``(v, A)``: a base derivation ``v`` and a
-square matrix ``A`` of rational functions, acting on coefficient columns
-as ``nabla(f) = v(f) + A f``.  Pulling back along a polynomial map
-substitutes the map into every matrix entry and swaps in the chosen
-source derivation.
+A ``PolyMap`` is a polynomial map phi from a source chart to a target
+chart, one component per target variable; it gives its Jacobian and
+pulls functions on the target back to the source.
 
 ``check_dmorphism`` verifies, for a triple (phi, v, w), first the
 compatibility condition
 
     sum_k  dphi_j/dx_k * v_k  =  w_j o phi        (for every j)
 
-and then the matrix identity that makes the differential of phi a
-morphism of modules-with-connection,
+and then the matrix identity that makes the differential of phi
+intertwine the Lie derivatives along v and w,
 
     B^phi . J  =  J . A  +  v(J),
 
@@ -30,72 +28,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 from . import _Frozen
 from .liecalc import VectorField, _derive, jacobian_matrix
 from .poly import Chart, ChartMismatchError, Poly, RatFunc, _as_ratfunc, _common_denominator, _dot
-
-
-def _square(matrix: Sequence[Sequence[RatFunc]]) -> Tuple[Tuple[RatFunc, ...], ...]:
-    rows = tuple(tuple(row) for row in matrix)
-    if not rows:
-        raise ValueError("empty connection matrix")
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("connection matrix must be square")
-    return rows
-
-
-class Connection(_Frozen):
-    """``nabla = v + A`` on a free module with a chosen trivialization."""
-
-    __slots__ = ("base_field", "matrix")
-
-    def __init__(self, base_field: VectorField, matrix: Sequence[Sequence[RatFunc]]) -> None:
-        rows = _square(matrix)
-        chart = base_field.chart
-        for row in rows:
-            for entry in row:
-                if entry.chart != chart:
-                    raise ChartMismatchError("matrix entry on a different chart")
-        object.__setattr__(self, "base_field", base_field)
-        object.__setattr__(self, "matrix", rows)
-
-    @property
-    def chart(self) -> Chart:
-        return self.base_field.chart
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-
-def lie_connection_matrix(v: VectorField) -> Connection:
-    """Package the Lie derivative along ``v`` as a connection on the
-    trivialized tangent module.
-
-    With A[i][j] = dv_i/dx_j, the Lie derivative of a field w along v
-    acts on coefficient columns as (d/dv) - A; the returned connection
-    therefore stores -A so that applying it reproduces lie_bracket(v, .).
-    """
-    jac = jacobian_matrix(v)
-    matrix = tuple(tuple(-entry for entry in row) for row in jac)
-    return Connection(base_field=v, matrix=matrix)
-
-
-def nabla_apply(conn: Connection, section: Sequence[Union[RatFunc, Poly]]) -> Tuple[RatFunc, ...]:
-    """Apply the connection to a coefficient column: v(f_i) + sum_j A[i][j] f_j."""
-    chart = conn.chart
-    col = [_as_ratfunc(chart, f) for f in section]
-    if len(col) != conn.rank:
-        raise ValueError(f"section has length {len(col)}, connection has rank {conn.rank}")
-    qv, pv = _common_denominator(conn.base_field.coefficients)
-    out = []
-    for i in range(conn.rank):
-        acc = _derive(qv, pv, col[i])
-        for j in range(conn.rank):
-            entry = conn.matrix[i][j]
-            if not entry.is_zero():
-                acc = acc + entry * col[j]
-        out.append(acc)
-    return tuple(out)
 
 
 class PolyMap(_Frozen):
@@ -131,20 +63,6 @@ class PolyMap(_Frozen):
         return f"({body})"
 
 
-def pullback_connection(conn: Connection, phi: PolyMap, v: VectorField) -> Connection:
-    """Pull a connection on the target back along phi, with base derivation v.
-
-    The matrix entries are composed with phi; the derivation part is
-    replaced by the chosen derivation on the source.
-    """
-    if conn.chart != phi.target:
-        raise ChartMismatchError("connection does not live on the target chart")
-    if v.chart != phi.source:
-        raise ChartMismatchError("base derivation does not live on the source chart")
-    matrix = tuple(tuple(phi.pull_back(entry) for entry in row) for row in conn.matrix)
-    return Connection(base_field=v, matrix=matrix)
-
-
 class MorphismPreconditionError(ValueError):
     """The triple (phi, v, w) fails the compatibility condition.
 
@@ -166,7 +84,7 @@ class DMorphismResult(NamedTuple):
 
 
 def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismResult:
-    """Verify that dphi intertwines the Lie-derivative connections of v and w.
+    """Verify that dphi intertwines the Lie derivatives along v and w.
 
     Raises MorphismPreconditionError if (phi, v, w) is not a morphism of
     flows in the first place.  Once the precondition holds the matrix

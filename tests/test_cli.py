@@ -78,8 +78,15 @@ class TestParseProblem:
             parse_problem("vars: x\nfield v = dx + dz\n")
 
     def test_foliation_references_fields(self):
-        with pytest.raises(ProblemError, match="unknown field"):
-            parse_problem("vars: x y\nfield v = dx\nfoliation F = v, ghost\n")
+        # undeclared, then declared as a curve and as a map: the same message
+        for text, name in [
+            ("vars: x y\nfield v = dx\nfoliation F = v, ghost\n", "ghost"),
+            ("vars: x y\ncurve C = x\nfoliation F = C\n", "C"),
+            ("vars: x y\nmap m = x*y\nfoliation F = m\n", "m"),
+        ]:
+            with pytest.raises(ProblemError) as exc:
+                parse_problem(text)
+            assert str(exc.value) == f"line 3: no field named {name!r} in the problem file"
 
     def test_error_carries_line_number(self):
         try:

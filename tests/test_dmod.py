@@ -1,29 +1,23 @@
-"""Connections on free modules, pullbacks, and the flow-morphism check."""
+"""Polynomial maps, their Jacobians and pullbacks, and the D-morphism check."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from conftest import XY, assert_value_type, random_field, random_poly
+from conftest import XY, assert_value_type, random_poly
 from liefol import liecalc
 from liefol import dmod as dmod_module
 from liefol import (
     Chart,
     ChartMismatchError,
-    Connection,
     MorphismPreconditionError,
     Poly,
     PolyMap,
     RatFunc,
     VectorField,
-    apply_derivation,
     check_dmorphism,
-    lie_connection_matrix,
-    nabla_apply,
-    pullback_connection,
 )
 
 U_CHART = Chart(("u",))
@@ -51,96 +45,7 @@ def _denominators_of(monkeypatch, v, call):
     return call(), sum(seen)
 
 
-class TestNablaApply:
-    def test_plain_derivative_when_matrix_zero(self):
-        v = VectorField.from_coefficients(XY, (Poly.one(XY), Poly.zero(XY)))
-        conn = Connection(v, ((RatFunc.zero(XY),) * 2,) * 2)
-        out = nabla_apply(conn, (X, Poly.one(XY)))
-        assert out == (r(Poly.one(XY)), RatFunc.zero(XY))
-
-    def test_pure_matrix_action(self):
-        chart = U_CHART
-        zero_field = VectorField.zero(chart)
-        one = RatFunc.constant(chart, 1)
-        conn = Connection(zero_field, ((one,),))
-        f = r(chart.var("u") ** 2)
-        assert nabla_apply(conn, (f,)) == (f,)
-
-    def test_leibniz_rule(self):
-        rng = random.Random(21)
-        for _ in range(25):
-            v = random_field(rng, XY, max_degree=2, coeff_bound=4)
-            mat = tuple(
-                tuple(r(random_poly(rng, XY, 1, 3)) for _ in range(2)) for _ in range(2)
-            )
-            conn = Connection(v, mat)
-            a = r(random_poly(rng, XY, 2, 4))
-            section = (r(random_poly(rng, XY, 2, 4)), r(random_poly(rng, XY, 2, 4)))
-            scaled = tuple(a * m for m in section)
-            lhs = nabla_apply(conn, scaled)
-            da = apply_derivation(v, a)
-            rhs = tuple(
-                da * m + a * nm for m, nm in zip(section, nabla_apply(conn, section))
-            )
-            assert lhs == rhs
-
-    def test_connection_difference_is_function_linear(self):
-        rng = random.Random(22)
-        v = random_field(rng, XY, max_degree=2, coeff_bound=4)
-        mat1 = tuple(tuple(r(random_poly(rng, XY, 1, 3)) for _ in range(2)) for _ in range(2))
-        mat2 = tuple(tuple(r(random_poly(rng, XY, 1, 3)) for _ in range(2)) for _ in range(2))
-        c1 = Connection(v, mat1)
-        c2 = Connection(v, mat2)
-        a = r(random_poly(rng, XY, 2, 4, allow_zero=False))
-        section = (r(X + Y), r(X * Y - 1))
-        scaled = tuple(a * m for m in section)
-
-        def diff(sec):
-            out1 = nabla_apply(c1, sec)
-            out2 = nabla_apply(c2, sec)
-            return tuple(p - q for p, q in zip(out1, out2))
-
-        assert diff(scaled) == tuple(a * d for d in diff(section))
-
-    def test_rational_field_matches_derivation(self, monkeypatch):
-        """v(f_i) + sum_j A[i][j] f_j, with v's common denominator taken once."""
-        v = VectorField.from_coefficients(XY, (RatFunc(X, Y + 1), RatFunc(Y**2, X**2 + 1)))
-        conn = Connection(v, ((r(X), RatFunc(Y, X + 2)), (RatFunc.zero(XY), r(Y**2))))
-        section = (RatFunc(X * Y, X - Y), r(X + 3))
-        expected = tuple(
-            apply_derivation(v, section[i])
-            + sum((conn.matrix[i][j] * section[j] for j in range(2)), RatFunc.zero(XY))
-            for i in range(2)
-        )
-        assert _denominators_of(monkeypatch, v, lambda: nabla_apply(conn, section)) == (
-            expected,
-            1,
-        )
-
-    def test_wrong_section_length(self):
-        v = VectorField.zero(XY)
-        conn = Connection(v, ((RatFunc.zero(XY),) * 2,) * 2)
-        with pytest.raises(ValueError):
-            nabla_apply(conn, (r(X),))
-
-
 class TestValueTypes:
-    def test_connection(self):
-        v = VectorField.from_coefficients(XY, (X, Y))
-        conn = Connection(v, [[r(X), r(Y)], [r(Y), r(X)]])
-        assert conn.matrix == ((r(X), r(Y)), (r(Y), r(X)))
-        same = Connection(base_field=v, matrix=((r(X), r(Y)), (r(Y), r(X))))
-        assert_value_type(conn, same, Connection(v, ((r(X), r(Y)), (r(Y), r(Y)))))
-
-    def test_connection_errors(self):
-        v = VectorField.from_coefficients(XY, (X, Y))
-        with pytest.raises(ValueError, match="empty connection matrix"):
-            Connection(v, ())
-        with pytest.raises(ValueError, match="connection matrix must be square"):
-            Connection(v, ((r(X), r(Y)),))
-        with pytest.raises(ChartMismatchError, match="matrix entry on a different chart"):
-            Connection(v, ((RatFunc.constant(U_CHART, 1),),))
-
     def test_poly_map(self):
         phi = PolyMap(XY, UV_CHART, [X**2 + Y**2, X * Y])
         assert phi.components == (X**2 + Y**2, X * Y)
@@ -170,33 +75,6 @@ class TestPolyMap:
         u = U_CHART.var("u")
         with pytest.raises(ChartMismatchError, match="component not defined on the source chart"):
             PolyMap(XY, U_CHART, (u,))
-
-
-class TestPullbackConnection:
-    def test_identity_map_keeps_matrix(self):
-        ident = PolyMap(XY, XY, (X, Y))
-        v = VectorField.from_coefficients(XY, (X, Y))
-        conn = lie_connection_matrix(v)
-        pulled = pullback_connection(conn, ident, v)
-        assert pulled.matrix == conn.matrix
-
-    def test_substitution(self):
-        u = U_CHART.var("u")
-        w = VectorField.from_coefficients(U_CHART, (u,))
-        conn = Connection(w, ((r(u),),))
-        phi = PolyMap(XY, U_CHART, (X**2,))
-        v = VectorField.from_coefficients(XY, (X, Y))
-        pulled = pullback_connection(conn, phi, v)
-        assert pulled.matrix[0][0] == r(X**2)
-        assert pulled.base_field == v
-
-    def test_zero_matrix_stays_zero(self):
-        w = VectorField.zero(U_CHART)
-        conn = Connection(w, ((RatFunc.zero(U_CHART),),))
-        phi = PolyMap(XY, U_CHART, (X * Y,))
-        v = VectorField.zero(XY)
-        pulled = pullback_connection(conn, phi, v)
-        assert pulled.matrix[0][0].is_zero()
 
 
 def product_morphism(rng, base_degree=2, vertical_degree=2):
@@ -282,6 +160,29 @@ class TestCheckDMorphism:
         v2 = VectorField.from_coefficients(XY, (X, Y))
         w2 = VectorField.from_coefficients(U_CHART, (2 * u,))
         assert check_dmorphism(phi, v2, w2).ok
+
+    def test_identity_defect_returns_witness(self, monkeypatch):
+        """A Jacobian that breaks the identity after the precondition
+        passed comes back as ok=False with (row, col, defect)."""
+        real = dmod_module.jacobian_matrix
+        calls = []
+
+        def shifted_first(field):
+            jac = real(field)
+            calls.append(field)
+            if len(calls) > 1:
+                return jac
+            # v's Jacobian, the first one the check takes: add 1 at [0][0]
+            top = (jac[0][0] + RatFunc.constant(field.chart, 1),) + jac[0][1:]
+            return (top,) + jac[1:]
+
+        monkeypatch.setattr(dmod_module, "jacobian_matrix", shifted_first)
+        identity = PolyMap(XY, XY, (X, Y))
+        v = VectorField.from_coefficients(XY, (X, Y))
+        result = check_dmorphism(identity, v, v)
+        assert result.ok is False
+        assert result.witness == (0, 0, RatFunc.constant(XY, -1))
+        assert calls == [v, v]
 
     def test_rational_field_denominator_taken_once(self, monkeypatch):
         """check_dmorphism derives n + n^2 functions along v over one

@@ -1,4 +1,4 @@
-"""Derivations, brackets, connections, and formal flow series.
+"""Derivations, brackets, Jacobians, and formal flow series.
 
 The bracket's coordinate formula is checked against the definition as a
 commutator of derivations, applied to each coordinate function; flow
@@ -29,7 +29,6 @@ from conftest import (
 )
 from liefol import (
     ChartMismatchError,
-    Connection,
     FlowSeries,
     Poly,
     RatFunc,
@@ -39,8 +38,6 @@ from liefol import (
     flow_series_function,
     jacobian_matrix,
     lie_bracket,
-    lie_connection_matrix,
-    nabla_apply,
 )
 from liefol import poly as poly_module
 
@@ -306,32 +303,6 @@ class TestBracket:
             lie_bracket(vf(X, Y), other)
 
 
-class TestConnectionMatrix:
-    def test_one_variable_scaling(self):
-        chart = __import__("liefol").Chart(("x",))
-        x = chart.var("x")
-        v = VectorField.from_coefficients(chart, (x,))
-        conn = lie_connection_matrix(v)
-        assert conn.matrix[0][0] == RatFunc.constant(chart, -1)
-
-    def test_constant_field_is_flat(self):
-        conn = lie_connection_matrix(vf(ONE, ZERO))
-        assert all(entry.is_zero() for row in conn.matrix for entry in row)
-
-    def test_shear_field(self):
-        conn = lie_connection_matrix(vf(ZERO, X))
-        # A = Jacobian of (0, x) is [[0,0],[1,0]]; the connection stores -A
-        assert conn.matrix[0][0].is_zero()
-        assert conn.matrix[1][0] == RatFunc.constant(XY, -1)
-
-    @given(field_strategy(XY, max_degree=2), field_strategy(XY, max_degree=2))
-    @settings(max_examples=20)
-    def test_reproduces_bracket(self, v, w):
-        conn = lie_connection_matrix(v)
-        moved = nabla_apply(conn, w.coefficients)
-        assert VectorField.from_coefficients(XY, moved) == lie_bracket(v, w)
-
-
 class TestJacobian:
     def test_entries(self):
         jac = jacobian_matrix(vf(X * Y, Y**2))
@@ -339,6 +310,19 @@ class TestJacobian:
         assert jac[0][1] == RatFunc.from_poly(X)
         assert jac[1][0].is_zero()
         assert jac[1][1] == RatFunc.from_poly(2 * Y)
+
+    @given(field_strategy(XY, max_degree=2), field_strategy(XY, max_degree=2))
+    @settings(max_examples=20)
+    def test_bracket_is_derivative_minus_jacobian(self, v, w):
+        """[v, w]_i = v(w_i) - sum_j (dv_i/dx_j) w_j: the Lie derivative
+        along v acts on coefficient columns as d/dv minus v's Jacobian."""
+        jac = jacobian_matrix(v)
+        bracket = lie_bracket(v, w)
+        for i in range(XY.size):
+            moved = apply_derivation(v, w.coefficients[i])
+            for j in range(XY.size):
+                moved = moved - jac[i][j] * w.coefficients[j]
+            assert bracket.coefficients[i] == moved
 
 
 class TestValueTypes:
