@@ -21,6 +21,21 @@ comes out of the Jacobian's elimination as content-one polynomial
 vectors already in reduced form, with the Jacobian's free columns as
 pivots, so a tangent foliation takes them as its generators and its span
 as they are: the Jacobian's is its only elimination.
+
+A tangent foliation also keeps its map: the components φ_1..φ_m, the
+Jacobian J (m×n, rows cleared to polynomials) and J's reduced form.  Two
+identities let it answer through J, whose entries have far lower degree
+than the p×n kernel generators A (n = p + m):
+
+- The p×p minors of A are its Plücker coordinates, and those of the
+  kernel are the Hodge duals of the row space's: det A_S = ±λ·det J_T,
+  with T the complement of S, for one nonzero λ.  So the m×m minors of J
+  cut out the same singular locus once the common content is divided
+  away.
+- ker dφ is the set of fields that annihilate every φ_i, and for g in it
+  [v, g](φ_i) = v(g(φ_i)) − g(v(φ_i)) = −g(v(φ_i)).  So the span is
+  invariant under v exactly when every generator annihilates every
+  h_i = v(φ_i), and no bracket is needed unless one does not.
 """
 
 from __future__ import annotations
@@ -29,13 +44,14 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen, linalg
-from .liecalc import VectorField, _along, lie_bracket
+from .liecalc import VectorField, _along, apply_derivation, lie_bracket
 from .poly import (
     Chart,
     ChartMismatchError,
     Poly,
     RatFunc,
     _as_ratfunc,
+    clear_denominators,
     content,
     divexact,
     divides,
@@ -68,17 +84,28 @@ def same_rank1_foliation(v: VectorField, w: VectorField) -> bool:
     return linalg.rank([v.coefficients, w.coefficients]) == 1
 
 
+class _MapJacobian(NamedTuple):
+    """The map a tangent foliation came from, as ``tangent_foliation``
+    eliminated it: the components φ_i, the Jacobian rows cleared to
+    polynomials, and their reduced row space."""
+
+    components: Tuple[RatFunc, ...]
+    rows: List[Tuple[Poly, ...]]
+    space: linalg.RowSpace
+
+
 class FoliationGens(_Frozen):
     """A non-empty family of generating fields, stored saturated.
 
     Each admitted generator is cleared to polynomial coefficients of
     content one (zero fields are rejected); generators need not be
     independent.  The memo slot ``_span`` holds ``span`` once it is
-    built (``tangent_foliation`` builds it with the foliation); equality,
-    hash and repr ignore it.
+    built (``tangent_foliation`` builds it with the foliation), and
+    ``_jacobian`` holds the map of a tangent foliation; equality, hash
+    and repr ignore both, and a copy is built without them.
     """
 
-    __slots__ = ("chart", "generators", "_span")
+    __slots__ = ("chart", "generators", "_span", "_jacobian")
 
     def __init__(self, chart: Chart, generators: Sequence[VectorField]) -> None:
         if not generators:
@@ -93,18 +120,25 @@ class FoliationGens(_Frozen):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
         object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_jacobian", None)
 
     @classmethod
     def _trusted(
-        cls, chart: Chart, generators: Sequence[Sequence[Poly]], span: linalg.RowSpace
+        cls,
+        chart: Chart,
+        generators: Sequence[Sequence[Poly]],
+        span: linalg.RowSpace,
+        jacobian: _MapJacobian,
     ) -> "FoliationGens":
-        """Wrap polynomial generators and their span built by the caller,
-        skipping saturation and elimination.
+        """Wrap the kernel generators of a map's Jacobian, their span and
+        the Jacobian, all built by the caller, skipping saturation and
+        elimination.
 
         The caller guarantees that each generator is nonzero with content
-        one on ``chart`` (``saturate_rank1`` would return it unchanged), and
-        that ``span`` is their reduced row space whose common pivot is
-        exactly the determinant of the generators on its pivot columns, as
+        one on ``chart`` (``saturate_rank1`` would return it unchanged), that
+        the generators span the kernel of ``jacobian.rows``, and that each
+        space is its rows' reduced form whose common pivot is exactly the
+        determinant of those rows on its pivot columns, as
         ``singular_locus`` reads minors off it.
         """
         obj = object.__new__(cls)
@@ -113,6 +147,7 @@ class FoliationGens(_Frozen):
             obj, "generators", tuple(VectorField.from_coefficients(chart, g) for g in generators)
         )
         object.__setattr__(obj, "_span", span)
+        object.__setattr__(obj, "_jacobian", jacobian)
         return obj
 
     @property
@@ -153,14 +188,26 @@ class InvarianceResult(NamedTuple):
 
 
 def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResult:
-    """Does bracketing with ``v`` preserve the generic span of the foliation?"""
+    """Does bracketing with ``v`` preserve the generic span of the foliation?
+
+    The witness is [v, g] for the first generator g whose bracket leaves
+    the span.  A tangent foliation, the kernel of dφ, tests each g by
+    [v, g](φ_i) = −g(v(φ_i)): the bracket is in the span exactly when g
+    annihilates every h_i = v(φ_i), so only a witness takes a bracket.
+    """
     if v.chart != fol.chart:
         raise ChartMismatchError("field on a different chart")
-    span = fol.span
+    if fol._jacobian is None:
+        span = fol.span
+        for g in fol.generators:
+            br = lie_bracket(v, g)
+            if br.coefficients not in span:
+                return InvarianceResult(False, br)
+        return InvarianceResult(True, None)
+    images = [apply_derivation(v, f) for f in fol._jacobian.components]
     for g in fol.generators:
-        br = lie_bracket(v, g)
-        if br.coefficients not in span:
-            return InvarianceResult(False, br)
+        if any(apply_derivation(g, h) for h in images):
+            return InvarianceResult(False, lie_bracket(v, g))
     return InvarianceResult(True, None)
 
 
@@ -186,6 +233,28 @@ class SingularIdeal(_Frozen):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
+def _minor(
+    matrix: Sequence[Sequence[Poly]], space: linalg.RowSpace, cols: Sequence[int]
+) -> Poly:
+    """±det of ``matrix`` (r×n, rank r) on the r columns ``cols``, read off
+    its reduced form ``space`` where that is cheaper.
+
+    With pivot columns P and common pivot d = ±det M_P, the reduced form
+    is R = d·M_P⁻¹·M, so det R_C = ±d^(r-1)·det M_C.  A column set C with
+    k = |C∖P| columns off the pivots has det M_C = ±d when k = 0, and
+    ±R[i][j] when k = 1, where row i has the pivot C leaves out and j is
+    the column C adds.  For k ≥ 2 one Bareiss determinant of M_C costs
+    less than the k×k block of R, whose entries are r×r minors of M,
+    divided by d^(k-1).
+    """
+    free = [c for c in cols if c not in space.pivots]
+    if not free:
+        return space.den
+    if len(free) == 1:
+        return next(row[free[0]] for row, c in zip(space.rows, space.pivots) if c not in cols)
+    return poly_det([[row[c] for c in cols] for row in matrix])
+
+
 def singular_locus(fol: FoliationGens) -> SingularIdeal:
     """Ideal of maximal minors of an independent generator family, with the
     common codimension-one factor removed.
@@ -194,31 +263,29 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     their number); a dependent family, whose maximal minors all vanish,
     has no well-defined minor ideal.
 
-    Most minors are read off the reduced form R of ``fol.span``, with
-    pivot columns P and common pivot d = ±det A_P: R = d·A_P⁻¹·A, so
-    det R_S = ±d^(p-1)·det A_S for the generator matrix A.  A column set
-    S with k = |S∖P| columns off the pivots has det A_S = ±d when k = 0,
-    and ±R[i][j] when k = 1, where row i has the pivot S leaves out and j
-    is the column S adds.  For k ≥ 2 one Bareiss determinant of A_S
-    costs less than the k×k block of R, whose entries are p×p minors of
-    A, divided by d^(k-1).  The normalization below drops the signs.
+    The p×p minors det A_S of the generator matrix A are read off
+    ``fol.span`` (``_minor``).  A tangent foliation of a map with m×n
+    Jacobian J takes J's m×m minor on the complement T of each S instead:
+    by Plücker/Hodge duality det A_S = ±λ·det J_T for one nonzero λ, so
+    after the common content is divided away both give the same
+    generators, in the same order, since S runs over the same column sets
+    either way.  The normalization below drops the signs.
     """
     p = len(fol.generators)
     span = fol.span
     # some maximal minor is nonzero exactly when the rank is p
     if len(span.pivots) < p:
         raise ValueError("generators are dependent at the generic point")
-    rows, pivots, den = span.rows, span.pivots, span.den
-    matrix = [g.polynomial_coefficients() for g in fol.generators]
+    n = fol.chart.size
+    if fol._jacobian is None:
+        matrix, space = [g.polynomial_coefficients() for g in fol.generators], span
+        blocks = combinations(range(n), p)
+    else:
+        matrix, space = fol._jacobian.rows, fol._jacobian.space
+        blocks = (tuple(c for c in range(n) if c not in s) for s in combinations(range(n), p))
     minors: List[Poly] = []
-    for cols in combinations(range(fol.chart.size), p):
-        free = [c for c in cols if c not in pivots]
-        if not free:
-            minor = den
-        elif len(free) == 1:
-            minor = next(row[free[0]] for row, c in zip(rows, pivots) if c not in cols)
-        else:
-            minor = poly_det([[row[c] for c in cols] for row in matrix])
+    for cols in blocks:
+        minor = _minor(matrix, space, cols)
         if not minor.is_zero():
             minors.append(minor)
     common = content(minors)
@@ -241,13 +308,17 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
     rational function field, cleared to content-one polynomial fields.
     The Jacobian must have full rank (= number of components) at the
     generic point, and the map must have positive-dimensional fibres.
+    The foliation keeps the components, the Jacobian and its reduced form
+    in its memo slot ``_jacobian``, so that ``singular_locus`` and
+    ``is_invariant_subsheaf`` answer through the map.
     """
-    comps = [_as_ratfunc(chart, c) for c in components]
+    comps = tuple(_as_ratfunc(chart, c) for c in components)
     if not comps:
         raise ValueError("a map needs at least one component")
     m = len(comps)
     n = chart.size
-    kernel, free = linalg._kernel([[c.partial(k) for k in range(n)] for c in comps])
+    rows = [clear_denominators([c.partial(k) for k in range(n)]) for c in comps]
+    kernel, free, space = linalg._kernel(rows)
     r = n - len(kernel)
     if r != m:
         raise ValueError(
@@ -255,7 +326,9 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
         )
     if m == n:
         raise ValueError("map has finite generic fibres; the tangent foliation is zero")
-    return FoliationGens._trusted(chart, kernel, linalg.RowSpace._diagonal(kernel, free))
+    return FoliationGens._trusted(
+        chart, kernel, linalg.RowSpace._diagonal(kernel, free), _MapJacobian(comps, rows, space)
+    )
 
 
 def invariant_hypersurface(f: Poly, v: VectorField) -> bool:

@@ -14,7 +14,9 @@ maximal minors of its singular locus.
 The kernel vectors come out already reduced: the vector of a free column
 is zero on every other free column, so ``RowSpace._diagonal`` builds
 their row space, pivoted on the free columns, with no elimination.  The
-only elimination of a tangent foliation is therefore its Jacobian's.
+only elimination of a tangent foliation is therefore its Jacobian's, and
+``_kernel`` hands back the Jacobian's ``RowSpace`` too: the foliation
+keeps it for its singular locus.
 """
 
 from __future__ import annotations
@@ -44,7 +46,18 @@ class RowSpace:
     equals d and is the only nonzero entry of its column."""
 
     def __init__(self, rows: Matrix) -> None:
-        self.rows, self.pivots, _ = bareiss([list(clear_denominators(r)) for r in rows], True)
+        self._eliminate([clear_denominators(r) for r in rows])
+
+    @classmethod
+    def _polynomial(cls, rows: Sequence[Sequence[Poly]]) -> "RowSpace":
+        """The row space of rows that are already polynomial, so that a
+        caller who keeps them clears them once."""
+        space = object.__new__(cls)
+        space._eliminate(rows)
+        return space
+
+    def _eliminate(self, rows: Sequence[Sequence[Poly]]) -> None:
+        self.rows, self.pivots, _ = bareiss(rows, True)
         self.den = self.rows[0][self.pivots[0]] if self.pivots else None
 
     @classmethod
@@ -97,17 +110,20 @@ def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
     """Basis of the right kernel {u : rows . u = 0}: for each non-pivot
     column, a polynomial vector of content one whose entry there is
     integer-primitive with positive leading coefficient."""
-    return [[RatFunc(p) for p in vec] for vec in _kernel(rows)[0]]
+    basis = _kernel([clear_denominators(r) for r in rows])[0]
+    return [[RatFunc(p) for p in vec] for vec in basis]
 
 
-def _kernel(rows: Matrix) -> Tuple[List[Tuple[Poly, ...]], List[int]]:
-    """``kernel_basis`` as polynomial vectors, with the free (non-pivot)
-    columns they belong to: vector i is nonzero at free[i] and zero at
-    every other free column, so ``RowSpace._diagonal`` takes them as they
-    are."""
+def _kernel(
+    rows: Sequence[Sequence[Poly]],
+) -> Tuple[List[Tuple[Poly, ...]], List[int], RowSpace]:
+    """``kernel_basis`` of polynomial rows as polynomial vectors, with the
+    free (non-pivot) columns they belong to and the rows' own space:
+    vector i is nonzero at free[i] and zero at every other free column,
+    so ``RowSpace._diagonal`` takes them as they are."""
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
-    space = RowSpace(rows)
+    space = RowSpace._polynomial(rows)
     m, pivots = space.rows, space.pivots
     den = space.den if pivots else Poly.one(m[0][0].chart)
     free = [c for c in range(len(m[0])) if c not in pivots]
@@ -120,7 +136,7 @@ def _kernel(rows: Matrix) -> Tuple[List[Tuple[Poly, ...]], List[int]]:
         g = content([p for p in vec if not p.is_zero()])
         scale = divexact(den, normalize(divexact(den, g)))
         basis.append(tuple(divexact(p, scale) for p in vec))
-    return basis, free
+    return basis, free, space
 
 
 def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -408,14 +409,47 @@ class TestFoliation:
             ("map_foliation_m1.json", ["foliation", "map_foliation.txt", "m1"]),
             ("map_foliation_m2.json", ["foliation", "map_foliation.txt", "m2"]),
             ("map_invariance.json", ["invariance", "map_foliation.txt", "--field", "v", "--foliation", "m1"]),
+            ("map_degree3_rank2.json", ["foliation", "map_degree3_rank2.txt", "m"]),
         ],
     )
     def test_tangent_foliation_of_a_dominant_map(self, golden, argv, capsys):
-        """Rank one and rank two on four variables, rational coefficients:
-        the reports are byte-identical to the committed ones."""
+        """Rank one and rank two on four variables, rational coefficients,
+        and two dense cubics: the reports are byte-identical to the
+        committed ones."""
         code = main([argv[0], str(GOLDEN / argv[1]), *argv[2:]])
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    def test_degree3_rank2_map(self, capsys):
+        """Two dense cubics on four variables, whose kernel generators have
+        degree 4 and 2x2 minors of degree 8 with a common factor of degree
+        4: the report answers within a bound, and its locus is the kernel
+        generators' minor ideal recomputed with sympy."""
+        start = time.perf_counter()
+        code = main(["foliation", str(GOLDEN / "map_degree3_rank2.txt"), "m"])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["result"]["singular_locus"]) == 6
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import QQ
+        from sympy.polys.rings import ring
+
+        R, *_ = ring(",".join(report["inputs"]["vars"]), QQ)
+
+        def parse(text):
+            return R(sympy.sympify(text.replace("^", "**")))
+
+        a, b = [[parse(c) for c in g] for g in report["inputs"]["generators"]]
+        minors = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(4), 2)]
+        minors = [m for m in minors if m]
+        common = minors[0]
+        for m in minors[1:]:
+            common = common.gcd(m)
+        assert not common.is_ground
+        expected = {m.exquo(common).monic() for m in minors}
+        assert {parse(g).monic() for g in report["result"]["singular_locus"]} == expected
 
     def test_map_argument(self, tmp_path, capsys):
         path = tmp_path / "p.txt"

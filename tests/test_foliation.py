@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import XY, XYZ, assert_value_type, random_field, random_poly
+from conftest import XY, XYZ, assert_value_type, random_field, random_poly, random_ratfunc
 from liefol import (
     Chart,
     ChartMismatchError,
@@ -115,12 +115,19 @@ class TestValueTypes:
         queried = FoliationGens(XYZ, (vf3(-Y3, X3, ZERO3), vf3(ZERO3, X3, ONE3)))
         singular_locus(queried)
         tangent = tangent_foliation((X3 * Y3 + Z3 * Fraction(1, 2),), XYZ)
+        assert tangent._jacobian is not None
+        along = tangent.generators[0].scale(X3 - 2) + tangent.generators[1].scale(Y3 * Z3)
+        across = vf3(Y3, ZERO3, X3 * Z3)
         for fol in (queried, tangent):
             assert fol._span is not None
+            verdicts = [is_invariant_subsheaf(fol, v) for v in (along, across)]
+            if fol is tangent:
+                assert [verdict.ok for verdict in verdicts] == [True, False]
             for clone in (copy.copy(fol), copy.deepcopy(fol), pickle.loads(pickle.dumps(fol))):
-                assert clone == fol and hash(clone) == hash(fol)
-                assert clone._span is None
+                assert clone == fol and hash(clone) == hash(fol) and repr(clone) == repr(fol)
+                assert clone._span is None and clone._jacobian is None
                 assert singular_locus(clone) == singular_locus(fol)
+                assert [is_invariant_subsheaf(clone, v) for v in (along, across)] == verdicts
 
 
 class TestSameRank1:
@@ -330,19 +337,27 @@ def _map_corpus(seed: int):
 
 class TestTangentFoliationDifferential:
     """``tangent_foliation`` takes the kernel vectors and their diagonal
-    reduced form as they are; the constructor, which saturates the
-    generators again and eliminates them on first use, must agree."""
+    reduced form as they are, and answers its singular locus and
+    invariance through the map's Jacobian; the constructor, which
+    saturates the generators again, eliminates them on first use and
+    works on them alone, must agree, and so must one determinant per
+    maximal minor of the generators."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_a_foliation_built_from_its_generators(self, seed):
+    def test_matches_a_foliation_built_from_its_generators(self, seed, monkeypatch):
         rng = random.Random(100 + seed)
-        kinds = {"rejected": 0, "moved pivots": 0, "p = 2": 0}
+        real_det, dets = foliation_module.poly_det, []
+        monkeypatch.setattr(
+            foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows)
+        )
+        kinds = {"rejected": 0, "moved pivots": 0, "p = 2": 0, "k >= 2": 0, "invariant": 0}
         for chart, comps in _map_corpus(seed):
             try:
                 fol = tangent_foliation(comps, chart)
             except ValueError:
                 kinds["rejected"] += 1
                 continue
+            assert fol._jacobian is not None
             ref = FoliationGens(chart, fol.generators)
             assert fol.generators == ref.generators
             assert all(saturate_rank1(g) == g for g in fol.generators)
@@ -350,9 +365,11 @@ class TestTangentFoliationDifferential:
             kinds["p = 2"] += len(fol.generators) == 2
             assert generic_rank(fol) == generic_rank(ref) == len(fol.generators)
             assert is_involutive(fol) == is_involutive(ref)
-            v = random_field(rng, chart, max_degree=2, coeff_bound=5)
-            assert is_invariant_subsheaf(fol, v) == is_invariant_subsheaf(ref, v)
-            assert singular_locus(fol) == singular_locus(ref)
+            del dets[:]
+            locus = singular_locus(fol)
+            # a Jacobian minor with two columns off the Jacobian's pivots
+            kinds["k >= 2"] += bool(dets)
+            assert locus == singular_locus(ref) == _reference_singular_locus(ref)
             combination = [RatFunc.zero(chart)] * chart.size
             for g in fol.generators:
                 factor = RatFunc(random_poly(rng, chart, 1, 5), random_poly(rng, chart, 1, 5, allow_zero=False))
@@ -360,6 +377,23 @@ class TestTangentFoliationDifferential:
             assert combination in fol.span and combination in ref.span
             other = random_field(rng, chart, max_degree=2, coeff_bound=5).coefficients
             assert (other in fol.span) == (other in ref.span)
+            tangent = VectorField.zero(chart)
+            for g in fol.generators:
+                tangent = tangent + g.scale(random_poly(rng, chart, 1, 5))
+            fields = {
+                "random": random_field(rng, chart, max_degree=2, coeff_bound=5),
+                "rational": VectorField.from_coefficients(
+                    chart, [random_ratfunc(rng, chart, 1) for _ in range(chart.size)]
+                ),
+                "tangent": tangent,
+                "rational tangent": VectorField.from_coefficients(chart, combination),
+            }
+            for name, v in fields.items():
+                got = is_invariant_subsheaf(fol, v)
+                assert got == is_invariant_subsheaf(ref, v)
+                if name.endswith("tangent"):
+                    assert got.ok
+                kinds["invariant"] += got.ok
         assert all(kinds.values()), kinds
 
 

@@ -283,21 +283,36 @@ def test_one_elimination_per_foliation(monkeypatch):
 def test_one_elimination_per_tangent_foliation(monkeypatch):
     """The Jacobian's elimination is the only one: the kernel vectors are
     taken as the generators, and their span is read off their diagonal on
-    the free columns, with no second content or elimination."""
+    the free columns, with no second content or elimination.  The singular
+    locus takes its one determinant on a Jacobian block, and invariance
+    takes a bracket only for a witness; a declared foliation with the same
+    generators brackets every generator."""
     four = Chart(("x", "y", "z", "w"))
     a, b, c, d = four.vars()
     v = VectorField.from_coefficients(four, (b, c * Fraction(1, 2), -d, a))
     rank_one = (a * b + c * Fraction(1, 2), b - c * d, a + d**2 * Fraction(1, 3))
     rank_two = (a**2 + b * c - d * Fraction(2, 3), b * d + a * c * Fraction(1, 5))
-    eliminations, dets, gcds = [], [], []
+    eliminations, blocks, gcds, brackets = [], [], [], []
     real_bareiss, real_det, real_gcd = linalg.bareiss, foliation_module.poly_det, poly_module._gcd
+    real_bracket = foliation_module.lie_bracket
     monkeypatch.setattr(
         linalg,
         "bareiss",
         lambda rows, reduced=False: eliminations.append(1) or real_bareiss(rows, reduced),
     )
-    monkeypatch.setattr(foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows))
+    monkeypatch.setattr(
+        foliation_module, "poly_det", lambda rows: blocks.append(rows) or real_det(rows)
+    )
     monkeypatch.setattr(poly_module, "_gcd", lambda p, q: gcds.append(1) or real_gcd(p, q))
+    monkeypatch.setattr(
+        foliation_module, "lie_bracket", lambda v, w: brackets.append(1) or real_bracket(v, w)
+    )
+
+    def bracket_count(fol, field):
+        del brackets[:]
+        verdict = is_invariant_subsheaf(fol, field).ok
+        return verdict, len(brackets)
+
     kernel_basis([[f.partial(k) for k in range(4)] for f in map(RatFunc, rank_one)])
     kernel_gcds = len(gcds)
     del eliminations[:], gcds[:]
@@ -305,16 +320,28 @@ def test_one_elimination_per_tangent_foliation(monkeypatch):
     assert kernel_gcds and len(gcds) == kernel_gcds
     assert generic_rank(fol) == 1
     assert is_involutive(fol).ok
-    assert not is_invariant_subsheaf(fol, v).ok
+    # m = 3: every 3x3 Jacobian minor has at most one column off the pivots
     assert len(singular_locus(fol).generators) == 4
-    assert len(eliminations) == 1 and not dets
-    # p = 2: the column set off both free columns takes a determinant
+    tangent = fol.generators[0].scale(a * b - 2)
+    assert bracket_count(fol, v) == (False, 1)
+    assert bracket_count(fol, tangent) == (True, 0)
+    assert len(eliminations) == 1 and not blocks
+    assert bracket_count(FoliationGens(four, fol.generators), tangent) == (True, 1)
+    # p = 2: the column set off both of the Jacobian's pivots takes one
+    # determinant, of the Jacobian block on those columns
+    del eliminations[:]
     fol = tangent_foliation(rank_two, four)
     assert generic_rank(fol) == 2
     assert is_involutive(fol).ok
-    assert not is_invariant_subsheaf(fol, v).ok
     assert len(singular_locus(fol).generators) == 6
-    assert len(eliminations) == 2 and len(dets) == 1
+    jacobian = [clear_denominators([RatFunc(f).partial(k) for k in range(4)]) for f in rank_two]
+    off_pivots = fol.span.pivots  # the kernel's pivots are the Jacobian's free columns
+    assert blocks == [[[row[k] for k in off_pivots] for row in jacobian]]
+    tangent = fol.generators[0].scale(c - 1) + fol.generators[1].scale(a * d)
+    assert bracket_count(fol, v) == (False, 1)
+    assert bracket_count(fol, tangent) == (True, 0)
+    assert len(eliminations) == 1
+    assert bracket_count(FoliationGens(four, fol.generators), tangent) == (True, 2)
 
 
 def test_rank_matches_sympy():
