@@ -3,13 +3,14 @@
 Everything here happens at the generic point: rank means rank over the
 rational function field and span membership is exact linear algebra
 there, answered by fraction-free elimination on polynomial rows
-(``linalg``).  One elimination per foliation: ``FoliationGens.span``
-eliminates the generators once, on first use, into a ``linalg.RowSpace``
-and keeps it.  The rank is its number of pivots, the involutivity and
-invariance tests ask it about every bracket, and the singular locus
-reads most maximal minors off its reduced form.  The locus is cut out by
-those minors after the codimension-one part common to all of them is
-divided away; a family with no nonzero maximal minor is dependent.
+(``linalg``).  One span per foliation, kept in ``FoliationGens.span``:
+a declared foliation eliminates its generators once, on first use, into
+a ``linalg.RowSpace``.  The rank is its number of pivots, the
+involutivity and invariance tests ask it about every bracket, and the
+singular locus reads most maximal minors off its reduced form.  The
+locus is cut out by those minors after the codimension-one part common
+to all of them is divided away; a family with no nonzero maximal minor
+is dependent.
 
 The two geometric constructions are ``tangent_foliation`` — the kernel
 of the Jacobian of a dominant rational map — and the invariance tests:
@@ -18,14 +19,14 @@ with generators stay inside the generic span; a squarefree hypersurface
 is invariant under a rank-one field exactly when its equation divides
 its own derivative along the saturated generator.  The kernel basis
 comes out of the Jacobian's elimination as content-one polynomial
-vectors already in reduced form, with the Jacobian's free columns as
-pivots, so a tangent foliation takes them as its generators and its span
-as they are: the Jacobian's is its only elimination.
+vectors, so a tangent foliation takes them as its generators as they
+are: the Jacobian's is its only elimination.
 
-A tangent foliation also keeps its map: the components φ_1..φ_m, the
-Jacobian J (m×n, rows cleared to polynomials) and J's reduced form.  Two
-identities let it answer through J, whose entries have far lower degree
-than the p×n kernel generators A (n = p + m):
+The span of a tangent foliation is ker J itself: the components
+φ_1..φ_m, the Jacobian J (m×n, rows cleared to polynomials) and J's
+reduced form.  Its rank is n − rank J, and w lies in it exactly when
+J·w = 0, which reads J's rows, of far lower degree than the p×n kernel
+generators A (n = p + m).  Two more identities let it answer through J:
 
 - The p×p minors of A are its Plücker coordinates, and those of the
   kernel are the Hodge duals of the row space's: det A_S = ±λ·det J_T,
@@ -51,6 +52,7 @@ from .poly import (
     Poly,
     RatFunc,
     _as_ratfunc,
+    _dot,
     clear_denominators,
     content,
     divexact,
@@ -84,14 +86,28 @@ def same_rank1_foliation(v: VectorField, w: VectorField) -> bool:
     return linalg.rank([v.coefficients, w.coefficients]) == 1
 
 
-class _MapJacobian(NamedTuple):
-    """The map a tangent foliation came from, as ``tangent_foliation``
-    eliminated it: the components φ_i, the Jacobian rows cleared to
-    polynomials, and their reduced row space."""
+class _MapKernel(NamedTuple):
+    """The span of a tangent foliation, ker J of the map it came from, as
+    ``tangent_foliation`` eliminated it: the components φ_i, the Jacobian
+    rows J cleared to polynomials, and their reduced row space.  It
+    answers ``rank`` and ``in`` as a ``linalg.RowSpace`` does."""
 
     components: Tuple[RatFunc, ...]
     rows: List[Tuple[Poly, ...]]
     space: linalg.RowSpace
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows[0]) - len(self.space.pivots)
+
+    def __contains__(self, vector: Sequence[RatFunc]) -> bool:
+        """w is in ker J exactly when, with its denominators cleared, every
+        row of J annihilates it."""
+        w = clear_denominators(vector)
+        if len(w) != len(self.rows[0]):
+            raise ValueError("vector length differs from the row length")
+        chart = self.rows[0][0].chart
+        return all(_dot(chart, zip(row, w)).is_zero() for row in self.rows)
 
 
 class FoliationGens(_Frozen):
@@ -100,12 +116,12 @@ class FoliationGens(_Frozen):
     Each admitted generator is cleared to polynomial coefficients of
     content one (zero fields are rejected); generators need not be
     independent.  The memo slot ``_span`` holds ``span`` once it is
-    built (``tangent_foliation`` builds it with the foliation), and
-    ``_jacobian`` holds the map of a tangent foliation; equality, hash
-    and repr ignore both, and a copy is built without them.
+    built; ``tangent_foliation`` fills it with the kernel of its map's
+    Jacobian.  Equality, hash and repr ignore it, and a copy is built
+    without it.
     """
 
-    __slots__ = ("chart", "generators", "_span", "_jacobian")
+    __slots__ = ("chart", "generators", "_span")
 
     def __init__(self, chart: Chart, generators: Sequence[VectorField]) -> None:
         if not generators:
@@ -120,25 +136,23 @@ class FoliationGens(_Frozen):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
         object.__setattr__(self, "_span", None)
-        object.__setattr__(self, "_jacobian", None)
 
     @classmethod
     def _trusted(
         cls,
         chart: Chart,
         generators: Sequence[Sequence[Poly]],
-        span: linalg.RowSpace,
-        jacobian: _MapJacobian,
+        span: _MapKernel,
     ) -> "FoliationGens":
-        """Wrap the kernel generators of a map's Jacobian, their span and
-        the Jacobian, all built by the caller, skipping saturation and
+        """Wrap the kernel generators of a map's Jacobian and their span,
+        the kernel, both built by the caller, skipping saturation and
         elimination.
 
         The caller guarantees that each generator is nonzero with content
         one on ``chart`` (``saturate_rank1`` would return it unchanged), that
-        the generators span the kernel of ``jacobian.rows``, and that each
-        space is its rows' reduced form whose common pivot is exactly the
-        determinant of those rows on its pivot columns, as
+        the generators are a basis of the kernel of ``span.rows``, and that
+        ``span.space`` is those rows' reduced form whose common pivot is
+        exactly the determinant of the rows on its pivot columns, as
         ``singular_locus`` reads minors off it.
         """
         obj = object.__new__(cls)
@@ -147,13 +161,13 @@ class FoliationGens(_Frozen):
             obj, "generators", tuple(VectorField.from_coefficients(chart, g) for g in generators)
         )
         object.__setattr__(obj, "_span", span)
-        object.__setattr__(obj, "_jacobian", jacobian)
         return obj
 
     @property
-    def span(self) -> linalg.RowSpace:
-        """The generic span of the generators in reduced fraction-free
-        echelon form, eliminated on first use and kept."""
+    def span(self) -> Union[linalg.RowSpace, _MapKernel]:
+        """The generic span of the generators: ker J for a tangent
+        foliation, otherwise their reduced fraction-free echelon form,
+        eliminated on first use and kept."""
         if self._span is None:
             object.__setattr__(
                 self, "_span", linalg.RowSpace([g.coefficients for g in self.generators])
@@ -163,7 +177,7 @@ class FoliationGens(_Frozen):
 
 def generic_rank(fol: FoliationGens) -> int:
     """Rank of the coefficient matrix over the rational function field."""
-    return len(fol.span.pivots)
+    return fol.span.rank
 
 
 class InvolutivityResult(NamedTuple):
@@ -197,17 +211,17 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
     """
     if v.chart != fol.chart:
         raise ChartMismatchError("field on a different chart")
-    if fol._jacobian is None:
-        span = fol.span
+    span = fol.span
+    if isinstance(span, _MapKernel):
+        images = [apply_derivation(v, f) for f in span.components]
         for g in fol.generators:
-            br = lie_bracket(v, g)
-            if br.coefficients not in span:
-                return InvarianceResult(False, br)
+            if any(apply_derivation(g, h) for h in images):
+                return InvarianceResult(False, lie_bracket(v, g))
         return InvarianceResult(True, None)
-    images = [apply_derivation(v, f) for f in fol._jacobian.components]
     for g in fol.generators:
-        if any(apply_derivation(g, h) for h in images):
-            return InvarianceResult(False, lie_bracket(v, g))
+        br = lie_bracket(v, g)
+        if br.coefficients not in span:
+            return InvarianceResult(False, br)
     return InvarianceResult(True, None)
 
 
@@ -274,15 +288,15 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     p = len(fol.generators)
     span = fol.span
     # some maximal minor is nonzero exactly when the rank is p
-    if len(span.pivots) < p:
+    if span.rank < p:
         raise ValueError("generators are dependent at the generic point")
     n = fol.chart.size
-    if fol._jacobian is None:
+    if isinstance(span, _MapKernel):
+        matrix, space = span.rows, span.space
+        blocks = (tuple(c for c in range(n) if c not in s) for s in combinations(range(n), p))
+    else:
         matrix, space = [g.polynomial_coefficients() for g in fol.generators], span
         blocks = combinations(range(n), p)
-    else:
-        matrix, space = fol._jacobian.rows, fol._jacobian.space
-        blocks = (tuple(c for c in range(n) if c not in s) for s in combinations(range(n), p))
     minors: List[Poly] = []
     for cols in blocks:
         minor = _minor(matrix, space, cols)
@@ -308,9 +322,9 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
     rational function field, cleared to content-one polynomial fields.
     The Jacobian must have full rank (= number of components) at the
     generic point, and the map must have positive-dimensional fibres.
-    The foliation keeps the components, the Jacobian and its reduced form
-    in its memo slot ``_jacobian``, so that ``singular_locus`` and
-    ``is_invariant_subsheaf`` answer through the map.
+    The foliation's span is the kernel of the Jacobian: it keeps the
+    components, the Jacobian and its reduced form, so that every query
+    answers through the map.
     """
     comps = tuple(_as_ratfunc(chart, c) for c in components)
     if not comps:
@@ -318,7 +332,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
     m = len(comps)
     n = chart.size
     rows = [clear_denominators([c.partial(k) for k in range(n)]) for c in comps]
-    kernel, free, space = linalg._kernel(rows)
+    kernel, space = linalg._kernel(rows)
     r = n - len(kernel)
     if r != m:
         raise ValueError(
@@ -326,9 +340,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
         )
     if m == n:
         raise ValueError("map has finite generic fibres; the tangent foliation is zero")
-    return FoliationGens._trusted(
-        chart, kernel, linalg.RowSpace._diagonal(kernel, free), _MapJacobian(comps, rows, space)
-    )
+    return FoliationGens._trusted(chart, kernel, _MapKernel(comps, rows, space))
 
 
 def invariant_hypersurface(f: Poly, v: VectorField) -> bool:

@@ -567,13 +567,15 @@ def leaf_density(
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    if arc_length <= 0:
-        raise ValueError("arc_length must be positive")
+    if not 0 < arc_length < math.inf:
+        raise ValueError("arc_length must be positive and finite")
     grid = max(1, round(1.0 / epsilon))
     if direction is None:
         dx, dy = TangentFrame.cat_frame().stable
     else:
         dx, dy = float(direction[0]), float(direction[1])
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError("direction must be finite")
         if dx == 0 and dy == 0:
             raise ValueError("zero direction")
         if dx.is_integer() and dy.is_integer():

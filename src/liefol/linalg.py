@@ -6,23 +6,18 @@ elimination, ``poly.bareiss``, answers every question without a gcd.
 ``rank`` eliminates below the pivots only.  ``RowSpace`` holds the
 reduced form, cleared above the pivots too; ``rref``, ``kernel_basis``
 and span membership read it, so a family of span questions about one
-matrix costs one elimination.  A foliation keeps the ``RowSpace`` of its
-generators (``foliation.FoliationGens.span``): one elimination per
-foliation answers its rank, involutivity and invariance, and gives most
-maximal minors of its singular locus.
+matrix costs one elimination.  A declared foliation keeps the
+``RowSpace`` of its generators (``foliation.FoliationGens.span``): one
+elimination per foliation answers its rank, involutivity and invariance,
+and gives most maximal minors of its singular locus.
 
-The kernel vectors come out already reduced: the vector of a free column
-is zero on every other free column, so ``RowSpace._diagonal`` builds
-their row space, pivoted on the free columns, with no elimination.  The
-only elimination of a tangent foliation is therefore its Jacobian's, and
-``_kernel`` hands back the Jacobian's ``RowSpace`` too: the foliation
-keeps it for its singular locus.
+The only elimination of a tangent foliation is its Jacobian's: ``_kernel``
+hands back the Jacobian's ``RowSpace`` with the kernel vectors, and the
+foliation's span is that kernel, whose membership test is J·w = 0.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul
 from typing import List, Sequence, Tuple
 
 from .poly import (
@@ -60,25 +55,9 @@ class RowSpace:
         self.rows, self.pivots, _ = bareiss(rows, True)
         self.den = self.rows[0][self.pivots[0]] if self.pivots else None
 
-    @classmethod
-    def _diagonal(cls, rows: Sequence[Sequence[Poly]], pivots: Sequence[int]) -> "RowSpace":
-        """The row space of polynomial rows that are already diagonal on the
-        columns ``pivots``: row i is c_i ≠ 0 at p_i and zero at every other
-        p_j.  With d = Π c_j, the determinant of that block, the reduced
-        form is (d / c_i)·row_i and needs no elimination.  The pivots need
-        not be the leftmost columns that ``RowSpace(rows)`` would pick."""
-        diagonal = [row[c] for row, c in zip(rows, pivots)]
-        space = object.__new__(cls)
-        space.rows = []
-        for i, row in enumerate(rows):
-            others = diagonal[:i] + diagonal[i + 1 :]
-            if others:
-                cofactor = reduce(mul, others)
-                row = [cofactor * p for p in row]
-            space.rows.append(list(row))
-        space.pivots = list(pivots)
-        space.den = space.rows[0][space.pivots[0]] if space.pivots else None
-        return space
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     def __contains__(self, vector: Sequence[RatFunc]) -> bool:
         """v is a combination of the rows exactly when, with its denominators
@@ -116,19 +95,16 @@ def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
 
 def _kernel(
     rows: Sequence[Sequence[Poly]],
-) -> Tuple[List[Tuple[Poly, ...]], List[int], RowSpace]:
+) -> Tuple[List[Tuple[Poly, ...]], RowSpace]:
     """``kernel_basis`` of polynomial rows as polynomial vectors, with the
-    free (non-pivot) columns they belong to and the rows' own space:
-    vector i is nonzero at free[i] and zero at every other free column,
-    so ``RowSpace._diagonal`` takes them as they are."""
+    rows' own space."""
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
     space = RowSpace._polynomial(rows)
     m, pivots = space.rows, space.pivots
     den = space.den if pivots else Poly.one(m[0][0].chart)
-    free = [c for c in range(len(m[0])) if c not in pivots]
     basis: List[Tuple[Poly, ...]] = []
-    for f in free:
+    for f in (c for c in range(len(m[0])) if c not in pivots):
         vec = [Poly.zero(den.chart)] * len(m[0])
         vec[f] = den
         for row, col in zip(m, pivots):
@@ -136,7 +112,7 @@ def _kernel(
         g = content([p for p in vec if not p.is_zero()])
         scale = divexact(den, normalize(divexact(den, g)))
         basis.append(tuple(divexact(p, scale) for p in vec))
-    return basis, free, space
+    return basis, space
 
 
 def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:

@@ -451,6 +451,17 @@ class TestFoliation:
         expected = {m.exquo(common).monic() for m in minors}
         assert {parse(g).monic() for g in report["result"]["singular_locus"]} == expected
 
+    def test_degree4_rank2_map(self, capsys):
+        """Two dense quartics on four variables: involutivity asks whether
+        its bracket is in the kernel of the Jacobian, so the whole report,
+        byte-identical to the committed one, answers within 2 s."""
+        start = time.perf_counter()
+        code = main(["foliation", str(GOLDEN / "map_degree4_rank2.txt"), "m"])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out == (GOLDEN / "map_degree4_rank2.json").read_text()
+
     def test_map_argument(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         path.write_text("vars: x y\nmap m = x^2 + y^2\n")

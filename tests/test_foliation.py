@@ -115,7 +115,6 @@ class TestValueTypes:
         queried = FoliationGens(XYZ, (vf3(-Y3, X3, ZERO3), vf3(ZERO3, X3, ONE3)))
         singular_locus(queried)
         tangent = tangent_foliation((X3 * Y3 + Z3 * Fraction(1, 2),), XYZ)
-        assert tangent._jacobian is not None
         along = tangent.generators[0].scale(X3 - 2) + tangent.generators[1].scale(Y3 * Z3)
         across = vf3(Y3, ZERO3, X3 * Z3)
         for fol in (queried, tangent):
@@ -125,7 +124,7 @@ class TestValueTypes:
                 assert [verdict.ok for verdict in verdicts] == [True, False]
             for clone in (copy.copy(fol), copy.deepcopy(fol), pickle.loads(pickle.dumps(fol))):
                 assert clone == fol and hash(clone) == hash(fol) and repr(clone) == repr(fol)
-                assert clone._span is None and clone._jacobian is None
+                assert clone._span is None
                 assert singular_locus(clone) == singular_locus(fol)
                 assert [is_invariant_subsheaf(clone, v) for v in (along, across)] == verdicts
 
@@ -336,12 +335,12 @@ def _map_corpus(seed: int):
 
 
 class TestTangentFoliationDifferential:
-    """``tangent_foliation`` takes the kernel vectors and their diagonal
-    reduced form as they are, and answers its singular locus and
-    invariance through the map's Jacobian; the constructor, which
-    saturates the generators again, eliminates them on first use and
-    works on them alone, must agree, and so must one determinant per
-    maximal minor of the generators."""
+    """``tangent_foliation`` takes the kernel vectors as they are, and its
+    span is the kernel of the map's Jacobian, which answers rank,
+    membership, involutivity, singular locus and invariance; the
+    constructor, which saturates the generators again, eliminates them on
+    first use and works on them alone, must agree, and so must one
+    determinant per maximal minor of the generators."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_a_foliation_built_from_its_generators(self, seed, monkeypatch):
@@ -350,18 +349,16 @@ class TestTangentFoliationDifferential:
         monkeypatch.setattr(
             foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows)
         )
-        kinds = {"rejected": 0, "moved pivots": 0, "p = 2": 0, "k >= 2": 0, "invariant": 0}
+        kinds = {"rejected": 0, "p = 2": 0, "k >= 2": 0, "invariant": 0, "first row only": 0}
         for chart, comps in _map_corpus(seed):
             try:
                 fol = tangent_foliation(comps, chart)
             except ValueError:
                 kinds["rejected"] += 1
                 continue
-            assert fol._jacobian is not None
             ref = FoliationGens(chart, fol.generators)
             assert fol.generators == ref.generators
             assert all(saturate_rank1(g) == g for g in fol.generators)
-            kinds["moved pivots"] += fol.span.pivots != ref.span.pivots
             kinds["p = 2"] += len(fol.generators) == 2
             assert generic_rank(fol) == generic_rank(ref) == len(fol.generators)
             assert is_involutive(fol) == is_involutive(ref)
@@ -377,6 +374,17 @@ class TestTangentFoliationDifferential:
             assert combination in fol.span and combination in ref.span
             other = random_field(rng, chart, max_degree=2, coeff_bound=5).coefficients
             assert (other in fol.span) == (other in ref.span)
+            # tangent to the fibres of φ_1 alone: the first Jacobian row
+            # annihilates them, and the others need not
+            for g in tangent_foliation(comps[:1], chart).generators:
+                inside = g.coefficients in fol.span
+                assert inside == (g.coefficients in ref.span)
+                kinds["first row only"] += not inside
+            # zip would truncate silently: a wrong length is an error for both spans
+            for wrong in (combination[:-1], combination + [RatFunc.zero(chart)]):
+                for span in (fol.span, ref.span):
+                    with pytest.raises(ValueError, match="vector length differs"):
+                        wrong in span
             tangent = VectorField.zero(chart)
             for g in fol.generators:
                 tangent = tangent + g.scale(random_poly(rng, chart, 1, 5))

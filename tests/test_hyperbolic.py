@@ -458,6 +458,18 @@ class TestLeafDensity:
         with pytest.raises(ValueError):
             leaf_density(0.05, 10.0, direction=(0.0, 0.0))
 
+    @pytest.mark.parametrize("arc", [math.inf, math.nan])
+    def test_non_finite_arc_length_rejected(self, arc):
+        with pytest.raises(ValueError, match="arc_length must be positive and finite"):
+            leaf_density(0.05, arc)
+
+    @pytest.mark.parametrize(
+        "direction", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (math.nan, math.nan)]
+    )
+    def test_non_finite_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction must be finite"):
+            leaf_density(0.05, 10.0, direction=direction)
+
     def test_three_distance_gap_oracle(self):
         """Independent equidistribution witness for the stable slope.
 

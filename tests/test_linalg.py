@@ -282,11 +282,12 @@ def test_one_elimination_per_foliation(monkeypatch):
 
 def test_one_elimination_per_tangent_foliation(monkeypatch):
     """The Jacobian's elimination is the only one: the kernel vectors are
-    taken as the generators, and their span is read off their diagonal on
-    the free columns, with no second content or elimination.  The singular
-    locus takes its one determinant on a Jacobian block, and invariance
-    takes a bracket only for a witness; a declared foliation with the same
-    generators brackets every generator."""
+    taken as the generators, with no second content, and their span is the
+    Jacobian's kernel, so involutivity asks J·w = 0 of its p(p-1)/2
+    brackets with no second elimination.  The singular locus takes its one
+    determinant on a Jacobian block, and invariance takes a bracket only
+    for a witness; a declared foliation with the same generators brackets
+    every generator."""
     four = Chart(("x", "y", "z", "w"))
     a, b, c, d = four.vars()
     v = VectorField.from_coefficients(four, (b, c * Fraction(1, 2), -d, a))
@@ -308,9 +309,9 @@ def test_one_elimination_per_tangent_foliation(monkeypatch):
         foliation_module, "lie_bracket", lambda v, w: brackets.append(1) or real_bracket(v, w)
     )
 
-    def bracket_count(fol, field):
+    def bracket_count(query, *args):
         del brackets[:]
-        verdict = is_invariant_subsheaf(fol, field).ok
+        verdict = query(*args).ok
         return verdict, len(brackets)
 
     kernel_basis([[f.partial(k) for k in range(4)] for f in map(RatFunc, rank_one)])
@@ -319,29 +320,33 @@ def test_one_elimination_per_tangent_foliation(monkeypatch):
     fol = tangent_foliation(rank_one, four)
     assert kernel_gcds and len(gcds) == kernel_gcds
     assert generic_rank(fol) == 1
-    assert is_involutive(fol).ok
+    assert bracket_count(is_involutive, fol) == (True, 0)
     # m = 3: every 3x3 Jacobian minor has at most one column off the pivots
     assert len(singular_locus(fol).generators) == 4
     tangent = fol.generators[0].scale(a * b - 2)
-    assert bracket_count(fol, v) == (False, 1)
-    assert bracket_count(fol, tangent) == (True, 0)
+    assert bracket_count(is_invariant_subsheaf, fol, v) == (False, 1)
+    assert bracket_count(is_invariant_subsheaf, fol, tangent) == (True, 0)
     assert len(eliminations) == 1 and not blocks
-    assert bracket_count(FoliationGens(four, fol.generators), tangent) == (True, 1)
+    twin = FoliationGens(four, fol.generators)
+    assert bracket_count(is_invariant_subsheaf, twin, tangent) == (True, 1)
     # p = 2: the column set off both of the Jacobian's pivots takes one
     # determinant, of the Jacobian block on those columns
+    jacobian = [clear_denominators([RatFunc(f).partial(k) for k in range(4)]) for f in rank_two]
+    pivots = rref([[RatFunc(p) for p in row] for row in jacobian])[1]
+    off_pivots = [k for k in range(4) if k not in pivots]
     del eliminations[:]
     fol = tangent_foliation(rank_two, four)
     assert generic_rank(fol) == 2
-    assert is_involutive(fol).ok
+    assert bracket_count(is_involutive, fol) == (True, 1)
+    assert len(eliminations) == 1
     assert len(singular_locus(fol).generators) == 6
-    jacobian = [clear_denominators([RatFunc(f).partial(k) for k in range(4)]) for f in rank_two]
-    off_pivots = fol.span.pivots  # the kernel's pivots are the Jacobian's free columns
     assert blocks == [[[row[k] for k in off_pivots] for row in jacobian]]
     tangent = fol.generators[0].scale(c - 1) + fol.generators[1].scale(a * d)
-    assert bracket_count(fol, v) == (False, 1)
-    assert bracket_count(fol, tangent) == (True, 0)
+    assert bracket_count(is_invariant_subsheaf, fol, v) == (False, 1)
+    assert bracket_count(is_invariant_subsheaf, fol, tangent) == (True, 0)
     assert len(eliminations) == 1
-    assert bracket_count(FoliationGens(four, fol.generators), tangent) == (True, 2)
+    twin = FoliationGens(four, fol.generators)
+    assert bracket_count(is_invariant_subsheaf, twin, tangent) == (True, 2)
 
 
 def test_rank_matches_sympy():
