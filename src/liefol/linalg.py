@@ -34,6 +34,13 @@ from .poly import (
 Matrix = Sequence[Sequence[RatFunc]]
 
 
+def _cleared(rows: Matrix) -> List[Tuple[Poly, ...]]:
+    """Each row scaled to polynomials by its own common denominator."""
+    if any(not row for row in rows):
+        raise ValueError("a matrix row needs at least one entry")
+    return [clear_denominators(row) for row in rows]
+
+
 class RowSpace:
     """The row space of a matrix over the function field, as its reduced
     fraction-free echelon form: polynomial ``rows``, ``pivots`` columns
@@ -41,7 +48,7 @@ class RowSpace:
     equals d and is the only nonzero entry of its column."""
 
     def __init__(self, rows: Matrix) -> None:
-        self._eliminate([clear_denominators(r) for r in rows])
+        self._eliminate(_cleared(rows))
 
     @classmethod
     def _polynomial(cls, rows: Sequence[Sequence[Poly]]) -> "RowSpace":
@@ -82,14 +89,14 @@ def rref(rows: Matrix) -> Tuple[List[List[RatFunc]], List[int]]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(bareiss([list(clear_denominators(row)) for row in rows])[1])
+    return len(bareiss(_cleared(rows))[1])
 
 
 def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
     """Basis of the right kernel {u : rows . u = 0}: for each non-pivot
     column, a polynomial vector of content one whose entry there is
     integer-primitive with positive leading coefficient."""
-    basis = _kernel([clear_denominators(r) for r in rows])[0]
+    basis = _kernel(_cleared(rows))[0]
     return [[RatFunc(p) for p in vec] for vec in basis]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 from liefol import Chart, Poly, RatFunc, VectorField
 
 # exact rational arithmetic is deterministic but not fast; a wall-clock
-# deadline only adds flakiness here
+# deadline only adds flakiness here.  HYPOTHESIS_PROFILE=thorough draws ten
+# times as many examples.
 settings.register_profile("exact", deadline=None, max_examples=60)
-settings.load_profile("exact")
+settings.register_profile("thorough", deadline=None, max_examples=600)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "exact"))
 
 XY = Chart(("x", "y"))
 XYZ = Chart(("x", "y", "z"))

@@ -78,6 +78,13 @@ def test_kernel_of_empty_matrix_rejected():
         kernel_basis([])
 
 
+def test_matrix_rows_without_entries_rejected():
+    for call in (rank, kernel_basis, RowSpace, rref):
+        for rows in ([[]], [[r(X)], []]):
+            with pytest.raises(ValueError, match="a matrix row needs at least one entry"):
+                call(rows)
+
+
 def test_clear_to_polynomials():
     vec = [RatFunc(Y, X), RatFunc(Poly.one(XY), X * Y)]
     cleared = clear_to_polynomials(vec)
