@@ -73,6 +73,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"a coordinate must be finite, not {value!r}")
         return Fraction(value)  # exact binary expansion
     raise TypeError(f"bad coordinate type: {type(value).__name__}")
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from liefol import (
     tangent_foliation,
 )
 from liefol import foliation as foliation_module
+from liefol.cli import parse_problem
 from liefol.dmod import PolyMap
 from liefol.foliation import SingularIdeal
 from liefol.poly import content, divexact, glex_key, normalize, poly_det
@@ -403,6 +406,23 @@ class TestTangentFoliationDifferential:
                     assert got.ok
                 kinds["invariant"] += got.ok
         assert all(kinds.values()), kinds
+
+    def test_declared_twin_of_two_dense_cubics(self):
+        """The foliation declared by the kernel generators of two dense
+        cubics on four variables answers rank and involutivity as their
+        tangent foliation does, within 2 s.  Eliminating on the generators
+        themselves forms sums of thousands of term products, the large-sum
+        path of `poly._dot` that the benchmark workloads never reach."""
+        golden = Path(__file__).parent / "golden" / "map_degree3_rank2.txt"
+        problem = parse_problem(golden.read_text())
+        _, _, comps = problem.lookup("map", "m")
+        fol = tangent_foliation(comps, problem.chart)
+        twin = FoliationGens(problem.chart, fol.generators)
+        start = time.perf_counter()
+        rank, involutive = generic_rank(twin), is_involutive(twin)
+        assert time.perf_counter() - start < 2.0
+        assert rank == generic_rank(fol) == 2
+        assert involutive.ok and is_involutive(fol).ok
 
 
 class TestTangentFoliation:

@@ -110,6 +110,18 @@ class TestValueTypes:
         with pytest.raises(TypeError, match="bad coordinate type: str"):
             SuspensionState("1/2", 0, 0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_rejected(self, value):
+        message = "a coordinate must be finite"
+        with pytest.raises(ValueError, match=message):
+            SuspensionState(value, 0, 0)
+        with pytest.raises(ValueError, match=message):
+            SuspensionState(0, 0, value)
+        with pytest.raises(ValueError, match=message):
+            suspension_flow(fixed_point(), value)
+        with pytest.raises(ValueError, match=message):
+            crossings(fixed_point(), value)
+
     def test_records(self):
         frame = TangentFrame.cat_frame()
         assert frame._fields[-1] == "FLOW" and frame.FLOW == (0.0, 0.0, 1.0)

@@ -88,6 +88,11 @@ class TestChart:
         with pytest.raises(ValueError, match="a chart needs at least one variable"):
             Chart(())
 
+    @pytest.mark.parametrize("variables", ["xy", "x", ("x", 1), ["x", b"y"], iter(("x", "y"))])
+    def test_names_come_as_a_tuple_or_list_of_str(self, variables):
+        with pytest.raises(TypeError, match="chart variables must be a tuple or list of str"):
+            Chart(variables)
+
     def test_value_type(self):
         assert_value_type(Chart(("x", "y")), Chart(variables=["x", "y"]), Chart(("y", "x")))
         assert Chart(["x", "y"]).variables == ("x", "y")

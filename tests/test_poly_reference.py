@@ -15,15 +15,15 @@ exactly at and just below the powers of two 7/8, 15/16 and 31/32, and
 a third puts each variable's degree exactly at its own radix minus one,
 where a digit one too narrow would carry into its neighbour.  The
 sum-of-products kernel `_dot`, which every product goes through, picks
-one of three accumulators by one rule: a dict on exponent tuples for
-sums of few term products, and above that packed keys, in a dense list
-or a dict by the size of their box.  It takes one set of radices for a
+one of two accumulators by one rule: packed keys in a dense list for a
+sum of many term products whose box is small enough, and a dict on
+exponent tuples for every other sum.  It takes one set of radices for a
 whole sum, so it is checked the same way on up to four pairs at once,
 with operands wide enough to reach the packed keys, spies that show
-each accumulator running (a huge exponent forces the packed dict), and
-cases on either side of both parts of the rule.  Exact division is
-checked where a key difference has digits that look valid but come
-from a borrow between digits.
+each accumulator running (a huge exponent sends a large sum to the
+tuple keys), and cases on either side of both parts of the rule.  Exact
+division is checked where a key difference has digits that look valid
+but come from a borrow between digits.
 """
 
 from __future__ import annotations
@@ -303,36 +303,28 @@ def _dot_pairs(draw):
 @contextmanager
 def _accumulators():
     """The accumulator that each `_dot` call in the block takes, in call
-    order: "tuple" (`_tuple_sum`), "dense" (`_packed_sum` scanning its
-    list with `compress`, the only code in `poly` that does) or "sparse"
-    (`_packed_sum` without that scan)."""
+    order: "tuple" (`_tuple_sum`) or "dense" (`_dense_sum`)."""
     taken = []
-    real_tuple, real_packed, real_compress = poly._tuple_sum, poly._packed_sum, poly.compress
+    real_tuple, real_dense = poly._tuple_sum, poly._dense_sum
 
     def tuple_sum(*args):
         taken.append("tuple")
         return real_tuple(*args)
 
-    def packed_sum(*args):
-        taken.append("sparse")
-        return real_packed(*args)
+    def dense_sum(*args):
+        taken.append("dense")
+        return real_dense(*args)
 
-    def compress(*args):
-        taken[-1] = "dense"
-        return real_compress(*args)
-
-    with mock.patch.multiple(
-        poly, _tuple_sum=tuple_sum, _packed_sum=packed_sum, compress=compress
-    ):
+    with mock.patch.multiple(poly, _tuple_sum=tuple_sum, _dense_sum=dense_sum):
         yield taken
 
 
 def _rule(pairs) -> list:
     """The accumulators that the rule in `poly` picks for `_dot(pairs)`:
-    none without a nonzero pair; tuple keys while the sum forms at most
-    `_SMALL_SUM_PRODUCTS` term products or fewer products than input
-    terms; otherwise packed keys, in a dense list while their box holds
-    at most `_DENSE_SLOTS_PER_TERM` slots per input term."""
+    none without a nonzero pair; packed keys in a dense list if the sum
+    forms more than `_SMALL_SUM_PRODUCTS` term products, and no fewer
+    than its input terms, and their box holds at most
+    `_DENSE_SLOTS_PER_TERM` slots per input term; tuple keys otherwise."""
     live = [(a, b) for a, b in pairs if a and b]
     if not live:
         return []
@@ -343,7 +335,7 @@ def _rule(pairs) -> list:
     box = 1
     for k in range(live[0][0].chart.size):
         box *= 1 + max(a.degree_in(k) + b.degree_in(k) for a, b in live)
-    return ["dense" if box <= poly._DENSE_SLOTS_PER_TERM * size else "sparse"]
+    return ["dense" if box <= poly._DENSE_SLOTS_PER_TERM * size else "tuple"]
 
 
 def _reference_dot(chart: Chart, pairs) -> RefPoly:
@@ -376,17 +368,19 @@ def _long(chart: Chart, n: int, shift: int = 0) -> Poly:
 
 
 def _one_sum_per_accumulator():
-    """Sums that take the tuple keys, the dense list and the packed dict."""
+    """Sums that take the tuple keys (a small one, and a large one whose
+    box is over the bound) and the dense list."""
     x, xy = WIDE_CHARTS[:2]
     yield x, [(_long(x, 2), _long(x, 3, 1))]
+    yield x, [(_long(x, 8), _long(x, 8, 10000))]
     yield x, [(_long(x, 8), _long(x, 8, 1))]
     yield xy, [(_long(xy, 12), _long(xy, 12, 2))]
 
 
 def test_dot_matches_the_sum_of_products():
-    """On all three accumulators: operands of 8-12 terms reach the packed
-    keys, and x^1000000 * y forces their dict.  One example per
-    accumulator makes sure that each of them runs."""
+    """On both accumulators: operands of 8-12 terms reach the packed
+    keys, and x^1000000 * y sends the sum to the tuple keys.  One example
+    per accumulator makes sure that each of them runs."""
     seen = set()
 
     @given(_dot_pairs(), st.booleans(), _nonzero_rationals())
@@ -397,13 +391,13 @@ def test_dot_matches_the_sum_of_products():
             pairs = [*pairs, (x**1000000 * chart.vars()[-1] * c, x + c)]
         taken = _check_dot(chart, pairs)
         if huge:
-            assert "dense" not in taken
+            assert taken == ["tuple"]
         seen.update(taken)
 
     for drawn in _one_sum_per_accumulator():
         check = example(drawn, False, Fraction(1, 3))(check)
     check()
-    assert seen == {"tuple", "dense", "sparse"}
+    assert seen == {"tuple", "dense"}
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2])
@@ -412,8 +406,8 @@ def test_dot_on_either_side_of_the_box_rule(chart, extra):
     """A k x k pair, k the least with k * k > `_SMALL_SUM_PRODUCTS`, and
     a k x 1 pair: 3k + 1 terms in all, so the packed keys take the dense
     box while it holds at most (3k + 1) * `_DENSE_SLOTS_PER_TERM` slots
-    (an even number); the box is that plus ``extra``, or plus
-    2 * extra on two variables."""
+    (an even number), and the tuple keys past it; the box is that plus
+    ``extra``, or plus 2 * extra on two variables."""
     k = math.isqrt(poly._SMALL_SUM_PRODUCTS) + 1
     limit = (3 * k + 1) * poly._DENSE_SLOTS_PER_TERM
     if chart.size == 1:
@@ -431,7 +425,7 @@ def test_dot_on_either_side_of_the_box_rule(chart, extra):
     pairs = [(a, b), (b, seven)]
     assert len(a) == len(b) == k and k * k > poly._SMALL_SUM_PRODUCTS
     assert (box <= limit) == (extra == 0)
-    assert _check_dot(chart, pairs) == ["dense" if extra == 0 else "sparse"]
+    assert _check_dot(chart, pairs) == ["dense" if extra == 0 else "tuple"]
 
 
 def _small_sum_cases():
@@ -443,7 +437,7 @@ def _small_sum_cases():
     at_limit = [(_long(xy, 2, 1), _long(xy, limit // 2))] + [(x, y)] * (limit % 2)
     assert sum(len(a) * len(b) for a, b in at_limit) == limit
     yield "at-limit", xy, at_limit, "tuple"
-    yield "one-past", xy, [*at_limit, (Poly(xy, {(2, 1): Fraction(-3, 4)}), x)], "sparse"
+    yield "one-past", xy, [*at_limit, (Poly(xy, {(2, 1): Fraction(-3, 4)}), x)], "dense"
     for n in (1, 2, 3, 50, 200):
         for chart in WIDE_CHARTS[:2]:
             long = _long(chart, n)
@@ -536,7 +530,7 @@ def test_dot_with_degrees_at_each_radix_matches():
     for drawn in _one_sum_per_accumulator():
         check = example(drawn)(check)
     check()
-    assert seen == {"tuple", "dense", "sparse"}
+    assert seen == {"tuple", "dense"}
 
 
 def test_divexact_rejects_a_divisor_of_higher_degree_in_one_variable():
