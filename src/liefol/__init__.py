@@ -48,7 +48,6 @@ _EXPORTS = {
         "lcm",
         "normalize",
         "poly_det",
-        "rational_content",
         "squarefree_part",
     ),
     "expr": ("ParseError", "parse_field_coefficients", "parse_polynomial"),

@@ -24,9 +24,9 @@ are: the Jacobian's is its only elimination.
 
 The span of a tangent foliation is ker J itself: the components
 φ_1..φ_m, the Jacobian J (m×n, rows cleared to polynomials) and J's
-reduced form.  Its rank is n − rank J, and w lies in it exactly when
-J·w = 0, which reads J's rows, of far lower degree than the p×n kernel
-generators A (n = p + m).  Two more identities let it answer through J:
+reduced form.  Its rank is n − rank J, and three identities let it
+answer the other queries through φ and J, whose rows are of far lower
+degree than the p×n kernel generators A (n = p + m):
 
 - The p×p minors of A are its Plücker coordinates, and those of the
   kernel are the Hodge duals of the row space's: det A_S = ±λ·det J_T,
@@ -37,6 +37,8 @@ generators A (n = p + m).  Two more identities let it answer through J:
   [v, g](φ_i) = v(g(φ_i)) − g(v(φ_i)) = −g(v(φ_i)).  So the span is
   invariant under v exactly when every generator annihilates every
   h_i = v(φ_i), and no bracket is needed unless one does not.
+- For X, Y in ker dφ, [X, Y](φ_i) = X(Y(φ_i)) − Y(X(φ_i)) = 0, so the
+  span is involutive (Frobenius) and takes no bracket at all.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .poly import (
     Poly,
     RatFunc,
     _as_ratfunc,
-    _dot,
     clear_denominators,
     content,
     divexact,
@@ -90,7 +91,9 @@ class _MapKernel(NamedTuple):
     """The span of a tangent foliation, ker J of the map it came from, as
     ``tangent_foliation`` eliminated it: the components φ_i, the Jacobian
     rows J cleared to polynomials, and their reduced row space.  It
-    answers ``rank`` and ``in`` as a ``linalg.RowSpace`` does."""
+    answers ``rank`` as a ``linalg.RowSpace`` does; membership is never
+    asked of it, since every query on a tangent foliation answers through
+    φ and J."""
 
     components: Tuple[RatFunc, ...]
     rows: List[Tuple[Poly, ...]]
@@ -99,15 +102,6 @@ class _MapKernel(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.rows[0]) - len(self.space.pivots)
-
-    def __contains__(self, vector: Sequence[RatFunc]) -> bool:
-        """w is in ker J exactly when, with its denominators cleared, every
-        row of J annihilates it."""
-        w = clear_denominators(vector)
-        if len(w) != len(self.rows[0]):
-            raise ValueError("vector length differs from the row length")
-        chart = self.rows[0][0].chart
-        return all(_dot(chart, zip(row, w)).is_zero() for row in self.rows)
 
 
 class FoliationGens(_Frozen):
@@ -166,8 +160,9 @@ class FoliationGens(_Frozen):
     @property
     def span(self) -> Union[linalg.RowSpace, _MapKernel]:
         """The generic span of the generators: ker J for a tangent
-        foliation, otherwise their reduced fraction-free echelon form,
-        eliminated on first use and kept."""
+        foliation, which answers its rank, otherwise their reduced
+        fraction-free echelon form, eliminated on first use and kept,
+        which also answers membership."""
         if self._span is None:
             object.__setattr__(
                 self, "_span", linalg.RowSpace([g.coefficients for g in self.generators])
@@ -186,8 +181,15 @@ class InvolutivityResult(NamedTuple):
 
 
 def is_involutive(fol: FoliationGens) -> InvolutivityResult:
-    """Are all pairwise brackets of generators inside the generic span?"""
+    """Are all pairwise brackets of generators inside the generic span?
+
+    A tangent foliation, ker dφ, is involutive by construction: for X, Y
+    in it, [X, Y](φ_i) = X(Y(φ_i)) − Y(X(φ_i)) = 0, so it takes no
+    bracket.
+    """
     span = fol.span
+    if isinstance(span, _MapKernel):
+        return InvolutivityResult(True, None)
     for i, gi in enumerate(fol.generators):
         for gj in fol.generators[i + 1 :]:
             br = lie_bracket(gi, gj)

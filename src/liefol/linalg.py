@@ -13,7 +13,7 @@ and gives most maximal minors of its singular locus.
 
 The only elimination of a tangent foliation is its Jacobian's: ``_kernel``
 hands back the Jacobian's ``RowSpace`` with the kernel vectors, and the
-foliation's span is that kernel, whose membership test is J·w = 0.
+foliation's span is that kernel, whose rank is n − rank J.
 """
 
 from __future__ import annotations

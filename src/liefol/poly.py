@@ -535,13 +535,6 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def rational_content(p: Poly) -> Fraction:
-    """The positive rational c with p/c integer-primitive; 0 for the zero poly."""
-    if p.is_zero():
-        return Fraction(0)
-    return Fraction(math.gcd(*p._num.values()), p._den)
-
-
 def _normalizer(p: Poly) -> Fraction:
     """The rational r making p * r integer-primitive with a positive
     leading coefficient (p nonzero)."""
@@ -593,7 +586,8 @@ _HEU_MAX_BITS = 1 << 16
 
 
 def _integer_terms(p: Poly) -> Dict[Exponents, int]:
-    """The coefficients of p / rational_content(p): coprime integers."""
+    """The numerators of p's coefficients over their common denominator,
+    divided by their gcd: coprime integers."""
     unit = math.gcd(*p._num.values())
     return p._num if unit == 1 else {e: n // unit for e, n in p._num.items()}
 

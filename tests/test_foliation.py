@@ -36,7 +36,7 @@ from liefol import foliation as foliation_module
 from liefol.cli import parse_problem
 from liefol.dmod import PolyMap
 from liefol.foliation import SingularIdeal
-from liefol.poly import content, divexact, glex_key, normalize, poly_det
+from liefol.poly import _dot, clear_denominators, content, divexact, glex_key, normalize, poly_det
 from test_dmod import product_morphism
 
 X, Y = XY.vars()
@@ -44,6 +44,7 @@ X3, Y3, Z3 = XYZ.vars()
 ZERO2, ONE2 = Poly.zero(XY), Poly.one(XY)
 ZERO3, ONE3 = Poly.zero(XYZ), Poly.one(XYZ)
 XYZW = Chart(("x", "y", "z", "w"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def vf2(*coeffs):
@@ -337,13 +338,20 @@ def _map_corpus(seed: int):
         yield chart, comps
 
 
+def _in_kernel(fol, vector):
+    """Is w in ker J, J the Jacobian rows of the map of a tangent foliation?
+    With w's denominators cleared, every row must annihilate it."""
+    w = clear_denominators(vector)
+    return all(_dot(fol.chart, zip(row, w)).is_zero() for row in fol.span.rows)
+
+
 class TestTangentFoliationDifferential:
     """``tangent_foliation`` takes the kernel vectors as they are, and its
     span is the kernel of the map's Jacobian, which answers rank,
-    membership, involutivity, singular locus and invariance; the
-    constructor, which saturates the generators again, eliminates them on
-    first use and works on them alone, must agree, and so must one
-    determinant per maximal minor of the generators."""
+    involutivity, singular locus and invariance; the constructor, which
+    saturates the generators again, eliminates them on first use and
+    works on them alone, must agree, and so must one determinant per
+    maximal minor of the generators.  Membership in ker J is J·w = 0."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_a_foliation_built_from_its_generators(self, seed, monkeypatch):
@@ -374,20 +382,22 @@ class TestTangentFoliationDifferential:
             for g in fol.generators:
                 factor = RatFunc(random_poly(rng, chart, 1, 5), random_poly(rng, chart, 1, 5, allow_zero=False))
                 combination = [a + factor * c for a, c in zip(combination, g.coefficients)]
-            assert combination in fol.span and combination in ref.span
+            assert _in_kernel(fol, combination) and combination in ref.span
             other = random_field(rng, chart, max_degree=2, coeff_bound=5).coefficients
-            assert (other in fol.span) == (other in ref.span)
+            assert _in_kernel(fol, other) == (other in ref.span)
             # tangent to the fibres of φ_1 alone: the first Jacobian row
             # annihilates them, and the others need not
             for g in tangent_foliation(comps[:1], chart).generators:
-                inside = g.coefficients in fol.span
+                inside = _in_kernel(fol, g.coefficients)
                 assert inside == (g.coefficients in ref.span)
                 kinds["first row only"] += not inside
-            # zip would truncate silently: a wrong length is an error for both spans
+            # Frobenius: every bracket of two kernel generators is in ker J
+            for gi, gj in combinations(fol.generators, 2):
+                assert _in_kernel(fol, lie_bracket(gi, gj).coefficients)
+            # zip would truncate silently: a wrong length is an error
             for wrong in (combination[:-1], combination + [RatFunc.zero(chart)]):
-                for span in (fol.span, ref.span):
-                    with pytest.raises(ValueError, match="vector length differs"):
-                        wrong in span
+                with pytest.raises(ValueError, match="vector length differs"):
+                    wrong in ref.span
             tangent = VectorField.zero(chart)
             for g in fol.generators:
                 tangent = tangent + g.scale(random_poly(rng, chart, 1, 5))
@@ -407,14 +417,23 @@ class TestTangentFoliationDifferential:
                 kinds["invariant"] += got.ok
         assert all(kinds.values()), kinds
 
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_involutive_as_its_declared_twin(self, name):
+        """A tangent foliation is involutive by construction and takes no
+        bracket; its declared twin brackets its generators and must agree."""
+        problem = parse_problem((GOLDEN / "map_foliation.txt").read_text())
+        _, _, comps = problem.lookup("map", name)
+        fol = tangent_foliation(comps, problem.chart)
+        twin = FoliationGens(problem.chart, fol.generators)
+        assert is_involutive(fol) == is_involutive(twin) == (True, None)
+
     def test_declared_twin_of_two_dense_cubics(self):
         """The foliation declared by the kernel generators of two dense
         cubics on four variables answers rank and involutivity as their
         tangent foliation does, within 2 s.  Eliminating on the generators
         themselves forms sums of thousands of term products, the large-sum
         path of `poly._dot` that the benchmark workloads never reach."""
-        golden = Path(__file__).parent / "golden" / "map_degree3_rank2.txt"
-        problem = parse_problem(golden.read_text())
+        problem = parse_problem((GOLDEN / "map_degree3_rank2.txt").read_text())
         _, _, comps = problem.lookup("map", "m")
         fol = tangent_foliation(comps, problem.chart)
         twin = FoliationGens(problem.chart, fol.generators)

@@ -39,7 +39,6 @@ from liefol import (
     lcm,
     normalize,
     poly_det,
-    rational_content,
     squarefree_part,
 )
 from liefol import poly as poly_module
@@ -188,13 +187,9 @@ class TestCalculusHelpers:
 
 
 class TestNormalization:
-    def test_rational_content(self):
-        p = X * Fraction(2, 3) + Y * Fraction(4, 3)
-        assert rational_content(p) == Fraction(2, 3)
-        assert normalize(p) == X + 2 * Y
-
     def test_normalize_sign(self):
         assert normalize(-2 * X) == X
+        assert normalize(X * Fraction(-2, 3) + Y * Fraction(4, 3)) == X - 2 * Y
         assert normalize(Poly.zero(XY)).is_zero()
 
     @given(poly_strategy(XY))
