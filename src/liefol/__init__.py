@@ -76,7 +76,6 @@ _EXPORTS = {
         "invariant_hypersurface",
         "is_invariant_subsheaf",
         "is_involutive",
-        "same_rank1_foliation",
         "saturate_rank1",
         "singular_locus",
         "tangent_foliation",
@@ -106,9 +105,7 @@ _EXPORTS = {
         "differential_flow",
         "fixed_point",
         "leaf_density",
-        "line_is_invariant",
         "plane_is_invariant",
-        "return_map_matrix",
         "suspension_flow",
         "torus_distance",
         "verify_anosov_bounds",

@@ -78,15 +78,6 @@ def saturate_rank1(v: VectorField) -> VectorField:
     return VectorField.from_coefficients(v.chart, polys)
 
 
-def same_rank1_foliation(v: VectorField, w: VectorField) -> bool:
-    """Do two nonzero fields span the same direction over the function field?"""
-    if v.chart != w.chart:
-        raise ChartMismatchError("fields on different charts")
-    if v.is_zero() or w.is_zero():
-        raise ValueError("proportionality is only defined for nonzero fields")
-    return linalg.rank([v.coefficients, w.coefficients]) == 1
-
-
 class _MapKernel(NamedTuple):
     """The span of a tangent foliation, ker J of the map it came from, as
     ``tangent_foliation`` eliminated it: the components φ_i, the Jacobian

@@ -384,7 +384,6 @@ class LabeledPlane(NamedTuple):
 
 _PERIOD_TOL = 1e-9
 
-_Matrix3 = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 _Vec3 = Tuple[float, float, float]
 
 
@@ -395,13 +394,6 @@ def _return_crossings(state: SuspensionState, period) -> int:
     if distance > _PERIOD_TOL:
         raise ValueError(f"orbit does not close after time {period} (distance {distance:.3e})")
     return crossings(state, period)
-
-
-def return_map_matrix(state: SuspensionState, period) -> _Matrix3:
-    """The differential of the flow over one period of a closed orbit:
-    CAT^k (+) 1 as exact integer rows."""
-    m = cat_power(_return_crossings(state, period))
-    return ((m[0][0], m[0][1], 0), (m[1][0], m[1][1], 0), (0, 0, 1))
 
 
 def _vec3(vec: Sequence[float]) -> _Vec3:
@@ -456,17 +448,6 @@ def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLin
         LabeledLine(label="flow", eigenvalue=1.0, direction=_FLOW),
         LabeledLine(label="unstable", eigenvalue=grow, direction=unstable),
     )
-
-
-def line_is_invariant(state: SuspensionState, period, direction: Sequence[float]) -> bool:
-    """Does the return differential map the line of ``direction`` to itself?
-
-    For k != 0 the three eigenvalues are distinct, so the invariant lines
-    are exactly the eigenlines; for k = 0 (the identity) every line is.
-    """
-    k = _return_crossings(state, period)
-    d = _unit(_vec3(direction), "zero direction")
-    return k == 0 or any(math.hypot(*_cross(d, e)) <= _PERIOD_TOL for e in _EIGENLINES)
 
 
 def classify_invariant_planes(state: SuspensionState, period) -> Tuple[LabeledPlane, ...]:

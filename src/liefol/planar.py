@@ -28,13 +28,13 @@ of Q.  ``invariant_curve_constraint`` reports whether that necessary
 condition is met ("consistent") or violated ("excluded").
 
 The rational singular points [1 : t] come from the rational roots of P.
-``rational_roots`` finds them by exact real-root isolation: a Sturm
-sequence of the squarefree part separates the real roots in dyadic
-intervals, each interval is split by sign until at most one fraction
-with a small enough denominator can be its root, and that fraction is
-checked by exact evaluation.  Everything runs on integers, and the
-number of steps grows with the bit lengths of the coefficients, not
-with their magnitudes.
+``rational_roots`` finds them at one prime q that divides neither the
+leading coefficient of the squarefree part nor its discriminant: the
+roots mod q are found by trying every residue, each is lifted by Newton's
+iteration (Hensel) until the modulus bounds the numerator, and the
+candidate it gives is checked by exact evaluation.  Everything runs on
+integers, and the number of steps grows with the bit lengths of the
+coefficients, not with their magnitudes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _Frozen
@@ -146,120 +145,58 @@ def _restrict_to_line(p: Poly) -> Poly:
     return Poly._lowest(LINE_CHART, acc, p._den)
 
 
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of the polynomial with ascending integer ``coeffs`` at num/den, den > 0.
-
-    Evaluates den^d * f(num/den) by homogeneous Horner, in integers only.
-    """
+def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    """The polynomial with ascending integer ``coeffs`` at x, mod m (Horner)."""
     acc = 0
-    power = 1
     for c in reversed(coeffs):
-        acc = acc * num + c * power
-        power *= den
-    return (acc > 0) - (acc < 0)
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _sturm_sequence(f: List[int]) -> List[List[int]]:
-    """Sturm sequence of a squarefree f: f, f' and the negated remainders.
-
-    Each remainder comes from integer pseudo-division and is divided by
-    its content; only positive factors are dropped, so every sign, and
-    hence every variation count, is that of the classical sequence.
-    """
-    seq = [f, [k * c for k, c in enumerate(f)][1:]]
-    while len(seq[-1]) > 1:
-        r, b = list(seq[-2]), seq[-1]
-        sign = -1  # the sign of the factor that turns r into -rem(a, b)
-        while len(r) >= len(b):
-            lead_r = r.pop()
-            shift = len(r) - len(b) + 1
-            r = [b[-1] * c for c in r]
-            for i, c in enumerate(b[:-1]):
-                r[shift + i] -= lead_r * c
-            if b[-1] < 0:
-                sign = -sign
-            while r and r[-1] == 0:
-                r.pop()
-        g = reduce(math.gcd, r, 0)
-        seq.append([sign * c // g for c in r])
-    return seq
-
-
-def _variations(seq: List[List[int]], num: int, den: int) -> int:
-    """Sign changes along the Sturm sequence at num/den, zeros skipped."""
-    count = 0
-    last = 0
-    for g in seq:
-        s = _sign_at(g, num, den)
-        if s:
-            if last and s != last:
-                count += 1
-            last = s
-    return count
-
-
-def _split(lo: int, hi: int, k: int) -> Tuple[int, int, int, int]:
-    """Split the dyadic interval (lo/2^k, hi/2^k); returns (lo, mid, hi, k) on one scale.
-
-    The split is at 0 when the interval spans it, and at a power of two
-    near the geometric mean when one end is more than 4 times the other,
-    so that a root is found in O(log bits) steps whatever its magnitude;
-    otherwise it is the midpoint.
-    """
-    if lo < 0 < hi:
-        return lo, 0, hi, k
-    small, large = sorted((abs(lo), abs(hi)))
-    if large > 4 * max(small, 1):
-        mid = 1 << ((small.bit_length() + large.bit_length()) // 2)
-        return lo, mid if hi > 0 else -mid, hi, k
-    return 2 * lo, lo + hi, 2 * hi, k + 1
-
-
-def _refine(f: List[int], lo: int, hi: int, k: int) -> List[Fraction]:
-    """The rational root, if any, of f in (lo/2^k, hi/2^k).
-
-    The interval must hold exactly one root of the squarefree f and no
-    root at its ends.  Distinct rationals with denominators at most
-    ``lead = f[-1]`` lie at least 1/lead^2 apart, so once the interval
-    is narrower than 1/(2 lead^2) the only such rational near the
-    midpoint that can be the root is ``limit_denominator(lead)`` of it.
-    It still has to lie inside the interval: a rational root of f just
-    outside it may be that close to an irrational root inside.
-    """
-    lead = f[-1]
-    s_lo = _sign_at(f, lo, 1 << k)
-    while (hi - lo) * 2 * lead * lead >= 1 << k:
-        lo, mid, hi, k = _split(lo, hi, k)
-        s_mid = _sign_at(f, mid, 1 << k)
-        if s_mid == 0:
-            return [Fraction(mid, 1 << k)]
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    cand = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
-    inside = Fraction(lo, 1 << k) < cand < Fraction(hi, 1 << k)
-    if inside and _sign_at(f, cand.numerator, cand.denominator) == 0:
-        return [cand]
-    return []
+def _gcd_mod(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
+    """gcd of two polynomials over GF(q), q prime, by Euclid on ascending
+    coefficient lists; the zero polynomial is the empty list."""
+    a, b = ([c % q for c in p] for p in (a, b))
+    for p in (a, b):
+        while p and p[-1] == 0:
+            p.pop()
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            factor = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * c) % q
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 def rational_roots(p: Poly) -> List[Fraction]:
     """All rational roots of a nonzero univariate polynomial, sorted.
 
-    Exact real-root isolation on the squarefree part f (integer, primitive,
-    positive leading coefficient ``lead``).  A Sturm sequence counts the
-    roots in dyadic intervals, split (see ``_split``) from the Cauchy
-    bound until each interval holds one root; a split point that is itself
-    a root is recorded and stepped around.  Each one-root interval is then
-    split by sign below width 1/(2 lead^2), where at most one fraction
-    with denominator <= lead can be the root; it is kept only if it lies
-    in the interval and f vanishes there.
+    Works on the squarefree part f (integer, primitive, positive leading
+    coefficient ``lead``) at one prime q: the least odd prime that does
+    not divide ``lead`` and modulo which f stays squarefree (gcd(f, f')
+    mod q is constant).  Every residue mod q is tried as a root; each root
+    found is lifted by Newton's iteration mod q^(2^k) until the modulus M
+    exceeds 2 (lead + max|c_i|), and ``lead`` times the lift, read in
+    (-M/2, M/2], is the numerator of the candidate n/lead, kept only if f
+    vanishes there exactly.
 
-    Cost: all arithmetic is on integers.  Finding a root's magnitude takes
-    O(log bits) splits, and refining it about log2(|root| * lead^2) more
-    sign evaluations of f, so the time grows with the bit lengths of the
-    coefficients and of the root separations, not with their magnitudes.
+    Why it is exact: a root a/b has b | lead, and q does not divide lead,
+    so a/b has a residue mod q, which is a root of f mod q.  That root is
+    simple, as f is squarefree mod q, so it lifts to exactly one q-adic
+    root, which is a/b.  By Cauchy's bound |lead * a/b| <= lead + max|c_i|
+    < M/2, so the symmetric residue is the true numerator.  The lifts of
+    irrational roots fail the exact check.
+
+    Cost: all arithmetic is on integers.  Every odd prime below q divides
+    lead * disc f, so q is O(log |lead * disc f|), that is O(deg f * bits);
+    the scan takes q evaluations mod q and each lift O(log bits) Newton
+    steps, so the time grows with the bit lengths of the coefficients, not
+    with their magnitudes.
     """
     if p.chart.size != 1:
         raise ValueError("rational root search needs one variable")
@@ -270,34 +207,30 @@ def rational_roots(p: Poly) -> List[Fraction]:
     if degree == 0:
         return []
     f = [sqf._num.get((k,), 0) for k in range(degree + 1)]
-    seq = _sturm_sequence(f)
-    # Cauchy: every root has |r| < 1 + max|c_i| / lead < 2^bits
-    bits = (max(abs(c) for c in f) // f[-1] + 2).bit_length()
-    lo, hi = -(1 << bits), 1 << bits
+    df = [k * c for k, c in enumerate(f)][1:]
+    lead = f[-1]
+    q = 3
+    while (
+        any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2))
+        or lead % q == 0
+        or len(_gcd_mod(f, df, q)) > 1
+    ):
+        q += 2
+    bound = 2 * (lead + max(abs(c) for c in f))
     roots: List[Fraction] = []
-    # dyadic intervals (lo/2^k, hi/2^k) with their end variations; no end is a root
-    stack = [(lo, hi, 0, _variations(seq, lo, 1), _variations(seq, hi, 1))]
-    while stack:
-        lo, hi, k, v_lo, v_hi = stack.pop()
-        count = v_lo - v_hi
-        if count == 1:
-            roots.extend(_refine(f, lo, hi, k))
-        if count <= 1:
+    for r in range(q):
+        if _eval_mod(f, r, q):
             continue
-        lo, mid, hi, k = _split(lo, hi, k)
-        if _sign_at(f, mid, 1 << k) != 0:
-            v_mid = _variations(seq, mid, 1 << k)
-            stack += [(lo, mid, k, v_lo, v_mid), (mid, hi, k, v_mid, v_hi)]
-            continue
-        roots.append(Fraction(mid, 1 << k))
-        # halve the gap around the root until it is the only one inside
-        while True:
-            mid, lo, hi, k = 2 * mid, 2 * lo, 2 * hi, k + 1
-            v_left = _variations(seq, mid - 1, 1 << k)
-            v_right = _variations(seq, mid + 1, 1 << k)
-            if v_left - v_right == 1 and _sign_at(f, mid - 1, 1 << k) != 0:
-                break
-        stack += [(lo, mid - 1, k, v_lo, v_left), (mid + 1, hi, k, v_right, v_hi)]
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        n = lead * r % m
+        if 2 * n > m:
+            n -= m
+        root = Fraction(n, lead)
+        if sqf.evaluate([root]) == 0:
+            roots.append(root)
     return sorted(roots)
 
 

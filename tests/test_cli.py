@@ -758,6 +758,17 @@ class TestBudgets:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_planar_field_with_a_long_lead(self, capsys):
+        """P(t) = (1 - t)(N t^2 + 5t - 1), N the 1274-digit product of the
+        primes below 3000: the rational root 1 is found at one prime."""
+        start = time.perf_counter()
+        code = main(["planar", str(GOLDEN / "planar_long_lead.txt")])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == (GOLDEN / "planar_long_lead.json").read_text()
+        assert json.loads(out)["result"]["rational_infinity_points"] == [["1", "1"]]
+
     def test_degree70_rank_one_map(self, capsys):
         """Two equal 2556-term components: every product of the Bareiss
         elimination runs on large operands in the dense accumulator."""

@@ -23,9 +23,7 @@ from liefol import (
     differential_flow,
     fixed_point,
     leaf_density,
-    line_is_invariant,
     plane_is_invariant,
-    return_map_matrix,
     suspension_flow,
     torus_distance,
     verify_anosov_bounds,
@@ -289,22 +287,6 @@ class TestAnosovBounds:
             verify_anosov_bounds(t_max=10**4)
 
 
-class TestReturnMap:
-    def test_fixed_point_block(self):
-        m = return_map_matrix(fixed_point(), 1)
-        assert m == ((2, 1, 0), (1, 1, 0), (0, 0, 1))
-
-    def test_period_two(self):
-        s = SuspensionState(Fraction(4, 5), Fraction(3, 5), Fraction(0))
-        m = return_map_matrix(s, 2)
-        assert m == ((5, 3, 0), (3, 2, 0), (0, 0, 1))
-
-    def test_non_periodic_rejected(self):
-        s = SuspensionState(Fraction(1, 3), Fraction(0), Fraction(0))
-        with pytest.raises(ValueError, match="does not close"):
-            return_map_matrix(s, 1)
-
-
 class TestInvariantLines:
     def test_three_lines_at_fixed_point(self):
         lines = classify_invariant_lines(fixed_point(), 1)
@@ -325,17 +307,11 @@ class TestInvariantLines:
         for got, want in zip(lines, base):
             assert got.direction == pytest.approx(want.direction, abs=1e-9)
 
-    def test_line_membership(self):
-        lines = classify_invariant_lines(fixed_point(), 1)
-        for ln in lines:
-            assert line_is_invariant(fixed_point(), 1, ln.direction)
 
-    def test_non_eigenline_rejected(self):
-        assert not line_is_invariant(fixed_point(), 1, (1.0, 0.0, 0.0))
-        # small tilt off the stable line
-        lines = classify_invariant_lines(fixed_point(), 1)
-        sx, sy, _ = lines[0].direction
-        assert not line_is_invariant(fixed_point(), 1, (sx + 0.01, sy, 0.0))
+def _return_map(state, period):
+    """The return differential CAT^k (+) 1, k the roof crossings in one period."""
+    m = cat_power(crossings(state, period))
+    return ((m[0][0], m[0][1], 0), (m[1][0], m[1][1], 0), (0, 0, 1))
 
 
 def _numpy_lines(state, period):
@@ -343,7 +319,7 @@ def _numpy_lines(state, period):
     of the 3x3 return map, sorted by modulus, unit length, first
     non-negligible component positive."""
     np = pytest.importorskip("numpy")
-    values, vectors = np.linalg.eig(np.array(return_map_matrix(state, period), dtype=float))
+    values, vectors = np.linalg.eig(np.array(_return_map(state, period), dtype=float))
     lines = []
     for idx in np.argsort(np.abs(values.real)):
         v = vectors[:, idx].real
@@ -354,18 +330,9 @@ def _numpy_lines(state, period):
     return lines
 
 
-def _numpy_line_is_invariant(state, period, direction):
-    np = pytest.importorskip("numpy")
-    m = np.array(return_map_matrix(state, period), dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    image = m @ d
-    return bool(np.linalg.norm(image - (image @ d) * d) <= 1e-9 * np.linalg.norm(image))
-
-
 def _numpy_plane_is_invariant(state, period, u, w):
     np = pytest.importorskip("numpy")
-    m = np.array(return_map_matrix(state, period), dtype=float)
+    m = np.array(_return_map(state, period), dtype=float)
     normal = np.cross(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
     normal = normal / np.linalg.norm(normal)
     images = [m @ np.asarray(vec, dtype=float) for vec in (u, w)]
@@ -398,9 +365,6 @@ class TestExactClassification:
         others = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (eigen[0][0] + 0.01, eigen[0][1], 0.0)]
         others += [tuple(float(rng.randint(-5, 5)) for _ in range(3)) for _ in range(6)]
         vectors = [v for v in eigen + others if any(v)]
-        for v in vectors:
-            want = _numpy_line_is_invariant(state, period, v)
-            assert line_is_invariant(state, period, v) == want
         for i, u in enumerate(vectors):
             for w in vectors[i + 1 :]:
                 try:
@@ -418,8 +382,6 @@ class TestExactClassification:
         s = SuspensionState(Fraction(1, 3), Fraction(0), Fraction(0))
         with pytest.raises(ValueError, match="does not close"):
             classify_invariant_lines(s, 1)
-        with pytest.raises(ValueError, match="does not close"):
-            line_is_invariant(s, 1, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="does not close"):
             plane_is_invariant(s, 1, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 

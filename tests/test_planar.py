@@ -264,12 +264,12 @@ class TestRationalRoots:
     def test_cost_grows_with_bit_length_not_magnitude(self, monkeypatch):
         t = LINE_CHART.var("t")
         calls = []
-        sign_at = planar._sign_at
+        eval_mod = planar._eval_mod
         monkeypatch.setattr(
-            planar, "_sign_at", lambda *args: calls.append(1) or sign_at(*args)
+            planar, "_eval_mod", lambda *args: calls.append(1) or eval_mod(*args)
         )
 
-        def sign_evaluations(magnitude: int) -> int:
+        def modular_evaluations(magnitude: int) -> int:
             calls.clear()
             p = (7 * t - magnitude) * (t**2 - 2) * (3 * t + 1) * (t**2 + magnitude)
             start = time.perf_counter()
@@ -278,7 +278,80 @@ class TestRationalRoots:
             return len(calls)
 
         # 13 times the bits, 10^37 times the magnitude
-        assert sign_evaluations(10**40) <= 4 * sign_evaluations(10**3)
+        assert modular_evaluations(10**40) <= 4 * modular_evaluations(10**3)
+
+    @staticmethod
+    def _primes_tried(monkeypatch) -> list:
+        """Spy on the Euclid mod q: the primes q at which gcd(f, f') was taken."""
+        primes = []
+        gcd_mod = planar._gcd_mod
+        monkeypatch.setattr(
+            planar, "_gcd_mod", lambda a, b, q: primes.append(q) or gcd_mod(a, b, q)
+        )
+        return primes
+
+    def test_prime_skips_the_divisors_of_the_lead(self, monkeypatch):
+        t = LINE_CHART.var("t")
+        primes = self._primes_tried(monkeypatch)
+        # lead 3 * 3*5*7*11*13: no root has a residue mod 3, 5, 7, 11 or 13
+        p = (15015 * t - 4) * (t + 3) * (3 * t - 2) * (t**2 + t + 1)
+        assert rational_roots(p) == _divisor_search(p)
+        assert rational_roots(p) == [Fraction(-3), Fraction(4, 15015), Fraction(2, 3)]
+        assert primes and not {3, 5, 7, 11, 13} & set(primes)
+
+    def test_roots_that_collide_mod_small_primes(self, monkeypatch):
+        t = LINE_CHART.var("t")
+        primes = self._primes_tried(monkeypatch)
+        # the two roots are congruent mod 3 to 17: f mod q is squarefree first at 19
+        gap = 3 * 5 * 7 * 11 * 13 * 17
+        assert rational_roots((t - 2) * (t - 2 - gap)) == [Fraction(2), Fraction(2 + gap)]
+        assert primes == [3, 5, 7, 11, 13, 17, 19]
+
+    def test_ten_linear_factors_with_the_root_zero(self):
+        t = LINE_CHART.var("t")
+        p = t * (5 * t - 2) * (3 * t + 1) * (2 * t - 3)
+        for k in (1, -1, 2, -2, 5, -4):
+            p = p * (t - k)
+        expected = [-4, -2, -1, Fraction(-1, 3), 0, Fraction(2, 5), 1, Fraction(3, 2), 2, 5]
+        assert rational_roots(p) == _divisor_search(p) == expected
+
+    def test_denominator_is_the_whole_lead(self):
+        t = LINE_CHART.var("t")
+        p = (1001 * t - 5) * (t**2 + t + 7)
+        assert rational_roots(p) == _divisor_search(p) == [Fraction(5, 1001)]
+        # a prime lead near 10^9, next to an irrational root within 1/lead^2
+        lead = 999999937
+        u = lead * t - 123456789
+        assert rational_roots(u * (u**2 - 1000 * u - 1)) == [Fraction(123456789, lead)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # every prime below 4001 divides the constant, so f mod q is a
+            # 41st power for each of them and the prime search walks past all
+            lambda t: (t + 1) ** 41 - _primorial(4000),
+            # a 1274-digit squarefree lead N: a root +-1/d needs N = d^2 (+-5 - d),
+            # so d = 1, and neither 1 nor -1 is a root
+            lambda t: _primorial(3000) * t**3 - 5 * t + 1,
+        ],
+        ids=["primorial_constant", "primorial_lead"],
+    )
+    def test_hostile_leads_and_constants_answer_quickly(self, build):
+        p = build(LINE_CHART.var("t"))
+        start = time.perf_counter()
+        assert rational_roots(p) == []
+        assert time.perf_counter() - start < 2.0
+
+
+def _primorial(n: int) -> int:
+    """The product of the primes below n."""
+    sieve = [True] * n
+    product = 1
+    for k in range(2, n):
+        if sieve[k]:
+            product *= k
+            sieve[k * k :: k] = [False] * len(range(k * k, n, k))
+    return product
 
 
 def _divisor_search(p: Poly) -> list:
