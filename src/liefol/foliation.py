@@ -32,7 +32,9 @@ degree than the p×n kernel generators A (n = p + m):
   kernel are the Hodge duals of the row space's: det A_S = ±λ·det J_T,
   with T the complement of S, for one nonzero λ.  So the m×m minors of J
   cut out the same singular locus once the common content is divided
-  away.
+  away.  The kernel vectors' entries are such minors, so the common
+  content divides every content the kernel divided out, and one content
+  of 1 makes it 1 without a gcd.
 - ker dφ is the set of fields that annihilate every φ_i, and for g in it
   [v, g](φ_i) = v(g(φ_i)) − g(v(φ_i)) = −g(v(φ_i)).  So the span is
   invariant under v exactly when every generator annihilates every
@@ -81,14 +83,17 @@ def saturate_rank1(v: VectorField) -> VectorField:
 class _MapKernel(NamedTuple):
     """The span of a tangent foliation, ker J of the map it came from, as
     ``tangent_foliation`` eliminated it: the components φ_i, the Jacobian
-    rows J cleared to polynomials, and their reduced row space.  It
-    answers ``rank`` as a ``linalg.RowSpace`` does; membership is never
-    asked of it, since every query on a tangent foliation answers through
-    φ and J."""
+    rows J cleared to polynomials, their reduced row space, and the
+    normalized content divided out of each kernel vector, in generator
+    order.  Each content is the gcd of some m×m minors of J, so the common
+    content of all of them divides it.  It answers ``rank`` as a
+    ``linalg.RowSpace`` does; membership is never asked of it, since every
+    query on a tangent foliation answers through φ and J."""
 
     components: Tuple[RatFunc, ...]
     rows: List[Tuple[Poly, ...]]
     space: linalg.RowSpace
+    contents: List[Poly]
 
     @property
     def rank(self) -> int:
@@ -138,7 +143,10 @@ class FoliationGens(_Frozen):
         the generators are a basis of the kernel of ``span.rows``, and that
         ``span.space`` is those rows' reduced form whose common pivot is
         exactly the determinant of the rows on its pivot columns, as
-        ``singular_locus`` reads minors off it.
+        ``singular_locus`` reads minors off it, and that ``span.contents``
+        holds the normalized gcd of the nonzero entries of each kernel
+        vector before it was divided out: ``singular_locus`` takes the
+        common content of its minors as 1 when one of them is 1.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "chart", chart)
@@ -277,6 +285,13 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     after the common content is divided away both give the same
     generators, in the same order, since S runs over the same column sets
     either way.  The normalization below drops the signs.
+
+    Every nonzero entry of a kernel vector is one of these minors of J:
+    the common pivot d is the minor on the pivot columns, and R[i][f] the
+    minor that swaps pivot p_i for f.  So the common content of the
+    minors divides each content ``span.contents`` holds, and when one of
+    them is 1 the common content is 1 without a gcd.  No minor is divided
+    by a common content of 1.
     """
     p = len(fol.generators)
     span = fol.span
@@ -284,8 +299,9 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     if span.rank < p:
         raise ValueError("generators are dependent at the generic point")
     n = fol.chart.size
+    contents: Sequence[Poly] = ()
     if isinstance(span, _MapKernel):
-        matrix, space = span.rows, span.space
+        matrix, space, contents = span.rows, span.space, span.contents
         blocks = (tuple(c for c in range(n) if c not in s) for s in combinations(range(n), p))
     else:
         matrix, space = [g.polynomial_coefficients() for g in fol.generators], span
@@ -295,10 +311,10 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
         minor = _minor(matrix, space, cols)
         if not minor.is_zero():
             minors.append(minor)
-    common = content(minors)
+    common = Poly.one(fol.chart) if any(g.is_one() for g in contents) else content(minors)
     reduced = []
     for m in minors:
-        q = normalize(divexact(m, common))
+        q = normalize(m if common.is_one() else divexact(m, common))
         if q not in reduced:
             reduced.append(q)
     if any(q.is_constant() for q in reduced):
@@ -325,7 +341,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
     m = len(comps)
     n = chart.size
     rows = [clear_denominators([c.partial(k) for k in range(n)]) for c in comps]
-    kernel, space = linalg._kernel(rows)
+    kernel, space, contents = linalg._kernel(rows)
     r = n - len(kernel)
     if r != m:
         raise ValueError(
@@ -333,7 +349,7 @@ def tangent_foliation(components: Sequence[Union[RatFunc, Poly]], chart: Chart) 
         )
     if m == n:
         raise ValueError("map has finite generic fibres; the tangent foliation is zero")
-    return FoliationGens._trusted(chart, kernel, _MapKernel(comps, rows, space))
+    return FoliationGens._trusted(chart, kernel, _MapKernel(comps, rows, space, contents))
 
 
 def invariant_hypersurface(f: Poly, v: VectorField) -> bool:

@@ -13,7 +13,11 @@ and gives most maximal minors of its singular locus.
 
 The only elimination of a tangent foliation is its Jacobian's: ``_kernel``
 hands back the Jacobian's ``RowSpace`` with the kernel vectors, and the
-foliation's span is that kernel, whose rank is n − rank J.
+foliation's span is that kernel, whose rank is n − rank J.  It also hands
+back the content it divided out of each vector, and divides only by a
+content that is not 1.  Every nonzero kernel entry is a maximal minor of
+the Jacobian, so these contents are multiples of the common content of
+the singular locus, and one content of 1 settles it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from .poly import (
     Poly,
     RatFunc,
     _dot,
+    _normalizer,
     bareiss,
     clear_denominators,
     content,
     divexact,
-    normalize,
 )
 
 Matrix = Sequence[Sequence[RatFunc]]
@@ -102,24 +106,38 @@ def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:
 
 def _kernel(
     rows: Sequence[Sequence[Poly]],
-) -> Tuple[List[Tuple[Poly, ...]], RowSpace]:
+) -> Tuple[List[Tuple[Poly, ...]], RowSpace, List[Poly]]:
     """``kernel_basis`` of polynomial rows as polynomial vectors, with the
-    rows' own space."""
+    rows' own space and the content g divided out of each vector.
+
+    The vector of a non-pivot column f has d at f and −R[i][f] at pivot
+    p_i, and ``contents`` holds the normalized gcd g of those nonzero
+    entries, one per vector.  The entries are divided by g only when g is
+    not 1, and then scaled by the one rational unit that normalizes the
+    entry at f, only when that unit is not 1: a content of 1 costs no
+    division.
+    """
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
     space = RowSpace._polynomial(rows)
     m, pivots = space.rows, space.pivots
     den = space.den if pivots else Poly.one(m[0][0].chart)
     basis: List[Tuple[Poly, ...]] = []
+    contents: List[Poly] = []
     for f in (c for c in range(len(m[0])) if c not in pivots):
         vec = [Poly.zero(den.chart)] * len(m[0])
         vec[f] = den
         for row, col in zip(m, pivots):
             vec[col] = -row[f]
         g = content([p for p in vec if not p.is_zero()])
-        scale = divexact(den, normalize(divexact(den, g)))
-        basis.append(tuple(divexact(p, scale) for p in vec))
-    return basis, space
+        if not g.is_one():
+            vec = [divexact(p, g) for p in vec]
+        unit = _normalizer(vec[f])
+        if unit != 1:
+            vec = [p * unit for p in vec]
+        basis.append(tuple(vec))
+        contents.append(g)
+    return basis, space, contents
 
 
 def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:

@@ -183,7 +183,9 @@ def rational_roots(p: Poly) -> List[Fraction]:
     found is lifted by Newton's iteration mod q^(2^k) until the modulus M
     exceeds 2 (lead + max|c_i|), and ``lead`` times the lift, read in
     (-M/2, M/2], is the numerator of the candidate n/lead, kept only if f
-    vanishes there exactly.
+    vanishes there exactly.  By the rational root theorem the numerator
+    of n/lead in lowest terms divides f(0), so a candidate that fails
+    this integer test is dropped before the exact evaluation.
 
     Why it is exact: a root a/b has b | lead, and q does not divide lead,
     so a/b has a residue mod q, which is a root of f mod q.  That root is
@@ -229,7 +231,9 @@ def rational_roots(p: Poly) -> List[Fraction]:
         if 2 * n > m:
             n -= m
         root = Fraction(n, lead)
-        if sqf.evaluate([root]) == 0:
+        # the numerator of a root divides f(0), and 0 is a root only when f(0) = 0
+        a = root.numerator
+        if (f[0] % a if a else f[0]) == 0 and sqf.evaluate([root]) == 0:
             roots.append(root)
     return sorted(roots)
 

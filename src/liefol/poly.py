@@ -606,8 +606,10 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     further common factor k would have |k(xi)| > xi_1 / 2, while k(xi)
     divides the content of h, whose digits are at most xi_1 / 2.  A
     candidate that fails the division is discarded and the points grow.
-    None means no candidate passed (or the integers would grow too
-    long), and the caller falls back to the PRS.
+    A constant candidate divides both inputs, so it is returned as 1
+    without the two trial divisions.  None means no candidate passed (or
+    the integers would grow too long), and the caller falls back to the
+    PRS.
 
     Evaluating at separate points, rather than substituting powers of one
     X for all variables (Kronecker), matters for forms: binary forms have
@@ -634,6 +636,8 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
             # carries a factor that no polynomial gcd explains
             xi += math.isqrt(xi) + 1
         h = _interpolate(math.gcd(fk.get((), 0), gk.get((), 0)), points)
+        if len(h) == 1 and not any(next(iter(h))):
+            return Poly.one(p.chart)
         unit = math.gcd(*h.values())
         if h[max(h, key=glex_key)] < 0:
             unit = -unit
@@ -1229,7 +1233,7 @@ def _as_ratfunc(chart: Chart, value: Union[RatFunc, Poly, Coeff]) -> RatFunc:
     if isinstance(value, (RatFunc, Poly)):
         if value.chart != chart:
             raise ChartMismatchError("coefficient lives on a different chart")
-        return value if isinstance(value, RatFunc) else RatFunc(value)
+        return value if isinstance(value, RatFunc) else RatFunc._trusted(value, Poly.one(chart))
     if isinstance(value, (int, Fraction)):
         return RatFunc(Poly.constant(chart, value))
     raise TypeError(f"bad coefficient: {type(value).__name__}")

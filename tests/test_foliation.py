@@ -33,10 +33,20 @@ from liefol import (
 )
 from liefol import foliation as foliation_module
 from liefol import linalg
+from liefol import poly as poly_module
 from liefol.cli import parse_problem
 from liefol.dmod import PolyMap
 from liefol.foliation import SingularIdeal
-from liefol.poly import _dot, clear_denominators, content, divexact, glex_key, normalize, poly_det
+from liefol.poly import (
+    _dot,
+    clear_denominators,
+    content,
+    divexact,
+    divides,
+    glex_key,
+    normalize,
+    poly_det,
+)
 from test_dmod import product_morphism
 
 X, Y = XY.vars()
@@ -343,6 +353,15 @@ def _map_corpus(seed: int):
         yield chart, comps
 
 
+def _jacobian_content(fol):
+    """The common content of the nonzero m×m minors of a tangent
+    foliation's Jacobian, with one determinant per minor."""
+    rows = fol.span.rows
+    blocks = combinations(range(fol.chart.size), len(rows))
+    minors = (poly_det([[row[c] for c in cols] for row in rows]) for cols in blocks)
+    return content([m for m in minors if not m.is_zero()])
+
+
 def _in_kernel(fol, vector):
     """Is w in ker J, J the Jacobian rows of the map of a tangent foliation?
     With w's denominators cleared, every row must annihilate it."""
@@ -356,7 +375,10 @@ class TestTangentFoliationDifferential:
     involutivity, singular locus and invariance; the constructor, which
     saturates the generators again, eliminates them on first use and
     works on them alone, must agree, and so must one determinant per
-    maximal minor of the generators.  Membership in ker J is J·w = 0."""
+    maximal minor of the generators.  Membership in ker J is J·w = 0.
+    The content divided out of each kernel vector is a multiple of the
+    common content of J's minors, which the singular locus divides away;
+    the seeds give contents and locus contents other than 1."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_a_foliation_built_from_its_generators(self, seed, monkeypatch):
@@ -365,7 +387,15 @@ class TestTangentFoliationDifferential:
         monkeypatch.setattr(
             foliation_module, "poly_det", lambda rows: dets.append(1) or real_det(rows)
         )
-        kinds = {"rejected": 0, "p = 2": 0, "k >= 2": 0, "invariant": 0, "first row only": 0}
+        kinds = {
+            "rejected": 0,
+            "p = 2": 0,
+            "k >= 2": 0,
+            "invariant": 0,
+            "first row only": 0,
+            "kernel content not 1": 0,
+            "locus content not 1": 0,
+        }
         for chart, comps in _map_corpus(seed):
             try:
                 fol = tangent_foliation(comps, chart)
@@ -377,6 +407,11 @@ class TestTangentFoliationDifferential:
             assert all(saturate_rank1(g) == g for g in fol.generators)
             kinds["p = 2"] += len(fol.generators) == 2
             assert generic_rank(fol) == generic_rank(ref) == len(fol.generators)
+            common = _jacobian_content(fol)
+            assert len(fol.span.contents) == len(fol.generators)
+            assert all(divides(common, g) for g in fol.span.contents)
+            kinds["kernel content not 1"] += any(not g.is_one() for g in fol.span.contents)
+            kinds["locus content not 1"] += not common.is_one()
             assert is_involutive(fol) == is_involutive(ref)
             del dets[:]
             locus = singular_locus(fol)
@@ -421,6 +456,22 @@ class TestTangentFoliationDifferential:
                     assert got.ok
                 kinds["invariant"] += got.ok
         assert all(kinds.values()), kinds
+
+    def test_a_kernel_content_of_one_takes_no_locus_gcd(self, monkeypatch):
+        """Each kernel entry is a minor of the Jacobian, so one kernel
+        vector of content 1 makes the common content of the minors 1: the
+        tangent singular locus runs no GCDHEU.  The declared twin, which
+        has no kernel contents, takes its gcds and gets the same locus."""
+        a, b, c, d = XYZW.vars()
+        comps = (a**2 + b * c - d * Fraction(2, 3), b * d + a * c * Fraction(1, 5))
+        fol = tangent_foliation(comps, XYZW)
+        assert any(g.is_one() for g in fol.span.contents)
+        calls, real = [], poly_module._heu_gcd
+        monkeypatch.setattr(poly_module, "_heu_gcd", lambda p, q: calls.append(1) or real(p, q))
+        locus = singular_locus(fol)
+        assert len(locus.generators) == 6 and not calls
+        assert singular_locus(FoliationGens(XYZW, fol.generators)) == locus
+        assert calls
 
     @pytest.mark.parametrize("name", ["m1", "m2"])
     def test_involutive_as_its_declared_twin(self, name):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rational-function field.
 
 The fraction-free elimination is checked against the RatFunc
-Gauss-Jordan it replaced, kept here as the reference.
+Gauss-Jordan it replaced, kept here as the reference, and the kernel's
+normalization against the three divisions it replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from liefol import foliation as foliation_module
 from liefol import linalg
 from liefol import poly as poly_module
 from liefol.linalg import RowSpace, clear_to_polynomials, kernel_basis, rank, rref
-from liefol.poly import clear_denominators, poly_det
+from liefol.poly import clear_denominators, content, divexact, normalize, poly_det
 
 X, Y = XY.vars()
 
@@ -392,3 +393,68 @@ def test_polynomial_rows_take_no_gcd(monkeypatch):
     assert m[2] not in RowSpace(m[:2])
     assert not poly_det(square).is_zero()
     assert calls == []
+
+
+def _reference_kernel(rows):
+    """The kernel vectors of polynomial rows, normalized as ``_kernel``
+    used to: scale = d / normalize(d / g) for the content g, then one
+    exact division by the scale per entry."""
+    space = RowSpace._polynomial(rows)
+    m, pivots = space.rows, space.pivots
+    den = space.den if pivots else Poly.one(m[0][0].chart)
+    basis, contents = [], []
+    for f in (c for c in range(len(m[0])) if c not in pivots):
+        vec = [Poly.zero(den.chart)] * len(m[0])
+        vec[f] = den
+        for row, col in zip(m, pivots):
+            vec[col] = -row[f]
+        g = content([p for p in vec if not p.is_zero()])
+        scale = divexact(den, normalize(divexact(den, g)))
+        basis.append(tuple(divexact(p, scale) for p in vec))
+        contents.append(g)
+    return basis, contents
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_kernel_matches_the_three_division_normalization(seed):
+    """Dividing by the content only when it is not 1, then scaling by one
+    rational unit, gives the vectors the old normalization gave.  Half the
+    matrices have every row multiplied by a shared factor, and some by a
+    rational constant, so that contents other than 1 occur."""
+    shared = XY.var("x") - XY.var("y") + 2
+    kinds = {"content 1": 0, "content not 1": 0}
+    for rng, chart, m in _random_matrices(seed, 40):
+        rows = [list(clear_denominators(row)) for row in m]
+        if rng.random() < 0.5:
+            factor = shared if chart == XY else XYZ.var("z") - XYZ.var("x") + 2
+            rows = [[p * factor for p in row] for row in rows]
+        if rng.random() < 0.3:
+            unit = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+            rows = [[p * unit for p in row] for row in rows]
+        basis, space, contents = linalg._kernel(rows)
+        assert (basis, contents) == _reference_kernel(rows)
+        assert space.pivots == RowSpace._polynomial(rows).pivots
+        for g in contents:
+            kinds["content 1" if g.is_one() else "content not 1"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_kernel_content_of_one_costs_no_division(monkeypatch):
+    x, y, z = XYZ.vars()
+    calls = []
+    real = linalg.divexact
+    monkeypatch.setattr(linalg, "divexact", lambda f, g: calls.append(g) or real(f, g))
+    expected = [
+        (-3 * y * Fraction(1, 2), x, Poly.zero(XYZ)),
+        (Poly.constant(XYZ, -1), Poly.zero(XYZ), x),
+    ]
+    # d = 2x; the vectors (-3y, 2x, 0) and (-2, 0, 2x) have content 1 and
+    # are only scaled by 1/2, so that x is integer-primitive
+    basis, _, contents = linalg._kernel([[2 * x, 3 * y, Poly.constant(XYZ, 2)]])
+    assert basis == expected
+    assert contents == [Poly.one(XYZ)] * 2 and not calls
+    # times (y - z): each vector has the content y - z, one division an entry
+    h = y - z
+    basis, _, contents = linalg._kernel([[2 * x * h, 3 * y * h, 2 * h]])
+    assert basis == expected
+    assert contents == [normalize(h)] * 2 and calls == [normalize(h)] * 6

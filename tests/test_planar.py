@@ -342,6 +342,23 @@ class TestRationalRoots:
         assert rational_roots(p) == []
         assert time.perf_counter() - start < 2.0
 
+    def test_numerator_test_comes_before_the_exact_evaluation(self, monkeypatch):
+        """The numerator of a root divides f(0) (rational root theorem).
+        The one candidate of (t+1)^41 − N, N the product of the primes
+        below 4000, is a q-adic root lifted to a numerator of some 5700
+        bits, and this integer test rejects it with no evaluation.  A
+        candidate that passes it, the root 0 among them, is still
+        evaluated exactly."""
+        t = LINE_CHART.var("t")
+        evaluated, real = [], Poly.evaluate
+        monkeypatch.setattr(
+            Poly, "evaluate", lambda p, point: evaluated.append(point) or real(p, point)
+        )
+        assert rational_roots((t + 1) ** 41 - _primorial(4000)) == []
+        assert evaluated == []
+        assert rational_roots(t * (3 * t - 2) * (t**2 + 7)) == [0, Fraction(2, 3)]
+        assert sorted(point[0] for point in evaluated) == [0, Fraction(2, 3)]
+
 
 def _primorial(n: int) -> int:
     """The product of the primes below n."""

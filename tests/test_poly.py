@@ -268,6 +268,25 @@ class TestGcd:
     def test_structured_inputs_take_the_heuristic(self, f, g):
         assert poly_module._heu_gcd(f, g) == Poly.one(XY)
 
+    def test_constant_candidate_takes_no_trial_division(self, monkeypatch):
+        """A constant candidate divides both inputs, so a coprime pair gets
+        1 without a trial division; a candidate that is not constant still
+        takes its two, and the one that passes is the gcd."""
+        x, y, z = XYZ.vars()
+        calls, real = [], poly_module.divides
+        monkeypatch.setattr(poly_module, "divides", lambda g, f: calls.append(g) or real(g, f))
+        coprime = [
+            (x**2 + y * z - 3, x * y - 7 * z + 1),
+            (3 * x * y - z**2 + 7, 5 * x**2 + 1),
+            (Poly.constant(XYZ, 6) * (x + y), Poly.constant(XYZ, 4) * (x - y)),
+        ]
+        for a, b in coprime:
+            assert poly_module._heu_gcd(a, b) == Poly.one(XYZ) == _prs_gcd(a, b)
+        assert not calls
+        h = 3 * x * y - z**2 + 7
+        assert poly_module._heu_gcd(h * (x + y), h * (x - z)) == normalize(h)
+        assert calls[-2:] == [normalize(h)] * 2
+
     def test_oversized_evaluation_goes_to_prs(self):
         (t,) = Chart(("t",)).vars()
         a, b = t**20000 - 1, t**15000 - 1
