@@ -241,9 +241,6 @@ class SingularIdeal(_Frozen):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", generators)
 
-    def is_trivial(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 

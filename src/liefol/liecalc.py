@@ -214,19 +214,6 @@ class FlowSeries(_Frozen):
     def coefficient(self, k: int):
         return self.coefficients[k]
 
-    def derivative(self) -> "FlowSeries":
-        """Formal d/dt: drops to order-1; coefficient k becomes (k+1)*c_{k+1}."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        coeffs = []
-        for k in range(self.order):
-            c = self.coefficients[k + 1]
-            if isinstance(c, VectorField):
-                coeffs.append(c.scale(k + 1))
-            else:
-                coeffs.append(c * Fraction(k + 1))
-        return FlowSeries(self.kind, self.order - 1, tuple(coeffs))
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coefficients):

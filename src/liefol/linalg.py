@@ -3,13 +3,14 @@
 Each row is first scaled to polynomials by its common denominator,
 which changes no rank, span or kernel; then one fraction-free (Bareiss)
 elimination, ``poly.bareiss``, answers every question without a gcd.
-``rank`` eliminates below the pivots only.  ``RowSpace`` holds the
-reduced form, cleared above the pivots too; ``rref``, ``kernel_basis``
-and span membership read it, so a family of span questions about one
-matrix costs one elimination.  A declared foliation keeps the
-``RowSpace`` of its generators (``foliation.FoliationGens.span``): one
-elimination per foliation answers its rank, involutivity and invariance,
-and gives most maximal minors of its singular locus.
+``RowSpace`` holds the reduced form, cleared above the pivots too; its
+rank, ``rref``, ``kernel_basis`` and span membership read it, so a
+family of span questions about one matrix costs one elimination.  The
+one unreduced elimination, below the pivots only, is ``poly.poly_det``'s.
+A declared foliation keeps the ``RowSpace`` of its generators
+(``foliation.FoliationGens.span``): one elimination per foliation
+answers its rank, involutivity and invariance, and gives most maximal
+minors of its singular locus.
 
 The only elimination of a tangent foliation is its Jacobian's: ``_kernel``
 hands back the Jacobian's ``RowSpace`` with the kernel vectors, and the
@@ -90,10 +91,6 @@ def rref(rows: Matrix) -> Tuple[List[List[RatFunc]], List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     space = RowSpace(rows)
     return [[RatFunc(p, space.den) for p in row] for row in space.rows], space.pivots
-
-
-def rank(rows: Matrix) -> int:
-    return len(bareiss(_cleared(rows))[1])
 
 
 def kernel_basis(rows: Matrix) -> List[List[RatFunc]]:

@@ -73,26 +73,33 @@ class PlanarField(_Frozen):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Poly, b: Poly, *, _coprime: bool = False) -> None:
-        # _coprime=True skips the coprimality gcd: ``from_vector_field``
-        # passes it for a pair whose content saturation has just divided out
+    def __init__(self, a: Poly, b: Poly) -> None:
         if a.chart != b.chart:
             raise ChartMismatchError("coefficients on different charts")
         if a.chart.size != 2:
             raise ValueError(_TWO_VARIABLES)
         if a.is_zero() and b.is_zero():
             raise ValueError("the zero field has no direction at infinity")
-        if not _coprime and not content([c for c in (a, b) if not c.is_zero()]).is_constant():
+        if not content([c for c in (a, b) if not c.is_zero()]).is_constant():
             raise ValueError("coefficients share a common factor; saturate the field first")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @classmethod
+    def _trusted(cls, a: Poly, b: Poly) -> "PlanarField":
+        """Wrap a coprime pair, not both zero, on one two-variable chart,
+        skipping the checks; ``from_vector_field`` passes the pair that
+        content saturation has just divided out."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "a", a)
+        object.__setattr__(obj, "b", b)
+        return obj
+
+    @classmethod
     def from_vector_field(cls, v: VectorField) -> "PlanarField":
         if v.chart.size != 2:
             raise ValueError(_TWO_VARIABLES)
-        a, b = saturate_rank1(v).polynomial_coefficients()
-        return cls(a, b, _coprime=True)
+        return cls._trusted(*saturate_rank1(v).polynomial_coefficients())
 
     @property
     def chart(self) -> Chart:
@@ -101,9 +108,6 @@ class PlanarField(_Frozen):
     @property
     def degree(self) -> int:
         return max(self.a.total_degree(), self.b.total_degree())
-
-    def as_vector_field(self) -> VectorField:
-        return VectorField.from_coefficients(self.chart, (self.a, self.b))
 
     def __str__(self) -> str:
         x, y = self.chart.variables

@@ -270,11 +270,6 @@ class Poly:
         ((exps, n),) = self._num.items()
         return n == 1 and not any(exps)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self._num.get(self.chart.zero_exponents(), 0), self._den)
-
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         return max(map(sum, self._num), default=-1)
@@ -294,9 +289,6 @@ class Poly:
         """Largest term in graded lexicographic order."""
         exps = self._leading_exponents()
         return exps, Fraction(self._num[exps], self._den)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.leading_term()[1]
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return Fraction(self._num.get(tuple(exps), 0), self._den)
@@ -638,10 +630,7 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
         h = _interpolate(math.gcd(fk.get((), 0), gk.get((), 0)), points)
         if len(h) == 1 and not any(next(iter(h))):
             return Poly.one(p.chart)
-        unit = math.gcd(*h.values())
-        if h[max(h, key=glex_key)] < 0:
-            unit = -unit
-        candidate = Poly._trusted(p.chart, {e: c // unit for e, c in h.items()})
+        candidate = normalize(Poly._trusted(p.chart, h))
         if divides(candidate, p) and divides(candidate, q):
             return candidate
         floor = 73794 * points[0] * math.isqrt(math.isqrt(points[0])) // 27011
@@ -1078,10 +1067,6 @@ class RatFunc:
         return obj
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
     def constant(cls, chart: Chart, value: Coeff) -> "RatFunc":
         return cls(Poly.constant(chart, value))
 
@@ -1108,11 +1093,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num.constant_value()
 
     # -- arithmetic -------------------------------------------------------
 

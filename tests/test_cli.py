@@ -583,6 +583,40 @@ class TestErrorReporting:
         assert code == 0
         assert report["result"]["coefficients"] == ["0", "0"]
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ("", "line 1: empty problem file"),
+            ("# nothing here\n\n   # still nothing\n", "line 1: empty problem file"),
+            ("vars:\n", "line 1: no variables declared"),
+            ("vars: x y\nvars: z\n", "line 2: variables are already declared"),
+            (
+                "vars: x y\nfield v = x*dx\nfoliation F = ,\n",
+                "line 3: foliation needs at least one generator",
+            ),
+            (
+                "vars: x y\nfield v = 1/0*dx\n",
+                "line 2: zero denominator in rational literal (at column 3)",
+            ),
+            (
+                "vars: x y\ncurve C = x + 1/\n",
+                "line 2: expected an integer after '/' (at column 6)",
+            ),
+            (None, "this subcommand needs a problem file (or '-' for stdin)"),
+        ],
+    )
+    def test_problem_file_errors(self, problem, message, tmp_path, capsys):
+        """Each malformed problem file, and a missing one, is a JSON error
+        with exit code 1, not an internal one."""
+        argv = ["foliation"]
+        if problem is not None:
+            path = tmp_path / "p.txt"
+            path.write_text(problem)
+            argv.append(str(path))
+        code, report = run(capsys, *argv)
+        assert code == 1
+        assert report == {"op": "foliation", "status": "error", "error": message}
+
     def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "deep.txt"
         curve = "(" * 3000 + "x" + ")" * 3000

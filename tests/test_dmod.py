@@ -26,7 +26,7 @@ X, Y = XY.vars()
 
 
 def r(p):
-    return RatFunc.from_poly(p)
+    return RatFunc(p)
 
 
 def _denominators_of(monkeypatch, v, call):
@@ -61,6 +61,9 @@ class TestPolyMap:
         assert jac[0][1] == 2 * Y
         assert jac[1][0] == Y
         assert jac[1][1] == X
+
+    def test_display(self):
+        assert str(PolyMap(XY, UV_CHART, (X + Y, X * Y))) == "(x + y, x*y)"
 
     def test_pull_back(self):
         phi = PolyMap(XY, U_CHART, (X**2,))

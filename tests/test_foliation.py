@@ -67,7 +67,7 @@ def vf3(*coeffs):
 
 def same_direction(v, w):
     """Do two nonzero fields span the same direction over the function field?"""
-    return linalg.rank([v.coefficients, w.coefficients]) == 1
+    return linalg.RowSpace([v.coefficients, w.coefficients]).rank == 1
 
 
 RADIAL = vf2(X, Y)
@@ -83,7 +83,7 @@ class TestSaturation:
         assert saturate_rank1(RADIAL) == RADIAL
 
     def test_rational_coefficients_cleared(self):
-        v = VectorField.from_coefficients(XY, (RatFunc(Y, X), RatFunc.from_poly(ONE2)))
+        v = VectorField.from_coefficients(XY, (RatFunc(Y, X), RatFunc(ONE2)))
         assert saturate_rank1(v) == vf2(Y, X)
 
     def test_zero_rejected(self):
@@ -221,12 +221,12 @@ class TestSingularLocus:
     def test_radial(self):
         ideal = singular_locus(FoliationGens(XY, (RADIAL,)))
         assert [str(g) for g in ideal.generators] == ["x", "y"]
-        assert not ideal.is_trivial()
+        assert ideal.generators != (Poly.one(XY),)
 
     def test_nonvanishing_field(self):
         ideal = singular_locus(FoliationGens(XY, (vf2(ONE2, ZERO2),)))
         assert [str(g) for g in ideal.generators] == ["1"]
-        assert ideal.is_trivial()
+        assert ideal.generators == (Poly.one(XY),)
 
     def test_rotation_and_vertical_z_axis(self):
         fol = FoliationGens(XYZ, (vf3(-Y3, X3, ZERO3), vf3(ZERO3, ZERO3, ONE3)))
@@ -502,11 +502,11 @@ class TestTangentFoliationDifferential:
 
 class TestTangentFoliation:
     def test_coordinate_projection(self):
-        fol = tangent_foliation((RatFunc.from_poly(X),), XY)
+        fol = tangent_foliation((RatFunc(X),), XY)
         assert fol.generators == (vf2(ZERO2, ONE2),)
 
     def test_circle_levels(self):
-        fol = tangent_foliation((RatFunc.from_poly(X**2 + Y**2),), XY)
+        fol = tangent_foliation((RatFunc(X**2 + Y**2),), XY)
         assert fol.generators == (ROTATION,)
 
     def test_rational_first_integral(self):

@@ -59,7 +59,7 @@ def commutator_on_coordinates(v, w):
     chart = v.chart
     out = []
     for name in chart.variables:
-        coord = RatFunc.from_poly(chart.var(name))
+        coord = RatFunc(chart.var(name))
         out.append(
             apply_derivation(v, apply_derivation(w, coord))
             - apply_derivation(w, apply_derivation(v, coord))
@@ -249,7 +249,7 @@ class TestApplyDerivation:
 
     def test_constant_field(self):
         v = vf(ONE, ZERO)
-        assert apply_derivation(v, RatFunc.from_poly(X)) == RatFunc.from_poly(ONE)
+        assert apply_derivation(v, RatFunc(X)) == RatFunc(ONE)
 
     def test_inverse_coordinate(self):
         v = vf(X**2, ZERO)
@@ -259,7 +259,7 @@ class TestApplyDerivation:
     @settings(max_examples=30)
     def test_derivation_leibniz(self, v):
         f = RatFunc(X + 1, Y**2 + 1)
-        g = RatFunc.from_poly(X * Y)
+        g = RatFunc(X * Y)
         assert apply_derivation(v, f * g) == apply_derivation(v, f) * g + f * apply_derivation(v, g)
 
 
@@ -306,10 +306,10 @@ class TestBracket:
 class TestJacobian:
     def test_entries(self):
         jac = jacobian_matrix(vf(X * Y, Y**2))
-        assert jac[0][0] == RatFunc.from_poly(Y)
-        assert jac[0][1] == RatFunc.from_poly(X)
+        assert jac[0][0] == RatFunc(Y)
+        assert jac[0][1] == RatFunc(X)
         assert jac[1][0].is_zero()
-        assert jac[1][1] == RatFunc.from_poly(2 * Y)
+        assert jac[1][1] == RatFunc(2 * Y)
 
     @given(field_strategy(XY, max_degree=2), field_strategy(XY, max_degree=2))
     @settings(max_examples=20)
@@ -341,6 +341,11 @@ class TestValueTypes:
         with pytest.raises(TypeError, match="bad coefficient: str"):
             VectorField(XY, (X, "y"))
 
+    def test_vector_field_difference(self):
+        v, w = vf(Y, -X), VectorField(XY, (X**2, RatFunc(Y, X + 1)))
+        assert v - w == v + (-w)
+        assert v - w == VectorField(XY, (Y - X**2, -X - RatFunc(Y, X + 1)))
+
     def test_flow_series(self):
         series = flow_series_function(vf(X, Y), X, 2)
         same = FlowSeries(kind="function", order=2, coefficients=tuple(series.coefficients))
@@ -362,17 +367,21 @@ class TestFlowSeries:
         series = flow_series_function(v, X, 3)
         assert [str(c) for c in series.coefficients] == ["x", "1", "0", "0"]
 
+    def test_display(self):
+        series = flow_series_function(vf(Y, -X), X, 2)
+        assert str(series) == "x + (y)*t + (-1/2*x)*t^2"
+
     def test_order_zero_truncation(self):
         v = vf(X**2, Y)
         series = flow_series_function(v, X * Y, 0)
-        assert series.coefficients == (RatFunc.from_poly(X * Y),)
+        assert series.coefficients == (RatFunc(X * Y),)
 
     def test_scaling_of_coordinate(self):
         v = vf(X, ZERO)
         series = flow_series_function(v, X, 2)
         assert series.coefficients == (
-            RatFunc.from_poly(X),
-            RatFunc.from_poly(X),
+            RatFunc(X),
+            RatFunc(X),
             RatFunc(X, Poly.constant(XY, 2)),
         )
 
@@ -411,7 +420,9 @@ class TestFlowSeries:
             f = random_poly(rng, XY, max_degree=2, coeff_bound=3)
             series = flow_series_function(v, f, 5)
             derived = flow_series_function(v, apply_derivation(v, f), 4)
-            assert series.derivative().coefficients == derived.coefficients
+            # formal d/dt: coefficient k becomes (k+1) * c_{k+1}
+            dt = tuple(c * Fraction(k + 1) for k, c in enumerate(series.coefficients[1:]))
+            assert dt == derived.coefficients
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

@@ -49,13 +49,18 @@ class TestPlanarField:
 
     def test_value_type(self):
         assert_value_type(PlanarField(X, -Y), PlanarField(a=X, b=-Y), ROTATION)
-        # the skip of the coprimality check is keyword-only
-        assert PlanarField(X, Y, _coprime=True) == RADIAL
+        # the skip of the coprimality check is a private constructor, not a flag
+        assert PlanarField._trusted(X, Y) == RADIAL
         with pytest.raises(TypeError):
             PlanarField(X, Y, True)
+        with pytest.raises(TypeError):
+            PlanarField(X, Y, _coprime=True)
         other = __import__("liefol").Chart(("u", "v"))
         with pytest.raises(ChartMismatchError, match="coefficients on different charts"):
             PlanarField(X, other.var("u"))
+
+    def test_display(self):
+        assert str(PlanarField(X, -Y)) == "(x) d/dx + (-y) d/dy"
 
     def test_from_vector_field_saturates(self):
         v = VectorField.from_coefficients(XY, (X**2, X * Y))
@@ -385,7 +390,7 @@ def _divisor_search(p: Poly) -> list:
     if scaled.is_constant():
         return roots
     const = scaled.coefficient((0,)).numerator
-    lead = scaled.leading_coefficient().numerator
+    lead = scaled.leading_term()[1].numerator
 
     def divisors(n: int) -> list:
         return [d for d in range(1, abs(n) + 1) if n % d == 0]
@@ -540,7 +545,7 @@ class TestCurveConstraint:
     def test_hyperbola_consistent(self):
         assert invariant_curve_constraint(X * Y - 1, HYPERBOLIC) == CONSISTENT
         # cross-check: the curve really is invariant in the affine chart
-        v = HYPERBOLIC.as_vector_field()
+        v = VectorField.from_coefficients(XY, (HYPERBOLIC.a, HYPERBOLIC.b))
         from liefol import divides
 
         d = apply_derivation(v, X * Y - 1)

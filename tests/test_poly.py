@@ -462,8 +462,11 @@ class TestRatFunc:
 
     def test_reduction(self):
         f = RatFunc(X**2 - Y**2, X - Y)
-        assert f == RatFunc.from_poly(X + Y)
+        assert f == RatFunc(X + Y)
         assert f.is_polynomial()
+
+    def test_scalar_minus_ratfunc(self):
+        assert 1 - RatFunc(X, Y) == RatFunc(Y - X, Y)
 
     def test_den_normalization(self):
         f = RatFunc(X, 2 * Y)
