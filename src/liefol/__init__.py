@@ -57,7 +57,6 @@ _EXPORTS = {
         "apply_derivation",
         "flow_series_field",
         "flow_series_function",
-        "jacobian_matrix",
         "lie_bracket",
     ),
     "dmod": (

@@ -1,24 +1,26 @@
 """Polynomial maps between charts and the differential-morphism check.
 
 A ``PolyMap`` is a polynomial map phi from a source chart to a target
-chart, one component per target variable; it gives its Jacobian and
-pulls functions on the target back to the source.
+chart, one component per target variable; it pulls functions on the
+target back to the source.
 
-``check_dmorphism`` verifies, for a triple (phi, v, w), first the
+``check_dmorphism`` verifies, for a triple (phi, v, w), the
 compatibility condition
 
-    sum_k  dphi_j/dx_k * v_k  =  w_j o phi        (for every j)
+    sum_k  dphi_j/dx_k * v_k  =  w_j o phi        (for every j),
 
-and then the matrix identity that makes the differential of phi
-intertwine the Lie derivatives along v and w,
+that is v(phi_j) = w_j o phi, and nothing more.  The matrix identity
+that makes the differential of phi intertwine the Lie derivatives along
+v and w,
 
     B^phi . J  =  J . A  +  v(J),
 
 where J is the Jacobian of phi, A and B are the partials matrices of v
-and w, and B^phi is B composed with phi.  The identity is a theorem
-whenever the compatibility condition holds, so a False verdict from the
-second stage indicates a defect in this package rather than in the
-input; the result carries a witness entry for exactly that reason.
+and w, and B^phi is B composed with phi, follows from it: its (j, k)
+entry is d/dx_k of v(phi_j) = w_j o phi, whose right side gives
+(B^phi . J)_jk by the chain rule and whose left side gives
+(J . A)_jk + v(J_jk), partials commuting.  That holds for rational v and
+w as well, so the check does not test it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
-from .liecalc import VectorField, _derive, jacobian_matrix
-from .poly import Chart, ChartMismatchError, Poly, RatFunc, _as_ratfunc, _common_denominator, _dot
+from .liecalc import VectorField, _derive
+from .poly import Chart, ChartMismatchError, Poly, RatFunc, _as_ratfunc, _common_denominator
 
 
 class PolyMap(_Frozen):
@@ -47,12 +49,6 @@ class PolyMap(_Frozen):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", comps)
-
-    def jacobian(self) -> Tuple[Tuple[Poly, ...], ...]:
-        """J[j][k] = d(phi_j)/dx_k, a (target x source) matrix."""
-        return tuple(
-            tuple(c.partial(k) for k in range(self.source.size)) for c in self.components
-        )
 
     def pull_back(self, f: Union[RatFunc, Poly]) -> RatFunc:
         """f o phi for a function on the target chart."""
@@ -79,51 +75,31 @@ class MorphismPreconditionError(ValueError):
 
 
 class DMorphismResult(NamedTuple):
+    """The verdict of ``check_dmorphism``: ``(True, None)`` whenever it returns."""
+
     ok: bool
     witness: Optional[Tuple[int, int, RatFunc]]  # (row, col, defect entry)
 
 
 def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismResult:
-    """Verify that dphi intertwines the Lie derivatives along v and w.
+    """Verify that phi is a morphism of flows: v(phi_j) = w_j o phi for every j.
 
-    Raises MorphismPreconditionError if (phi, v, w) is not a morphism of
-    flows in the first place.  Once the precondition holds the matrix
-    identity is guaranteed, so ``ok=False`` (with its witness entry)
-    signals an internal inconsistency, not bad input.
+    Raises MorphismPreconditionError naming the first j where the
+    condition fails.  Once it holds, dphi intertwines the Lie derivatives
+    along v and w: the identity B^phi . J = J . A + v(J) is the
+    x_k-derivative of v(phi_j) = w_j o phi (see the module docstring), so
+    the result is ``(True, None)``.
     """
     if v.chart != phi.source:
         raise ChartMismatchError("v must live on the source chart")
     if w.chart != phi.target:
         raise ChartMismatchError("w must live on the target chart")
 
-    # v's common denominator once, for its n + n^2 derivations below
+    # v's common denominator once, for all of its derivations below
     qv, pv = _common_denominator(v.coefficients)
     for j, component in enumerate(phi.components):
         lhs = _derive(qv, pv, RatFunc(component))
         rhs = phi.pull_back(w.coefficients[j])
         if lhs != rhs:
             raise MorphismPreconditionError(j, phi.target.variables[j], lhs, rhs)
-
-    jac = phi.jacobian()  # q x p, polynomial
-    a = jacobian_matrix(v)  # p x p
-    b = jacobian_matrix(w)  # q x q
-    b_phi = [[phi.pull_back(entry) for entry in row] for row in b]
-
-    # Each sum of products is one ``_dot`` over the common denominator of
-    # its rational factors (a row of b o phi, a column of a); the other
-    # factor, an entry of dphi, is polynomial.
-    chart = phi.source
-    q = phi.target.size
-    p = phi.source.size
-    a_columns = [_common_denominator(a[j][k] for j in range(p)) for k in range(p)]
-    for i in range(q):
-        den_b, row_b = _common_denominator(b_phi[i])
-        for k in range(p):
-            left = RatFunc(_dot(chart, [(row_b[j], jac[j][k]) for j in range(q)]), den_b)
-            den_a, column_a = a_columns[k]
-            right = _derive(qv, pv, RatFunc(jac[i][k])) + RatFunc(
-                _dot(chart, [(jac[i][j], column_a[j]) for j in range(p)]), den_a
-            )
-            if left != right:
-                return DMorphismResult(False, (i, k, left - right))
     return DMorphismResult(True, None)

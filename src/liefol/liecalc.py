@@ -182,14 +182,6 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     return VectorField(chart, tuple(out))
 
 
-def jacobian_matrix(v: VectorField) -> Tuple[Tuple[RatFunc, ...], ...]:
-    """Matrix of partials A[i][j] = dv_i/dx_j."""
-    return tuple(
-        tuple(v.coefficients[i].partial(j) for j in range(v.chart.size))
-        for i in range(v.chart.size)
-    )
-
-
 class FlowSeries(_Frozen):
     """Truncated formal flow expansion: coefficient k is (base's) k-th
     iterated derivative divided by k!.

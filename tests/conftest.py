@@ -13,7 +13,6 @@ import os
 import pickle
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
@@ -77,6 +76,11 @@ def random_ratfunc(rng: random.Random, chart: Chart, max_degree: int = 2) -> Rat
     num = random_poly(rng, chart, max_degree)
     den = random_poly(rng, chart, max_degree, allow_zero=False)
     return RatFunc(num, den)
+
+
+def partials(functions, chart: Chart):
+    """The matrix M[i][k] = d(functions[i])/dx_k."""
+    return [[f.partial(k) for k in range(chart.size)] for f in functions]
 
 
 def assert_value_type(value, same, other) -> None:

@@ -1,4 +1,8 @@
-"""Polynomial maps, their Jacobians and pullbacks, and the D-morphism check."""
+"""Polynomial maps and their pullbacks, and the D-morphism check.
+
+The intertwining identity B^phi . J = J . A + v(J) is checked here on the
+side, entry by entry, to show that it holds whenever the compatibility
+condition that ``check_dmorphism`` tests does."""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import XY, assert_value_type, random_poly
+from conftest import XY, assert_value_type, partials, random_field, random_poly, random_ratfunc
 from liefol import liecalc
 from liefol import dmod as dmod_module
 from liefol import (
@@ -27,6 +31,37 @@ X, Y = XY.vars()
 
 def r(p):
     return RatFunc(p)
+
+
+def _jacobian(phi):
+    """J[j][k] = d(phi_j)/dx_k, a (target x source) matrix."""
+    return partials(phi.components, phi.source)
+
+
+def _intertwining_defect(phi, v, w, jac_v=None):
+    """The first entry (row, col, defect) where B^phi . J - J . A - v(J)
+    is not zero, or None.
+
+    J, A and B are the partials matrices of phi, v and w, and B^phi is B
+    composed with phi; ``jac_v``, if given, stands in for A.  Plain
+    ``RatFunc`` arithmetic, entry by entry, with no library derivation.
+    """
+    jac = [[RatFunc(entry) for entry in row] for row in _jacobian(phi)]
+    a = partials(v.coefficients, v.chart) if jac_v is None else jac_v
+    b = partials(w.coefficients, w.chart)
+    b_phi = [[entry.substitute(phi.components) for entry in row] for row in b]
+    p, q = phi.source.size, phi.target.size
+    for i in range(q):
+        for k in range(p):
+            defect = RatFunc.zero(phi.source)
+            for j in range(q):
+                defect = defect + b_phi[i][j] * jac[j][k]
+            for j in range(p):
+                defect = defect - jac[i][j] * a[j][k]
+                defect = defect - v.coefficients[j] * jac[i][k].partial(j)
+            if not defect.is_zero():
+                return (i, k, defect)
+    return None
 
 
 def _denominators_of(monkeypatch, v, call):
@@ -56,7 +91,7 @@ class TestValueTypes:
 class TestPolyMap:
     def test_jacobian(self):
         phi = PolyMap(XY, UV_CHART, (X**2 + Y**2, X * Y))
-        jac = phi.jacobian()
+        jac = _jacobian(phi)
         assert jac[0][0] == 2 * X
         assert jac[0][1] == 2 * Y
         assert jac[1][0] == Y
@@ -98,6 +133,61 @@ def product_morphism(rng, base_degree=2, vertical_degree=2):
     w = VectorField.from_coefficients(target, tuple(w_coeffs))
     phi = PolyMap(chart3, target, (x3, y3))
     return phi, v, w
+
+
+def triangular_morphism(rng, n, degree, rational=False):
+    """A morphism triple (phi, v, w) with phi the triangular automorphism
+    (x1, x2 + p2(x1), x3 + p3(x1, x2)) of an n-chart.
+
+    w is a random field on the target, rational if asked, and
+    v = Dphi^{-1} (w o phi), solved row by row since Dphi is unipotent.
+    """
+    source = Chart(("x", "y", "z")[:n])
+    target = Chart(("u", "v", "s")[:n])
+    xs = source.vars()
+    comps = [xs[0]]
+    for k in range(1, n):
+        shift = random_poly(rng, Chart(("x", "y", "z")[:k]), 2, 3).substitute(xs[:k])
+        comps.append(xs[k] + shift)
+    if rational:
+        coeffs = [random_ratfunc(rng, target, 1) for _ in range(n)]
+        w = VectorField.from_coefficients(target, coeffs)
+    else:
+        w = random_field(rng, target, degree, 4)
+    v_coeffs = []
+    for k in range(n):
+        acc = w.coefficients[k].substitute(comps)
+        for j in range(k):
+            acc = acc - comps[k].partial(j) * v_coeffs[j]
+        v_coeffs.append(acc)
+    phi = PolyMap(source, target, tuple(comps))
+    return phi, VectorField.from_coefficients(source, v_coeffs), w
+
+
+def rational_triples():
+    """Three triples with rational fields: the identity map, and the
+    projection (x, y) -> x with a lifted field."""
+    identity = PolyMap(XY, XY, (X, Y))
+    v = VectorField.from_coefficients(XY, (RatFunc(X, Y + 1), RatFunc(Y**2, X**2 + 1)))
+    u = U_CHART.var("u")
+    projection = PolyMap(XY, U_CHART, (X,))
+    w = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 1),))
+    lifted = VectorField.from_coefficients(XY, (RatFunc(X, X**2 + 1), RatFunc(Y, X - 2)))
+    return [(identity, v, v), (projection, lifted, w), (identity, lifted, lifted)]
+
+
+def compatible_triples():
+    """Every compatible triple below: 40 products (seed 31), 24 seeded
+    triangular triples in n = 2 and 3, polynomial and rational, and
+    ``rational_triples``."""
+    rng = random.Random(31)
+    triples = [product_morphism(rng) for _ in range(40)]
+    rng = random.Random(33)
+    for n in (2, 3):
+        for degree in (1, 2):
+            triples += [triangular_morphism(rng, n, degree) for _ in range(4)]
+        triples += [triangular_morphism(rng, n, 1, rational=True) for _ in range(4)]
+    return triples + rational_triples()
 
 
 class TestCheckDMorphism:
@@ -164,57 +254,59 @@ class TestCheckDMorphism:
         w2 = VectorField.from_coefficients(U_CHART, (2 * u,))
         assert check_dmorphism(phi, v2, w2).ok
 
-    def test_identity_defect_returns_witness(self, monkeypatch):
-        """A Jacobian that breaks the identity after the precondition
-        passed comes back as ok=False with (row, col, defect)."""
-        real = dmod_module.jacobian_matrix
-        calls = []
-
-        def shifted_first(field):
-            jac = real(field)
-            calls.append(field)
-            if len(calls) > 1:
-                return jac
-            # v's Jacobian, the first one the check takes: add 1 at [0][0]
-            top = (jac[0][0] + RatFunc.constant(field.chart, 1),) + jac[0][1:]
-            return (top,) + jac[1:]
-
-        monkeypatch.setattr(dmod_module, "jacobian_matrix", shifted_first)
+    def test_identity_defect_returns_witness(self):
+        """The side check of the identity finds a defect where there is
+        one: v's Jacobian shifted by 1 at [0][0] leaves -1 at (0, 0)."""
         identity = PolyMap(XY, XY, (X, Y))
         v = VectorField.from_coefficients(XY, (X, Y))
-        result = check_dmorphism(identity, v, v)
-        assert result.ok is False
-        assert result.witness == (0, 0, RatFunc.constant(XY, -1))
-        assert calls == [v, v]
+        assert check_dmorphism(identity, v, v) == (True, None)
+        assert _intertwining_defect(identity, v, v) is None
+        jac = partials(v.coefficients, XY)
+        shifted = [[jac[0][0] + RatFunc.constant(XY, 1), jac[0][1]], jac[1]]
+        assert _intertwining_defect(identity, v, v, shifted) == (0, 0, RatFunc.constant(XY, -1))
+
+    def test_intertwining_identity_follows_from_compatibility(self):
+        """The identity the check no longer tests holds on every triple
+        the check accepts: products, triangular maps and rational fields."""
+        triples = compatible_triples()
+        assert len(triples) == 67
+        for phi, v, w in triples:
+            assert check_dmorphism(phi, v, w) == (True, None)
+            assert _intertwining_defect(phi, v, w) is None
+
+    def test_pull_back_once_per_target_coordinate(self, monkeypatch):
+        """The check pulls back w's coefficients, once per target
+        coordinate, and nothing else."""
+        calls = []
+        real = PolyMap.pull_back
+
+        def counting(self, f):
+            calls.append(f)
+            return real(self, f)
+
+        monkeypatch.setattr(PolyMap, "pull_back", counting)
+        for phi, v, w in compatible_triples():
+            calls.clear()
+            assert check_dmorphism(phi, v, w) == (True, None)
+            assert calls == list(w.coefficients)
+            assert len(calls) == phi.target.size
 
     def test_rational_field_denominator_taken_once(self, monkeypatch):
-        """check_dmorphism derives n + n^2 functions along v over one
-        common denominator, and still accepts the triples of
+        """check_dmorphism derives every component of phi along v over
+        one common denominator, and still accepts the triples of
         test_rational_fields."""
-        u = U_CHART.var("u")
-        projection = PolyMap(XY, U_CHART, (X,))
-        w = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 1),))
-        lifted = VectorField.from_coefficients(XY, (RatFunc(X, X**2 + 1), RatFunc(Y, X - 2)))
-        result, count = _denominators_of(
-            monkeypatch, lifted, lambda: check_dmorphism(projection, lifted, w)
-        )
-        assert result == (True, None) and count == 1
-        identity = PolyMap(XY, XY, (X, Y))
-        result, count = _denominators_of(
-            monkeypatch, lifted, lambda: check_dmorphism(identity, lifted, lifted)
-        )
-        assert result == (True, None) and count == 1
+        for phi, v, w in rational_triples()[1:]:
+            result, count = _denominators_of(monkeypatch, v, lambda: check_dmorphism(phi, v, w))
+            assert result == (True, None) and count == 1
 
     def test_rational_fields(self):
-        """Rational coefficients: each sum runs over its common denominator."""
-        identity = PolyMap(XY, XY, (X, Y))
-        v = VectorField.from_coefficients(XY, (RatFunc(X, Y + 1), RatFunc(Y**2, X**2 + 1)))
-        assert check_dmorphism(identity, v, v).ok
+        """Rational coefficients: a compatible triple is accepted, and a
+        target field off by its denominator is rejected."""
+        triples = rational_triples()
+        for phi, v, w in triples:
+            assert check_dmorphism(phi, v, w).ok
+        projection, lifted, _ = triples[1]
         u = U_CHART.var("u")
-        projection = PolyMap(XY, U_CHART, (X,))
-        w = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 1),))
-        lifted = VectorField.from_coefficients(XY, (RatFunc(X, X**2 + 1), RatFunc(Y, X - 2)))
-        assert check_dmorphism(projection, lifted, w).ok
         wrong = VectorField.from_coefficients(U_CHART, (RatFunc(u, u**2 + 2),))
         with pytest.raises(MorphismPreconditionError):
             check_dmorphism(projection, lifted, wrong)

@@ -35,7 +35,6 @@ from liefol import foliation as foliation_module
 from liefol import linalg
 from liefol import poly as poly_module
 from liefol.cli import parse_problem
-from liefol.dmod import PolyMap
 from liefol.foliation import SingularIdeal
 from liefol.poly import (
     _dot,

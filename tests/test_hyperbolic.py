@@ -10,7 +10,6 @@ import pytest
 
 from conftest import assert_value_type
 from liefol import (
-    CAT,
     AnosovReport,
     LabeledLine,
     LabeledPlane,

@@ -4,6 +4,7 @@ runs only the modules its subcommand uses."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -126,6 +127,37 @@ def test_star_import_and_dir():
     assert set(LAZY) <= set(dir(liefol))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         liefol.no_such_name
+
+
+def _unread_imports(path: Path):
+    """(line, name) for each name a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_imported_name_is_read():
+    """A name imported into the package, its tests or its scripts is read
+    there: an import left behind by removed code fails this."""
+    unread = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src/liefol", "tests", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := _unread_imports(path))
+    }
+    assert unread == {}
 
 
 @pytest.mark.parametrize(

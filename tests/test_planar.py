@@ -18,7 +18,6 @@ from liefol import (
     ChartMismatchError,
     PlanarField,
     Poly,
-    RatFunc,
     VectorField,
     apply_derivation,
     content,
