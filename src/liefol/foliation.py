@@ -49,13 +49,14 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen, linalg
-from .liecalc import VectorField, _along, apply_derivation, lie_bracket
+from .liecalc import VectorField, _along, _derive, lie_bracket
 from .poly import (
     Chart,
     ChartMismatchError,
     Poly,
     RatFunc,
     _as_ratfunc,
+    _common_denominator,
     clear_denominators,
     content,
     divexact,
@@ -214,9 +215,11 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
         raise ChartMismatchError("field on a different chart")
     span = fol.span
     if isinstance(span, _MapKernel):
-        images = [apply_derivation(v, f) for f in span.components]
+        qv, pv = _common_denominator(v.coefficients)
+        images = [_derive(qv, pv, f) for f in span.components]
         for g in fol.generators:
-            if any(apply_derivation(g, h) for h in images):
+            qg, pg = _common_denominator(g.coefficients)
+            if any(_derive(qg, pg, h) for h in images):
                 return InvarianceResult(False, lie_bracket(v, g))
         return InvarianceResult(True, None)
     for g in fol.generators:

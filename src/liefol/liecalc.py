@@ -23,6 +23,13 @@ polynomial fields each bracket component is one such sum over the 2n
 products v_j * dw_i/dx_j and -w_j * dv_i/dx_j; for rational ones it is
 v(w_i) - w(v_i).
 
+A polynomial bracket, and the flow series of a polynomial field applied
+to a polynomial or a polynomial field, run all their sums on one box of
+packed keys when the sums are large (``_packed_iterates``): v is packed
+once, the running coefficient stays packed from one order to the next,
+and each output coefficient is unpacked once.  Smaller computations,
+larger boxes and rational inputs take one ``_dot`` per sum.
+
 Flow series are formal: ``exp(t v)`` applied to a function collects
 ``v^k(f)/k!`` as the t^k coefficient; applied to a field it collects
 iterated Lie derivatives the same way.  No convergence claims are made
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
 from .poly import (
@@ -60,6 +67,7 @@ from .poly import (
     _as_ratfunc,
     _common_denominator,
     _dot,
+    _series_box,
     gcd,
 )
 
@@ -170,9 +178,13 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
             ),
         )
     # Polynomial fields: one sum of 2n products per component instead of
-    # two derivations and a subtraction.
+    # two derivations and a subtraction, on keys packed once for all n
+    # sums when they are large enough
     vs = v.polynomial_coefficients()
     ws = w.polynomial_coefficients()
+    packed = _packed_iterates(vs, ws, 1, True)
+    if packed:
+        return VectorField(chart, packed[1])
     neg_ws = [-wj for wj in ws]
     out = []
     for vi, wi in zip(vs, ws):
@@ -180,6 +192,41 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
         pairs += [(wj, vi.partial(j)) for j, wj in enumerate(neg_ws) if wj]
         out.append(_dot(chart, pairs))
     return VectorField(chart, tuple(out))
+
+
+def _packed_iterates(
+    vs: Sequence[Poly], base: Sequence[Poly], order: int, bracket: bool
+) -> Optional[List[Tuple[Poly, ...]]]:
+    """h_k / k! for k = 0..order, where h_0 = ``base`` and h_(k+1) is
+    v(h_k) on each function of ``base``, or [v, h_k] when ``bracket`` (and
+    ``base`` is a field), for the polynomial field v = ``vs``; None when
+    ``poly._series_box`` gives no box.
+
+    Every sum runs on the keys of that box; partials are taken on the
+    keys.  The numerators are integers: v over the lcm d_v of its
+    denominators and ``base`` over d_b, so h_k is over d_b * d_v^k and
+    h_k / k! over d_b * d_v^k * k!."""
+    box = _series_box(vs, base, order)
+    if box is None:
+        return None
+    n = len(vs)
+    vp, dv = box.pack(vs)
+    h, den = box.pack(base)
+    if bracket:
+        # [v, h]_i = sum_j v_j * dh_i/dx_j + h_j * (-dv_i/dx_j)
+        minus_dv = [[[(k, -c) for k, c in box.partial(vi, j)] for j in range(n)] for vi in vp]
+    out = [tuple(base)]
+    for k in range(1, order + 1):
+        prev = h
+        h = []
+        for i, hi in enumerate(prev):
+            pairs = [(vp[j], box.partial(hi, j)) for j in range(n)]
+            if bracket:
+                pairs += [(prev[j], minus_dv[i][j]) for j in range(n)]
+            h.append(box.dot(pairs))
+        den *= dv * k
+        out.append(box.polys(h, den))
+    return out
 
 
 class FlowSeries(_Frozen):
@@ -229,8 +276,15 @@ def flow_series_function(v: VectorField, f: Union[RatFunc, Poly], order: int) ->
         raise ValueError("order must be non-negative")
     chart = v.chart
     q, coeffs_v = _common_denominator(v.coefficients)
-    dq = _along(coeffs_v, q)
     c = _as_ratfunc(chart, f)
+    if q.is_one() and c.den.is_one():
+        packed = _packed_iterates(coeffs_v, (c.num,), order, False)
+        if packed:
+            one = Poly.one(chart)
+            return FlowSeries(
+                "function", order, tuple(RatFunc._trusted(h, one) for (h,) in packed)
+            )
+    dq = _along(coeffs_v, q)
     coeffs = []
     for k in range(order + 1):
         if k:
@@ -263,6 +317,13 @@ def flow_series_field(v: VectorField, w: VectorField, order: int) -> FlowSeries:
         raise ChartMismatchError("fields on different charts")
     if order < 0:
         raise ValueError("order must be non-negative")
+    if v.is_polynomial() and w.is_polynomial():
+        packed = _packed_iterates(
+            v.polynomial_coefficients(), w.polynomial_coefficients(), order, True
+        )
+        if packed:
+            chart = v.chart
+            return FlowSeries("field", order, tuple(VectorField(chart, h) for h in packed))
     coeffs = []
     current = w
     for k in range(order + 1):

@@ -42,8 +42,17 @@ distinct keys, and int order on the keys is lexicographic order.
   per key, read back by one scan for nonzero slots, so memory stays
   linear in the input.  Every other sum, of few term products, with a
   one-term side in each pair, or with a larger box, adds them up in a
-  dict keyed by exponent tuples and packs nothing.  Derivations,
+  dict keyed by exponent tuples and packs nothing.  Derivations, small
   brackets, Bareiss steps and span tests are such sums.
+* A computation of many sums over the same operands, a polynomial Lie
+  bracket or flow series, can keep one box of keys for all of them
+  (``_series_box``, ``_Box``).  It packs its operands once, takes
+  partial derivatives on the keys (the digit of x_k in a key is
+  key // s_k % r_k, and d/dx_k moves the key down by s_k), runs each sum
+  in the same dense-list kernel as ``_dot`` (``_dense_sum``), in a list
+  sized to the sum's largest key, and unpacks only its results.  It
+  takes the box by ``_dot``'s rule, with the products of all its steps
+  counted against the one packing.
 * Exact division f / g takes r_k = deg_k f + 1 and divides in
   lexicographic order.  A quotient exponent is the digit vector of the
   difference of two keys, and it is used only if each digit q_k is at
@@ -81,6 +90,7 @@ from . import _Frozen
 
 Exponents = Tuple[int, ...]
 Coeff = Union[int, Fraction]
+Packed = List[Tuple[int, int]]  # (mixed-radix key, numerator) terms
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # ASCII; the expression tokenizer reads names by it too
 _NAME_RE = re.compile(_NAME + r"\Z")
@@ -656,7 +666,9 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
 # 7-60 terms a side, 1-4 variables; Python 3.11, 2-vCPU Xeon VM), the
 # list won 100% of the sums below 16 slots a term, 97% at 16-32, 94% at
 # 32-48, 80% at 48-64, 68% at 64-96, 49% at 96-128, 17% at 128-192, 5%
-# at 192-256 and under 1% above.
+# at 192-256 and under 1% above.  A computation that keeps one box for
+# many sums (``_series_box``) goes by the same rule, with the products of
+# all its steps as its products, since it packs once for all of them.
 _SMALL_SUM_PRODUCTS = 48
 _DENSE_SLOTS_PER_TERM = 128
 
@@ -676,17 +688,18 @@ def _strides(radices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     return tuple(reversed(strides)), box
 
 
-def _pack(num: Dict[Exponents, int], strides: Sequence[int]) -> List[Tuple[int, int]]:
+def _pack(num: Dict[Exponents, int], strides: Sequence[int]) -> Packed:
     """The terms ``num`` as (key, numerator) pairs under ``strides``."""
     return [(sum(map(mul, e, strides)), n) for e, n in num.items()]
 
 
 def _unpacked(
-    keys: List[int], values: Iterable[int], strides: Sequence[int], radices: Sequence[int]
+    terms: Packed, strides: Sequence[int], radices: Sequence[int]
 ) -> Dict[Exponents, int]:
-    """``values`` keyed by the exponent tuples of the mixed-radix ``keys``."""
-    columns = [[k // s % r for k in keys] for s, r in zip(strides, radices)]
-    return dict(zip(zip(*columns), values))
+    """The packed ``terms`` keyed by the exponent tuples of their
+    mixed-radix keys."""
+    columns = [[k // s % r for k, _ in terms] for s, r in zip(strides, radices)]
+    return dict(zip(zip(*columns), [n for _, n in terms]))
 
 
 def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
@@ -719,7 +732,12 @@ def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
         radices = [r + 1 for r in radices]
         strides, box = _strides(radices)
         if box <= _DENSE_SLOTS_PER_TERM * size:
-            return Poly._lowest(chart, _dense_sum(live, den, radices, strides, box), den)
+            packed = [
+                (_pack(a._num, strides), _pack(b._num, strides), den // (a._den * b._den))
+                for a, b in live
+            ]
+            terms = _dense_sum(packed, box)
+            return Poly._lowest(chart, _unpacked(terms, strides, radices), den)
     return Poly._lowest(chart, _tuple_sum(live, den), den)
 
 
@@ -739,28 +757,96 @@ def _tuple_sum(live: List[Tuple[Poly, Poly]], den: int) -> Dict[Exponents, int]:
     return acc if all(acc.values()) else {e: n for e, n in acc.items() if n}
 
 
-def _dense_sum(
-    live: List[Tuple[Poly, Poly]],
-    den: int,
-    radices: Sequence[int],
-    strides: Sequence[int],
-    box: int,
-) -> Dict[Exponents, int]:
-    """``_tuple_sum`` on the mixed-radix keys of ``radices``, in a list
-    with one slot per key of their ``box``: each term of the shorter
-    factor of a pair, scaled to ``den``, times the packed terms of the
-    other, and one scan for the nonzero slots at the end."""
-    acc = [0] * box
-    for a, b in live:
-        if len(a._num) > len(b._num):
+def _dense_sum(packed: List[Tuple[Packed, Packed, int]], slots: int) -> Packed:
+    """The sum of scale * a * b over the ``packed`` triples (a, b, scale)
+    of mixed-radix terms, as terms in increasing key order.  It runs in a
+    list with one slot per key below ``slots``, which must exceed every
+    key a product forms: each term of the shorter factor of a pair, times
+    its scale, times the terms of the other, and one scan for the nonzero
+    slots at the end."""
+    acc = [0] * slots
+    for a, b, scale in packed:
+        if len(a) > len(b):
             a, b = b, a
-        scale = den // (a._den * b._den)
-        terms2 = _pack(b._num, strides)
-        for k1, n1 in _pack(a._num, strides):
+        for k1, n1 in a:
             n1 *= scale
-            for k2, n2 in terms2:
+            for k2, n2 in b:
                 acc[k1 + k2] += n1 * n2
-    return _unpacked(list(compress(range(box), acc)), filter(None, acc), strides, radices)
+    return list(zip(compress(range(slots), acc), filter(None, acc)))
+
+
+class _Box:
+    """Mixed-radix keys shared by every sum of one computation.
+
+    The computation packs its operands once, takes partial derivatives
+    and sums of products on the keys, and unpacks only its results.
+    Packed terms are (key, numerator) lists in increasing key order, so
+    the last key of each is its largest; every key that a sum forms must
+    lie in the box of ``radices``.
+    """
+
+    __slots__ = ("chart", "radices", "strides")
+
+    def __init__(self, chart: Chart, radices: List[int]) -> None:
+        self.chart = chart
+        self.radices = radices
+        self.strides = _strides(radices)[0]
+
+    def pack(self, polys: Sequence[Poly]) -> Tuple[List[Packed], int]:
+        """The terms of ``polys`` as integer numerators over their least
+        common denominator, and that denominator."""
+        den = math.lcm(*(p._den for p in polys))
+        out = []
+        for p in polys:
+            terms = sorted(_pack(p._num, self.strides))
+            scale = den // p._den
+            out.append(terms if scale == 1 else [(k, n * scale) for k, n in terms])
+        return out, den
+
+    def partial(self, terms: Packed, k: int) -> Packed:
+        """The derivative in variable ``k``: a key's digit e there is
+        ``key // s_k % r_k``, and the term n x^e becomes e n x^(e-1)."""
+        s, r = self.strides[k], self.radices[k]
+        return [(key - s, n * e) for key, n in terms if (e := key // s % r)]
+
+    def dot(self, pairs: Iterable[Tuple[Packed, Packed]]) -> Packed:
+        """The sum of a * b over ``pairs`` of packed terms, in a list sized
+        to the largest key it forms."""
+        live = [(a, b, 1) for a, b in pairs if a and b]
+        if not live:
+            return []
+        return _dense_sum(live, max(a[-1][0] + b[-1][0] for a, b, _ in live) + 1)
+
+    def polys(self, packed: Iterable[Packed], den: int) -> Tuple[Poly, ...]:
+        """Each list of packed terms over ``den`` as a polynomial."""
+        return tuple(
+            Poly._lowest(self.chart, _unpacked(t, self.strides, self.radices), den)
+            for t in packed
+        )
+
+
+def _series_box(step: Sequence[Poly], base: Sequence[Poly], order: int) -> Optional[_Box]:
+    """The box of ``order`` steps from ``base``, each a derivation or a
+    bracket along the field ``step``; None unless ``_dot``'s rule would
+    sum them in a dense list.
+
+    A step raises deg_k by at most max_j deg_k step_j, since
+    deg_k(a * b') <= deg_k a + deg_k b, so the radix of x_k is
+    max_i deg_k base_i + order * max_j deg_k step_j + 1.  The rule counts
+    order * (terms of step) * (terms of base) products, since the
+    operands are packed once for all the steps, over an input of
+    (terms of step) + (terms of base) terms."""
+    terms_step = sum(len(p._num) for p in step)
+    terms_base = sum(len(p._num) for p in base)
+    products, size = order * terms_step * terms_base, terms_step + terms_base
+    if products <= _SMALL_SUM_PRODUCTS or products < size:
+        return None
+    # per variable: the degrees of the nonzero step and base polynomials
+    columns = [zip(*(_degree_vector(p) for p in polys if p._num)) for polys in (step, base)]
+    radices = [max(b) + order * max(s) + 1 for s, b in zip(*columns)]
+    if math.prod(radices) > _DENSE_SLOTS_PER_TERM * size:
+        return None
+    return _Box(step[0].chart, radices)
 
 
 def _sup_norm(f: Dict[Exponents, int]) -> int:

@@ -555,6 +555,30 @@ class TestMorphismInvariance:
             assert result.ok, result.witness
             checked += 1
 
+    def test_denominators_cleared_once_per_field(self, monkeypatch):
+        """A tangent foliation's invariance test clears the denominators of
+        v once and those of each generator once, not once per component of
+        φ; the verdicts are those of the foliation built from the same
+        generators."""
+        calls = []
+        real = foliation_module._common_denominator
+        monkeypatch.setattr(
+            foliation_module, "_common_denominator", lambda fs: calls.append(1) or real(fs)
+        )
+        x, y, z, w = XYZW.vars()
+        rng = random.Random(57)
+        v = VectorField(XYZW, (x * y, x - y**2, z * w, x + w))
+        cases = [(tangent_foliation((x, y), XYZW), v)]
+        for _ in range(5):
+            phi, v, _ = product_morphism(rng)
+            cases.append((tangent_foliation(phi.components, phi.source), v))
+        for fol, v in cases:
+            assert len(fol.span.components) == 2
+            del calls[:]
+            assert is_invariant_subsheaf(fol, v).ok
+            assert len(calls) == 1 + len(fol.generators)
+            assert is_invariant_subsheaf(FoliationGens(fol.chart, fol.generators), v).ok
+
     def test_first_integral_level_sets(self):
         # x*y is a first integral of x dx - y dy; its tangent foliation
         # is spanned by the field itself

@@ -3,14 +3,16 @@
 The bracket's coordinate formula is checked against the definition as a
 commutator of derivations, applied to each coordinate function; flow
 series of linear fields are checked against exact truncated matrix
-exponentials in test_acceptance.  The derivation and the bracket, which
-sum their products in one packed kernel over a common denominator, are
-also checked against the term-by-term `RatFunc` loops they replaced,
-kept here as the reference.
+exponentials in test_acceptance.  The derivation, the bracket and both
+flow series, which sum their products in one packed kernel over a common
+denominator, are also checked against the term-by-term `RatFunc` loops
+they replaced, kept here as the reference, on both the per-order path
+and the path that keeps one box of packed keys for a whole computation.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -39,6 +41,7 @@ from liefol import (
     flow_series_function,
     lie_bracket,
 )
+from liefol import liecalc as liecalc_module
 from liefol import poly as poly_module
 
 X, Y = XY.vars()
@@ -109,6 +112,57 @@ def _reference_flow_series_function(v, f, order):
     return tuple(coeffs)
 
 
+def _reference_flow_series_field(v, w, order):
+    """[v, -]^k(w)/k!, each bracket by `_reference_lie_bracket` of the
+    one before."""
+    current = w
+    coeffs = []
+    for k in range(order + 1):
+        coeffs.append(current.scale(Fraction(1, factorial(k))))
+        if k < order:
+            current = _reference_lie_bracket(v, current)
+    return tuple(coeffs)
+
+
+def _dense_poly(rng, chart, degree=3, top_den=3):
+    """Every monomial of total degree <= ``degree``, with coefficients
+    n/d, 0 < |n| <= 9 and d <= ``top_den``."""
+    return Poly(
+        chart,
+        {
+            e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, top_den))
+            for e in itertools.product(range(degree + 1), repeat=chart.size)
+            if sum(e) <= degree
+        },
+    )
+
+
+def _dense_fields(rng, chart=XYZ):
+    """A dense cubic field with integer coefficients, one with fractions
+    and one with fractions and a zero component."""
+    integral = [_dense_poly(rng, chart, top_den=1) for _ in range(chart.size)]
+    fractional = [_dense_poly(rng, chart) for _ in range(chart.size)]
+    holed = [_dense_poly(rng, chart) for _ in range(chart.size)]
+    holed[rng.randrange(chart.size)] = Poly.zero(chart)
+    return [VectorField(chart, cs) for cs in (integral, fractional, holed)]
+
+
+def _paths(monkeypatch):
+    """The paths that polynomial brackets and flow series take while the
+    test runs: "packed" (one box of packed keys for the whole computation)
+    or "per order" (`_dot` for each sum)."""
+    taken = set()
+    real = liecalc_module._packed_iterates
+
+    def spy(*args):
+        out = real(*args)
+        taken.add("per order" if out is None else "packed")
+        return out
+
+    monkeypatch.setattr(liecalc_module, "_packed_iterates", spy)
+    return taken
+
+
 def _mixed_field(rng, chart):
     """Coefficients drawn from zero, polynomials and rational functions."""
     coeffs = []
@@ -146,7 +200,10 @@ class TestAgainstReference:
                     if f.is_constant():
                         assert apply_derivation(v, f).is_zero()
 
-    def test_brackets_match(self):
+    def test_brackets_match(self, monkeypatch):
+        """Sparse and rational fields, and dense cubic fields on XYZ with
+        fractions and a zero component, which take the packed path."""
+        paths = _paths(monkeypatch)
         rng = random.Random(42)
         for chart in (XY, XYZ):
             zero = VectorField.zero(chart)
@@ -157,6 +214,12 @@ class TestAgainstReference:
                 for a, b in ((v, w), (v, p), (p, v), (v, zero), (zero, w), (v, v)):
                     assert lie_bracket(a, b) == _reference_lie_bracket(a, b)
                 assert lie_bracket(zero, w).is_zero() and lie_bracket(v, v).is_zero()
+        for _ in range(2):
+            dense = _dense_fields(rng)
+            sparse = random_field(rng, XYZ, max_degree=2, coeff_bound=5)
+            for a, b in itertools.permutations([*dense, sparse], 2):
+                assert lie_bracket(a, b) == _reference_lie_bracket(a, b)
+        assert paths == {"packed", "per order"}
 
     def test_one_reduction_per_rational_derivation(self, monkeypatch):
         """v(a/b) is put over one denominator and reduced once, where the
@@ -180,10 +243,14 @@ class TestAgainstReference:
         _reference_apply_derivation(v, f)
         assert fused <= 2 < len(calls)
 
-    def test_flow_series_function_matches(self):
+    def test_flow_series_function_matches(self, monkeypatch):
         """The recurrence over powers of the base denominator against the
         loop of derivations.  Rational fields stop at order 2: past it the
-        reference's gcds reach the PRS fallback and take seconds."""
+        reference's gcds reach the PRS fallback and take seconds.  So do
+        rational functions under dense cubic fields, which stay on XY.
+        Dense cubic fields on XYZ, with fractions and a zero component,
+        take the packed path on dense polynomials from some order on."""
+        paths = _paths(monkeypatch)
         rng = random.Random(44)
         zero = VectorField.zero(XY)
         for _ in range(12):
@@ -193,6 +260,70 @@ class TestAgainstReference:
                     for order in range(top + 1):
                         got = flow_series_function(v, f, order).coefficients
                         assert got == _reference_flow_series_function(v, f, order)
+        for v in _dense_fields(rng):
+            for f in (_dense_poly(rng, XYZ), _dense_poly(rng, XYZ, 1)):
+                expected = _reference_flow_series_function(v, f, 4)
+                for order in range(5):
+                    got = flow_series_function(v, f, order).coefficients
+                    assert got == expected[: order + 1]
+        assert paths == {"packed", "per order"}
+
+    def test_flow_series_field_matches(self, monkeypatch):
+        """Iterated brackets against the loop of `_reference_lie_bracket`:
+        sparse and rational fields on the per-order path (rational ones up
+        to order 2, as above), dense cubic fields on XYZ, with fractions
+        and a zero component, on the packed path from some order on."""
+        paths = _paths(monkeypatch)
+        rng = random.Random(45)
+        for chart in (XY, XYZ):
+            for _ in range(6):
+                v, w = _mixed_field(rng, chart), random_field(rng, chart, 2, 5)
+                for a, b in ((v, w), (w, v)):
+                    top = 4 if a.is_polynomial() and b.is_polynomial() else 2
+                    expected = _reference_flow_series_field(a, b, top)
+                    for order in range(top + 1):
+                        got = flow_series_field(a, b, order).coefficients
+                        assert got == expected[: order + 1]
+        dense = _dense_fields(rng)
+        for a, b in zip(dense, dense[1:] + dense[:1]):
+            expected = _reference_flow_series_field(a, b, 4)
+            for order in range(5):
+                assert flow_series_field(a, b, order).coefficients == expected[: order + 1]
+        assert paths == {"packed", "per order"}
+
+    def test_field_series_packs_each_coefficient_once(self, monkeypatch):
+        """A polynomial flow series packs each coefficient of v and w once
+        into one box, 2n packs in all, and stays on its keys through every
+        order; the box's radix for x_k is deg_k w + order * deg_k v + 1."""
+        rng = random.Random(46)
+        v, w = (VectorField(XYZ, [_dense_poly(rng, XYZ) for _ in "xyz"]) for _ in range(2))
+        vs, ws = v.polynomial_coefficients(), w.polynomial_coefficients()
+        assert poly_module._series_box(vs, ws, 3).radices == [13, 13, 13]
+        expected = flow_series_field(v, w, 3).coefficients
+        packed = []
+        real = poly_module._pack
+
+        def spy(num, strides):
+            packed.append(num)
+            return real(num, strides)
+
+        monkeypatch.setattr(poly_module, "_pack", spy)
+        assert flow_series_field(v, w, 3).coefficients == expected
+        assert sorted(map(id, packed)) == sorted(id(p._num) for p in vs + ws)
+
+    def test_series_box_over_the_bound_takes_the_per_order_path(self):
+        """ROADMAP item 4's 97-byte field at order 30 with f = xyz + 1: the
+        series forms more than `_SMALL_SUM_PRODUCTS` products, but its box
+        has 92 slots a variable, 92^3 in all, more than
+        `_DENSE_SLOTS_PER_TERM` times its 9 terms, so it takes the
+        per-order path.  Only the decision is checked."""
+        x, y, z = XYZ.vars()
+        v = (x**3 * y + z**2 - 1, y**3 * z + x, z**3 * x - y)
+        f = x * y * z + 1
+        terms = sum(len(p) for p in v) + len(f)
+        assert 30 * (terms - len(f)) * len(f) > poly_module._SMALL_SUM_PRODUCTS
+        assert (1 + 30 * 3 + 1) ** 3 > poly_module._DENSE_SLOTS_PER_TERM * terms == 128 * 9
+        assert poly_module._series_box(v, (f,), 30) is None
 
     def test_flow_series_function_special_denominators(self):
         """Square factors in b, and factors of b that are invariant curves
