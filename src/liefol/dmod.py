@@ -78,7 +78,7 @@ class DMorphismResult(NamedTuple):
     """The verdict of ``check_dmorphism``: ``(True, None)`` whenever it returns."""
 
     ok: bool
-    witness: Optional[Tuple[int, int, RatFunc]]  # (row, col, defect entry)
+    witness: Optional[Tuple[int, int, RatFunc]]  # always None: a failure raises instead
 
 
 def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismResult:

@@ -24,11 +24,12 @@ products v_j * dw_i/dx_j and -w_j * dv_i/dx_j; for rational ones it is
 v(w_i) - w(v_i).
 
 A polynomial bracket, and the flow series of a polynomial field applied
-to a polynomial or a polynomial field, run all their sums on one box of
-packed keys when the sums are large (``_packed_iterates``): v is packed
-once, the running coefficient stays packed from one order to the next,
-and each output coefficient is unpacked once.  Smaller computations,
-larger boxes and rational inputs take one ``_dot`` per sum.
+to a polynomial or a polynomial field, run all their sums on one
+``poly._Box`` when ``_Box.dense`` finds them large (``_packed_iterates``):
+the box packs v once, keeps the running coefficient packed from one
+order to the next and unpacks each output coefficient once; this module
+never reads a key.  Smaller computations, larger boxes and rational
+inputs take one ``_dot`` per sum.
 
 Flow series are formal: ``exp(t v)`` applied to a function collects
 ``v^k(f)/k!`` as the t^k coefficient; applied to a field it collects
@@ -202,30 +203,28 @@ def _packed_iterates(
     ``base`` is a field), for the polynomial field v = ``vs``; None when
     ``poly._series_box`` gives no box.
 
-    Every sum runs on the keys of that box; partials are taken on the
-    keys.  The numerators are integers: v over the lcm d_v of its
-    denominators and ``base`` over d_b, so h_k is over d_b * d_v^k and
-    h_k / k! over d_b * d_v^k * k!."""
+    Every sum and partial runs on that box.  The numerators are integers:
+    v over the lcm d_v of its denominators and ``base`` over d_b, so h_k
+    is over d_b * d_v^k and h_k / k! over d_b * d_v^k * k!."""
     box = _series_box(vs, base, order)
     if box is None:
         return None
-    n = len(vs)
-    vp, dv = box.pack(vs)
-    h, den = box.pack(base)
+    vp, dv = box.pack_all(vs)
+    h, den = box.pack_all(base)
     if bracket:
-        # [v, h]_i = sum_j v_j * dh_i/dx_j + h_j * (-dv_i/dx_j)
-        minus_dv = [[[(k, -c) for k, c in box.partial(vi, j)] for j in range(n)] for vi in vp]
+        # [v, h]_i = sum_j v_j * dh_i/dx_j - h_j * dv_i/dx_j
+        grad_v = [box.gradient(vi) for vi in vp]
     out = [tuple(base)]
     for k in range(1, order + 1):
         prev = h
         h = []
         for i, hi in enumerate(prev):
-            pairs = [(vp[j], box.partial(hi, j)) for j in range(n)]
+            triples = [(vj, dhi, 1) for vj, dhi in zip(vp, box.gradient(hi))]
             if bracket:
-                pairs += [(prev[j], minus_dv[i][j]) for j in range(n)]
-            h.append(box.dot(pairs))
+                triples += [(hj, dvi, -1) for hj, dvi in zip(prev, grad_v[i])]
+            h.append(box.dot(triples))
         den *= dv * k
-        out.append(box.polys(h, den))
+        out.append(tuple(box.poly(hi, den) for hi in h))
     return out
 
 

@@ -24,35 +24,34 @@ after Monagan and Pearce), except in sums of few products or with a
 box too large for a dense list; storage stays keyed by tuples.  The
 keys are mixed-radix numbers, the first variable most significant: with
 radices r_k, the exponent vector e packs to sum_k e_k * s_k, where
-s_k = r_(k+1) * ... * r_n.  Every exponent that a loop forms lies in
-the box 0 <= e_k < r_k, so a key is one int, distinct monomials get
-distinct keys, and int order on the keys is lexicographic order.
+s_k = r_(k+1) * ... * r_n, and the digit of x_k in a key is
+key // s_k % r_k.  Every exponent that a loop forms lies in the box
+0 <= e_k < r_k, so a key is one int, distinct monomials get distinct
+keys, and int order on the keys is lexicographic order.  ``_Box`` is
+the only code that packs, reads or unpacks keys, and ``_Box.dense`` is
+the only code that decides whether sums run on them.
 
 * A sum of products, sum_i a_i * b_i (``_dot``), and with it every
-  product f * g (the sum with one pair), accumulates by one rule.  Each
-  pair is scaled to the lcm of the denominators a_i._den * b_i._den,
-  and all partial products go into one accumulator: a sum of n products
-  reduces to lowest terms once, not n times.  There are two
-  accumulators.  A sum of many term products (more than
-  ``_SMALL_SUM_PRODUCTS``, and no fewer than its input terms) takes
-  r_k = max_i (deg_k a_i + deg_k b_i) + 1, and a monomial product is one
-  int addition, which never carries out of a digit.  While that box
-  holds at most ``_DENSE_SLOTS_PER_TERM`` slots per input term (the sum
-  of len a_i + len b_i), the accumulator is a plain list with one slot
-  per key, read back by one scan for nonzero slots, so memory stays
-  linear in the input.  Every other sum, of few term products, with a
-  one-term side in each pair, or with a larger box, adds them up in a
-  dict keyed by exponent tuples and packs nothing.  Derivations, small
-  brackets, Bareiss steps and span tests are such sums.
-* A computation of many sums over the same operands, a polynomial Lie
-  bracket or flow series, can keep one box of keys for all of them
-  (``_series_box``, ``_Box``).  It packs its operands once, takes
-  partial derivatives on the keys (the digit of x_k in a key is
-  key // s_k % r_k, and d/dx_k moves the key down by s_k), runs each sum
-  in the same dense-list kernel as ``_dot`` (``_dense_sum``), in a list
-  sized to the sum's largest key, and unpacks only its results.  It
-  takes the box by ``_dot``'s rule, with the products of all its steps
-  counted against the one packing.
+  product f * g (the sum with one pair), goes into one accumulator:
+  each pair is scaled to the lcm of the denominators a_i._den * b_i._den,
+  and a sum of n products reduces to lowest terms once, not n times.
+  A sum of many term products (more than ``_SMALL_SUM_PRODUCTS``, and
+  no fewer than its input terms) takes r_k = max_i (deg_k a_i +
+  deg_k b_i) + 1, so a monomial product is one int addition that never
+  carries out of a digit.  While that box holds at most
+  ``_DENSE_SLOTS_PER_TERM`` slots per input term (the sum of
+  len a_i + len b_i), the accumulator is a plain list with one slot per
+  key (``_dense_sum``), read back by one scan for nonzero slots, so
+  memory stays linear in the input.  Every other sum adds its products
+  up in a dict keyed by exponent tuples (``_tuple_sum``) and packs
+  nothing; derivations, small brackets, Bareiss steps and span tests
+  are such sums.
+* A polynomial Lie bracket or flow series, many sums over the same
+  operands, can keep one box for all of them (``_series_box``).  It
+  packs its operands once, takes partial derivatives on the keys (d/dx_k
+  moves a key down by s_k), runs each sum in ``_dense_sum``, in a list
+  sized to the sum's largest key, and unpacks only its results.  The
+  rule counts the products of all its steps against the one packing.
 * Exact division f / g takes r_k = deg_k f + 1 and divides in
   lexicographic order.  A quotient exponent is the digit vector of the
   difference of two keys, and it is used only if each digit q_k is at
@@ -81,10 +80,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import add, gt, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
 
@@ -128,11 +127,15 @@ class Chart(_Frozen):
     def size(self) -> int:
         return len(self.variables)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise KeyError(f"{name!r} is not a coordinate of {self}") from None
+    def index(self, var: Union[str, int]) -> int:
+        """The position of a coordinate, given by name or by its position
+        in ``range(size)``; KeyError for anything else."""
+        if type(var) is int:
+            if 0 <= var < len(self.variables):
+                return var
+        elif var in self.variables:
+            return self.variables.index(var)
+        raise KeyError(f"{var!r} is not a coordinate of {self}")
 
     def var(self, name: str) -> "Poly":
         """The coordinate ``name`` as a polynomial."""
@@ -285,10 +288,8 @@ class Poly:
         return max(map(sum, self._num), default=-1)
 
     def degree_in(self, var: Union[str, int]) -> int:
-        k = var if isinstance(var, int) else self.chart.index(var)
-        if not self._num:
-            return -1
-        return max(e[k] for e in self._num)
+        k = self.chart.index(var)
+        return max((e[k] for e in self._num), default=-1)
 
     def _leading_exponents(self) -> Exponents:
         if not self._num:
@@ -301,7 +302,10 @@ class Poly:
         return exps, Fraction(self._num[exps], self._den)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        exps = tuple(exps)
+        if len(exps) != self.chart.size:
+            raise ValueError(f"exponent tuple {exps} does not fit chart {self.chart}")
+        return Fraction(self._num.get(exps, 0), self._den)
 
     def _require_chart(self, other: "Poly") -> None:
         if self.chart != other.chart:
@@ -421,7 +425,7 @@ class Poly:
 
     def partial(self, var: Union[str, int]) -> "Poly":
         """Formal partial derivative with respect to one chart variable."""
-        k = var if isinstance(var, int) else self.chart.index(var)
+        k = self.chart.index(var)
         acc: Dict[Exponents, int] = {}
         for exps, n in self._num.items():
             m = exps[k]
@@ -647,11 +651,12 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     return None
 
 
-# A sum of products accumulates in one of two ways, by one rule.
-# While it forms at most ``_SMALL_SUM_PRODUCTS`` term products, or fewer
-# products than it has input terms (a side of every pair has one term),
-# it adds them up in a dict keyed by exponent tuples: no degree vectors,
-# radices or packed copies are built.  Timed against the packed keys on
+# A sum of products accumulates in one of two ways, by one rule, which
+# ``_Box.dense`` alone applies.  While it forms at most
+# ``_SMALL_SUM_PRODUCTS`` term products, or fewer products than it has
+# input terms (a side of every pair has one term), it adds them up in a
+# dict keyed by exponent tuples: no degree vectors, radices or packed
+# copies are built.  Timed against the packed keys on
 # 2500 random sums of 1-4 pairs with 2-12 terms a side in 1-4 variables,
 # the tuple dict was faster in 88% of the sums of 32-47 products, 67% at
 # 48-63 and 50% at 64-79; in one or two variables it lost in 78-89% of
@@ -666,40 +671,15 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
 # 7-60 terms a side, 1-4 variables; Python 3.11, 2-vCPU Xeon VM), the
 # list won 100% of the sums below 16 slots a term, 97% at 16-32, 94% at
 # 32-48, 80% at 48-64, 68% at 64-96, 49% at 96-128, 17% at 128-192, 5%
-# at 192-256 and under 1% above.  A computation that keeps one box for
-# many sums (``_series_box``) goes by the same rule, with the products of
-# all its steps as its products, since it packs once for all of them.
+# at 192-256 and under 1% above.  ``_dot`` asks ``_Box.dense`` with the
+# counts of one sum, and ``_series_box`` with the products of all the
+# steps of a computation that packs once for all of them.
 _SMALL_SUM_PRODUCTS = 48
 _DENSE_SLOTS_PER_TERM = 128
 
 
 def _degree_vector(p: Poly) -> List[int]:
     return list(map(max, zip(*p._num)))
-
-
-def _strides(radices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """The place values of mixed-radix keys with these ``radices``, the
-    first variable most significant, and the size of their box."""
-    strides = []
-    box = 1
-    for r in reversed(radices):
-        strides.append(box)
-        box *= r
-    return tuple(reversed(strides)), box
-
-
-def _pack(num: Dict[Exponents, int], strides: Sequence[int]) -> Packed:
-    """The terms ``num`` as (key, numerator) pairs under ``strides``."""
-    return [(sum(map(mul, e, strides)), n) for e, n in num.items()]
-
-
-def _unpacked(
-    terms: Packed, strides: Sequence[int], radices: Sequence[int]
-) -> Dict[Exponents, int]:
-    """The packed ``terms`` keyed by the exponent tuples of their
-    mixed-radix keys."""
-    columns = [[k // s % r for k, _ in terms] for s, r in zip(strides, radices)]
-    return dict(zip(zip(*columns), [n for _, n in terms]))
 
 
 def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
@@ -725,20 +705,19 @@ def _dot(chart: Chart, pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
             products += len(a._num) * len(b._num)
     if not live:
         return Poly.zero(chart)
-    if products > _SMALL_SUM_PRODUCTS and products >= size:
-        radices = [0] * chart.size
+
+    def radices() -> List[int]:
+        tops = [0] * chart.size
         for a, b in live:
-            radices = list(map(max, radices, map(add, _degree_vector(a), _degree_vector(b))))
-        radices = [r + 1 for r in radices]
-        strides, box = _strides(radices)
-        if box <= _DENSE_SLOTS_PER_TERM * size:
-            packed = [
-                (_pack(a._num, strides), _pack(b._num, strides), den // (a._den * b._den))
-                for a, b in live
-            ]
-            terms = _dense_sum(packed, box)
-            return Poly._lowest(chart, _unpacked(terms, strides, radices), den)
-    return Poly._lowest(chart, _tuple_sum(live, den), den)
+            tops = list(map(max, tops, map(add, _degree_vector(a), _degree_vector(b))))
+        return [t + 1 for t in tops]
+
+    box = _Box.dense(chart, products, size, radices)
+    if box is None:
+        return Poly._lowest(chart, _tuple_sum(live, den), den)
+    pack = box.pack
+    packed = [(pack(a._num), pack(b._num), den // (a._den * b._den)) for a, b in live]
+    return box.poly(_dense_sum(packed, box.slots), den)
 
 
 def _tuple_sum(live: List[Tuple[Poly, Poly]], den: int) -> Dict[Exponents, int]:
@@ -776,59 +755,81 @@ def _dense_sum(packed: List[Tuple[Packed, Packed, int]], slots: int) -> Packed:
 
 
 class _Box:
-    """Mixed-radix keys shared by every sum of one computation.
-
-    The computation packs its operands once, takes partial derivatives
-    and sums of products on the keys, and unpacks only its results.
-    Packed terms are (key, numerator) lists in increasing key order, so
-    the last key of each is its largest; every key that a sum forms must
-    lie in the box of ``radices``.
+    """The mixed-radix keys of ``radices`` (see the module docstring): the
+    one place that packs, reads and unpacks keys, and that decides when
+    sums run on them.  ``slots`` is one more than the largest key.  The
+    terms of ``pack_all``, and the sums and partials formed from them,
+    are in increasing key order, so the last key of each is its largest.
     """
 
-    __slots__ = ("chart", "radices", "strides")
+    __slots__ = ("chart", "radices", "strides", "slots")
 
     def __init__(self, chart: Chart, radices: List[int]) -> None:
         self.chart = chart
         self.radices = radices
-        self.strides = _strides(radices)[0]
+        # s_k = r_(k+1) * ... * r_n
+        self.strides = list(accumulate(reversed(radices[1:]), mul, initial=1))[::-1]
+        self.slots = self.strides[0] * radices[0]
 
-    def pack(self, polys: Sequence[Poly]) -> Tuple[List[Packed], int]:
+    @classmethod
+    def dense(
+        cls, chart: Chart, products: int, size: int, radices: Callable[[], List[int]]
+    ) -> Optional["_Box"]:
+        """The box of ``radices()`` if sums that form ``products`` term
+        products from ``size`` input terms run in a dense list by the rule
+        above ``_SMALL_SUM_PRODUCTS``, else None; ``radices`` is called
+        only for many products."""
+        if products <= _SMALL_SUM_PRODUCTS or products < size:
+            return None
+        box = cls(chart, radices())
+        return box if box.slots <= _DENSE_SLOTS_PER_TERM * size else None
+
+    def pack(self, num: Dict[Exponents, int]) -> Packed:
+        """The terms ``num`` as (key, numerator) pairs."""
+        strides = self.strides
+        return [(sum(map(mul, e, strides)), n) for e, n in num.items()]
+
+    def pack_all(self, polys: Sequence[Poly]) -> Tuple[List[Packed], int]:
         """The terms of ``polys`` as integer numerators over their least
-        common denominator, and that denominator."""
+        common denominator, in increasing key order, and that denominator."""
         den = math.lcm(*(p._den for p in polys))
         out = []
         for p in polys:
-            terms = sorted(_pack(p._num, self.strides))
+            terms = sorted(self.pack(p._num))
             scale = den // p._den
             out.append(terms if scale == 1 else [(k, n * scale) for k, n in terms])
         return out, den
 
-    def partial(self, terms: Packed, k: int) -> Packed:
-        """The derivative in variable ``k``: a key's digit e there is
-        ``key // s_k % r_k``, and the term n x^e becomes e n x^(e-1)."""
-        s, r = self.strides[k], self.radices[k]
-        return [(key - s, n * e) for key, n in terms if (e := key // s % r)]
+    def digits(self, terms: Packed) -> List[List[int]]:
+        """The digits of the keys of ``terms``, one list per variable."""
+        return [[key // s % r for key, _ in terms] for s, r in zip(self.strides, self.radices)]
 
-    def dot(self, pairs: Iterable[Tuple[Packed, Packed]]) -> Packed:
-        """The sum of a * b over ``pairs`` of packed terms, in a list sized
-        to the largest key it forms."""
-        live = [(a, b, 1) for a, b in pairs if a and b]
+    def gradient(self, terms: Packed) -> List[Packed]:
+        """The derivatives of ``terms`` in every variable: d/dx_k takes
+        n x^e to e_k n x^(e - 1_k), s_k lower, reading e_k in the same pass
+        (a separate ``digits`` pass costs a third more on flow series)."""
+        return [
+            [(key - s, n * e) for key, n in terms if (e := key // s % r)]
+            for s, r in zip(self.strides, self.radices)
+        ]
+
+    def dot(self, triples: Iterable[Tuple[Packed, Packed, int]]) -> Packed:
+        """The sum of scale * a * b over ``triples`` (a, b, scale) of packed
+        terms, in a list sized to the largest key it forms."""
+        live = [t for t in triples if t[0] and t[1]]
         if not live:
             return []
         return _dense_sum(live, max(a[-1][0] + b[-1][0] for a, b, _ in live) + 1)
 
-    def polys(self, packed: Iterable[Packed], den: int) -> Tuple[Poly, ...]:
-        """Each list of packed terms over ``den`` as a polynomial."""
-        return tuple(
-            Poly._lowest(self.chart, _unpacked(t, self.strides, self.radices), den)
-            for t in packed
-        )
+    def poly(self, terms: Packed, den: int) -> Poly:
+        """The packed ``terms`` over ``den`` as a polynomial."""
+        exponents = zip(*self.digits(terms))
+        return Poly._lowest(self.chart, dict(zip(exponents, [n for _, n in terms])), den)
 
 
 def _series_box(step: Sequence[Poly], base: Sequence[Poly], order: int) -> Optional[_Box]:
     """The box of ``order`` steps from ``base``, each a derivation or a
-    bracket along the field ``step``; None unless ``_dot``'s rule would
-    sum them in a dense list.
+    bracket along the field ``step``, or None: ``_Box.dense`` decides.
 
     A step raises deg_k by at most max_j deg_k step_j, since
     deg_k(a * b') <= deg_k a + deg_k b, so the radix of x_k is
@@ -838,15 +839,15 @@ def _series_box(step: Sequence[Poly], base: Sequence[Poly], order: int) -> Optio
     (terms of step) + (terms of base) terms."""
     terms_step = sum(len(p._num) for p in step)
     terms_base = sum(len(p._num) for p in base)
-    products, size = order * terms_step * terms_base, terms_step + terms_base
-    if products <= _SMALL_SUM_PRODUCTS or products < size:
-        return None
-    # per variable: the degrees of the nonzero step and base polynomials
-    columns = [zip(*(_degree_vector(p) for p in polys if p._num)) for polys in (step, base)]
-    radices = [max(b) + order * max(s) + 1 for s, b in zip(*columns)]
-    if math.prod(radices) > _DENSE_SLOTS_PER_TERM * size:
-        return None
-    return _Box(step[0].chart, radices)
+
+    def radices() -> List[int]:
+        # per variable: the degrees of the nonzero step and base polynomials
+        columns = [zip(*(_degree_vector(p) for p in polys if p._num)) for polys in (step, base)]
+        return [max(b) + order * max(s) + 1 for s, b in zip(*columns)]
+
+    return _Box.dense(
+        step[0].chart, order * terms_step * terms_base, terms_step + terms_base, radices
+    )
 
 
 def _sup_norm(f: Dict[Exponents, int]) -> int:
@@ -959,22 +960,20 @@ def divexact(f: Poly, g: Poly) -> Poly:
     # int order on them is lexicographic order.  A quotient exponent qe
     # is only used with qe_k <= deg_k f - deg_k g, so no remainder term
     # leaves the box (see the module docstring).
-    radices = [d + 1 for d in _degree_vector(f)]
     room = list(map(sub, _degree_vector(f), _degree_vector(g)))
     if min(room) < 0:
         raise ExactDivisionError(f"({g}) does not divide ({f})")
-    strides, _ = _strides(radices)
-    places = list(zip(strides, radices))
-    packed = dict(_pack(G, strides))
+    box = _Box(f.chart, [d + 1 for d in _degree_vector(f)])
+    packed = dict(box.pack(G))
     gk = max(packed)
     gc = packed.pop(gk)
     rest = list(packed.items())
     quotient: Dict[Exponents, int] = {}
-    r = dict(_pack(f._num, strides))
+    r = dict(box.pack(f._num))
     while r:
         rk = max(r)
         qk = rk - gk
-        qe = tuple([qk // s % radix for s, radix in places])
+        (qe,) = zip(*box.digits([(qk, 0)]))
         # a borrow can leave digits that look valid.  Digits within room
         # add to those of gk without a carry, so then qe really is the
         # exponent of rk minus that of gk

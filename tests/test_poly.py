@@ -185,6 +185,40 @@ class TestCalculusHelpers:
         assert p.degree_in("y") == 1
         assert Poly.zero(XY).total_degree() == -1
 
+    def test_variables_by_name_or_position(self):
+        """A variable is named or given by its position in range(size),
+        and both give the same answer."""
+        p = X * Y + Y**2
+        assert [XY.index(v) for v in ("x", "y", 0, 1)] == [0, 1, 0, 1]
+        assert p.partial(1) == p.partial("y") == X + 2 * Y
+        assert p.degree_in(1) == p.degree_in("y") == 2
+
+    def test_negative_index_is_rejected_by_partial(self):
+        """partial(-1) once built four-slot exponent tuples on a
+        two-variable chart."""
+        with pytest.raises(KeyError, match="-1"):
+            (X * Y + Y**2).partial(-1)
+
+    def test_negative_index_is_rejected_by_degree_in(self):
+        with pytest.raises(KeyError, match="-1"):
+            (X * Y + Y**2).degree_in(-1)
+
+    def test_index_past_the_chart_is_rejected_by_partial(self):
+        with pytest.raises(KeyError, match="2"):
+            (X * Y).partial(2)
+        with pytest.raises(KeyError, match="True"):
+            (X * Y).partial(True)
+
+    def test_negative_index_is_rejected_by_ratfunc_partial(self):
+        with pytest.raises(KeyError, match="-1"):
+            RatFunc(X, Y).partial(-1)
+
+    def test_coefficient_rejects_a_tuple_of_the_wrong_length(self):
+        p = X * Y + 3
+        assert p.coefficient((1, 1)) == 1 and p.coefficient([0, 0]) == 3
+        with pytest.raises(ValueError, match="does not fit"):
+            p.coefficient((1, 1, 0))
+
 
 class TestNormalization:
     def test_normalize_sign(self):
@@ -386,7 +420,7 @@ class TestSquarefree:
         assert squarefree_part((X - Y) ** 3 * (X + Y)) == (X - Y) * (X + Y)
 
     @given(poly_strategy(XY, max_degree=2, coeff_bound=4))
-    @settings(max_examples=40)
+    @settings(max_examples=settings.default.max_examples * 2 // 3)
     def test_square_collapses(self, p):
         if p.is_zero() or p.is_constant():
             return
@@ -521,7 +555,7 @@ class TestRatFunc:
         assert f.partial("y") == RatFunc(Poly.one(XY), X)
 
     @given(poly_strategy(XY, max_degree=2), poly_strategy(XY, max_degree=2))
-    @settings(max_examples=50)
+    @settings(max_examples=settings.default.max_examples * 5 // 6)
     def test_partial_leibniz(self, p, q):
         den = X**2 + Y**2 + 1
         f = RatFunc(p, den)

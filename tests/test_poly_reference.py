@@ -459,6 +459,34 @@ def test_dot_on_either_side_of_the_small_sum_rule(chart, pairs, accumulator):
     assert _check_dot(chart, pairs) == [accumulator]
 
 
+def test_dot_and_series_box_decide_by_one_function(monkeypatch):
+    """`_dot`'s dense branch and `_series_box` reach the rule through one
+    function, `_Box.dense`, each with its own counts: a sum's term
+    products and input terms, and a series' products over all its orders
+    and its input terms.  With that function refusing every box, both
+    take tuple keys."""
+    xy = WIDE_CHARTS[1]
+    a, b = _long(xy, 12), _long(xy, 12, 2)
+    calls = []
+    real = poly._Box.dense.__func__
+
+    def spy(cls, chart, products, size, radices):
+        calls.append((products, size))
+        return real(cls, chart, products, size, radices)
+
+    monkeypatch.setattr(poly._Box, "dense", classmethod(spy))
+    with _accumulators() as taken:
+        total = _dot(xy, [(a, b)])
+    assert taken == ["dense"]
+    assert poly._series_box([a, b], [a], 2) is not None
+    assert calls == [(12 * 12, 12 + 12), (2 * 24 * 12, 24 + 12)]
+    monkeypatch.setattr(poly._Box, "dense", classmethod(lambda cls, *args: None))
+    with _accumulators() as taken:
+        assert _dot(xy, [(a, b)]) == total
+    assert taken == ["tuple"]
+    assert poly._series_box([a, b], [a], 2) is None
+
+
 def test_dot_edge_cases():
     """Small sums take the tuple-keyed accumulator, and it keeps the shared
     chart check, the canonical zero and the reduction to lowest terms."""
