@@ -9,7 +9,10 @@ compatibility condition
 
     sum_k  dphi_j/dx_k * v_k  =  w_j o phi        (for every j),
 
-that is v(phi_j) = w_j o phi, and nothing more.  The matrix identity
+that is v(phi_j) = w_j o phi, and nothing more.  The right sides come
+from one composition: the numerators and denominators of all of w's
+coefficients are pulled back through phi together, so the image of each
+monomial they use is built once per check.  The matrix identity
 that makes the differential of phi intertwine the Lie derivatives along
 v and w,
 
@@ -29,7 +32,15 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
 from .liecalc import VectorField, _derive
-from .poly import Chart, ChartMismatchError, Poly, RatFunc, _as_ratfunc, _common_denominator
+from .poly import (
+    Chart,
+    ChartMismatchError,
+    Poly,
+    RatFunc,
+    _as_ratfunc,
+    _common_denominator,
+    _compose,
+)
 
 
 class PolyMap(_Frozen):
@@ -84,22 +95,28 @@ class DMorphismResult(NamedTuple):
 def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismResult:
     """Verify that phi is a morphism of flows: v(phi_j) = w_j o phi for every j.
 
+    w is pulled back in one composition, each monomial image built once.
     Raises MorphismPreconditionError naming the first j where the
-    condition fails.  Once it holds, dphi intertwines the Lie derivatives
-    along v and w: the identity B^phi . J = J . A + v(J) is the
-    x_k-derivative of v(phi_j) = w_j o phi (see the module docstring), so
-    the result is ``(True, None)``.
+    condition fails, and ZeroDivisionError if w_j's denominator pulls
+    back to zero there.  Once it holds, dphi intertwines the Lie
+    derivatives along v and w: the identity B^phi . J = J . A + v(J) is
+    the x_k-derivative of v(phi_j) = w_j o phi (see the module
+    docstring), so the result is ``(True, None)``.
     """
     if v.chart != phi.source:
         raise ChartMismatchError("v must live on the source chart")
     if w.chart != phi.target:
         raise ChartMismatchError("w must live on the target chart")
 
-    # v's common denominator once, for all of its derivations below
+    # v's common denominator once, for all of its derivations below, and
+    # w's numerators and denominators pulled back in one composition
     qv, pv = _common_denominator(v.coefficients)
-    for j, component in enumerate(phi.components):
+    pulled = _compose([f for c in w.coefficients for f in (c.num, c.den)], phi.components)
+    for j, (component, num, den) in enumerate(zip(phi.components, pulled[::2], pulled[1::2])):
         lhs = _derive(qv, pv, RatFunc(component))
-        rhs = phi.pull_back(w.coefficients[j])
+        if den.is_zero():
+            raise ZeroDivisionError("substitution lands in the polar locus")
+        rhs = RatFunc(num, den)
         if lhs != rhs:
             raise MorphismPreconditionError(j, phi.target.variables[j], lhs, rhs)
     return DMorphismResult(True, None)

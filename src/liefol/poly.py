@@ -305,6 +305,8 @@ class Poly:
         exps = tuple(exps)
         if len(exps) != self.chart.size:
             raise ValueError(f"exponent tuple {exps} does not fit chart {self.chart}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
         return Fraction(self._num.get(exps, 0), self._den)
 
     def _require_chart(self, other: "Poly") -> None:
@@ -461,29 +463,11 @@ class Poly:
         return Fraction(total, scale)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Substitute a polynomial for each chart variable.
+        """Substitute a polynomial for each chart variable (``_compose``).
 
         All images must share one chart; the result lives on it.
         """
-        if len(images) != self.chart.size:
-            raise ValueError("need one image per chart variable")
-        target = images[0].chart
-        for img in images:
-            if img.chart != target:
-                raise ChartMismatchError("substitution images live on different charts")
-        powers: list[Dict[int, Poly]] = [dict() for _ in images]
-        result = Poly.zero(target)
-        for exps, n in self._num.items():
-            term = None
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[k]
-                if e not in cache:
-                    cache[e] = images[k] ** e
-                term = cache[e] if term is None else term * cache[e]
-            result = result + (Poly.constant(target, n) if term is None else term * n)
-        return result._scaled(1, self._den)
+        return _compose((self,), images)[0]
 
     # -- printing ----------------------------------------------------------
 
@@ -492,6 +476,42 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.chart}, {format_poly(self)!r})"
+
+
+def _compose(polys: Sequence[Poly], images: Sequence[Poly]) -> List[Poly]:
+    """p o images for each p of ``polys``, one image per variable of their
+    chart.  Each monomial image is built once per call, iteratively: x^e
+    maps to the image of x^(e - 1_k) times images[k], k the last variable
+    with e_k > 0.  Each member sums in one integer accumulator over the
+    lcm of its images' denominators and is reduced once."""
+    width = polys[0].chart.size
+    if len(images) != width:
+        raise ValueError("need one image per chart variable")
+    target = images[0].chart
+    if any(img.chart != target for img in images):
+        raise ChartMismatchError("substitution images live on different charts")
+    table = {tuple(int(i == k) for i in range(width)): img for k, img in enumerate(images)}
+    table[(0,) * width] = Poly.one(target)
+    out = []
+    for p in polys:
+        for e in p._num:
+            path = []  # from x^e down to a monomial already in the table
+            while e not in table:
+                k = max(compress(range(width), e))
+                path.append((e, k))
+                e = e[:k] + (e[k] - 1,) + e[k + 1 :]
+            for e_up, k in reversed(path):
+                table[e_up] = table[e] * images[k]
+                e = e_up
+        den = math.lcm(*(table[e]._den for e in p._num))
+        acc: Dict[Exponents, int] = {}
+        for e, n in p._num.items():
+            img = table[e]
+            n *= den // img._den
+            for f, m in img._num.items():
+                acc[f] = acc.get(f, 0) + n * m
+        out.append(Poly._lowest(target, {f: m for f, m in acc.items() if m}, den * p._den))
+    return out
 
 
 def format_poly(p: Poly) -> str:
@@ -1277,9 +1297,8 @@ class RatFunc:
         return self.num.evaluate(point) / d
 
     def substitute(self, images: Sequence[Poly]) -> "RatFunc":
-        """Compose with a polynomial map (one image per chart variable)."""
-        num = self.num.substitute(images)
-        den = self.den.substitute(images)
+        """Compose with a polynomial map: numerator and denominator in one ``_compose``."""
+        num, den = _compose((self.num, self.den), images)
         if den.is_zero():
             raise ZeroDivisionError("substitution lands in the polar locus")
         return RatFunc(num, den)

@@ -164,6 +164,21 @@ def triangular_morphism(rng, n, degree, rational=False):
     return phi, VectorField.from_coefficients(source, v_coeffs), w
 
 
+def _monomials_built(family):
+    """The monomials of degree two or more whose images composing
+    ``family`` builds: each exponent of a member and the chain below it
+    that lowers the last variable with a positive exponent, one degree at
+    a time."""
+    built = set()
+    for p in family:
+        for e in p.terms:
+            while sum(e) >= 2 and e not in built:
+                built.add(e)
+                k = max(i for i, d in enumerate(e) if d)
+                e = e[:k] + (e[k] - 1,) + e[k + 1 :]
+    return built
+
+
 def rational_triples():
     """Three triples with rational fields: the identity map, and the
     projection (x, y) -> x with a lifted field."""
@@ -274,22 +289,56 @@ class TestCheckDMorphism:
             assert check_dmorphism(phi, v, w) == (True, None)
             assert _intertwining_defect(phi, v, w) is None
 
-    def test_pull_back_once_per_target_coordinate(self, monkeypatch):
-        """The check pulls back w's coefficients, once per target
-        coordinate, and nothing else."""
-        calls = []
-        real = PolyMap.pull_back
+    def test_w_pulled_back_in_one_composition(self, monkeypatch):
+        """The check pulls w back through phi in one composition, whose
+        family is w's numerators and denominators in coordinate order, and
+        which builds each monomial image of degree two or more by exactly
+        one product of a lower image with a component of phi."""
+        families, right, inside = [], [], [False]
+        real_compose, real_mul = dmod_module._compose, Poly.__mul__
 
-        def counting(self, f):
-            calls.append(f)
-            return real(self, f)
+        def composing(polys, images):
+            families.append(list(polys))
+            inside[0] = True
+            try:
+                return real_compose(polys, images)
+            finally:
+                inside[0] = False
 
-        monkeypatch.setattr(PolyMap, "pull_back", counting)
+        def multiplying(a, b):
+            if inside[0]:
+                right.append(b)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(dmod_module, "_compose", composing)
+        monkeypatch.setattr(Poly, "__mul__", multiplying)
+        built = 0
         for phi, v, w in compatible_triples():
-            calls.clear()
+            families.clear()
+            right.clear()
             assert check_dmorphism(phi, v, w) == (True, None)
-            assert calls == list(w.coefficients)
-            assert len(calls) == phi.target.size
+            assert len(families) == 1
+            family = families[0]
+            assert family == [f for c in w.coefficients for f in (c.num, c.den)]
+            assert len(right) == len(_monomials_built(family))
+            assert all(any(b is c for c in phi.components) for b in right)
+            built += len(right)
+        assert built  # the triples do reach monomials of degree two and more
+
+    def test_denominator_pulled_back_to_zero_raises(self):
+        """A rational w whose denominator vanishes on the image of phi:
+        v - u^2 through the parabola (x, x^2).  The check raises the
+        composition's ZeroDivisionError, unless an earlier coordinate
+        already fails the condition."""
+        x_squared = PolyMap(XY, UV_CHART, (X, X**2))
+        u, w_var = UV_CHART.vars()
+        v = VectorField.from_coefficients(XY, (1, Y))
+        polar = RatFunc(Poly.one(UV_CHART), w_var - u**2)
+        with pytest.raises(ZeroDivisionError, match="polar locus"):
+            check_dmorphism(x_squared, v, VectorField.from_coefficients(UV_CHART, (1, polar)))
+        with pytest.raises(MorphismPreconditionError) as exc:
+            check_dmorphism(x_squared, v, VectorField.from_coefficients(UV_CHART, (2, polar)))
+        assert exc.value.coordinate == 0
 
     def test_rational_field_denominator_taken_once(self, monkeypatch):
         """check_dmorphism derives every component of phi along v over

@@ -219,6 +219,11 @@ class TestCalculusHelpers:
         with pytest.raises(ValueError, match="does not fit"):
             p.coefficient((1, 1, 0))
 
+    def test_coefficient_rejects_a_negative_exponent(self):
+        p = X * Y + Y**2
+        with pytest.raises(ValueError, match="negative exponent"):
+            p.coefficient((-1, 2))
+
 
 class TestNormalization:
     def test_normalize_sign(self):

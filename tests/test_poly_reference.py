@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import traceback
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -39,9 +41,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fraction_poly import RefPoly, ReferenceDivisionError, format_ref
-from liefol import Chart, ChartMismatchError, ExactDivisionError, Poly, divexact, format_poly
+from liefol import (
+    Chart,
+    ChartMismatchError,
+    ExactDivisionError,
+    Poly,
+    RatFunc,
+    divexact,
+    format_poly,
+)
 from liefol import poly
-from liefol.poly import _dot
+from liefol.poly import _compose, _dot
 
 CHARTS = [Chart(tuple("xyz"[:n])) for n in range(1, 4)]
 BIG = 10**40
@@ -137,6 +147,55 @@ def test_substitute_matches(data):
     images = [data.draw(_polys(target, max_degree=2, max_terms=3)) for _ in source.variables]
     expected = RefPoly.of(p).substitute([RefPoly.of(img) for img in images])
     assert_matches(p.substitute(images), expected)
+
+
+@given(st.data())
+def test_compose_matches_member_by_member(data):
+    """A family composed at once, sharing its monomial images, against
+    the reference member by member: rational coefficients, images with
+    denominators on a chart of another size, a zero and a constant member."""
+    source = data.draw(st.sampled_from(CHARTS))
+    target = data.draw(st.sampled_from([c for c in CHARTS if c.size != source.size]))
+    family = data.draw(st.lists(_polys(source, max_degree=3, max_terms=4), max_size=3))
+    family += [Poly.zero(source), Poly.constant(source, data.draw(_rationals()))]
+    family = data.draw(st.permutations(family))
+    images = [data.draw(_polys(target, max_degree=2, max_terms=3)) for _ in source.variables]
+    ref_images = [RefPoly.of(img) for img in images]
+    composed = _compose(family, images)
+    assert len(composed) == len(family)
+    for p, q in zip(family, composed):
+        assert_matches(q, RefPoly.of(p).substitute(ref_images))
+
+
+def test_compose_a_high_power_iteratively():
+    """x^600 through a two-term image walks 599 products down and up in
+    a loop: it runs within 100 frames of the stack it is called from,
+    where 600 nested calls would not."""
+    x, y = CHARTS[1].vars()
+    (t,) = CHARTS[0].vars()
+    p = x**600 + y
+    limit = sys.getrecursionlimit()
+    depth = len(traceback.extract_stack())
+    sys.setrecursionlimit(depth + 100)
+    try:
+        composed = p.substitute([t + Fraction(1, 2), t])
+    finally:
+        sys.setrecursionlimit(limit)
+    expected = {(k,): Fraction(math.comb(600, k), 2 ** (600 - k)) for k in range(601)}
+    expected[(1,)] += 1
+    assert_canonical(composed)
+    assert dict(composed.terms) == expected
+
+
+def test_compose_rejects_a_chart_mismatch():
+    x, y = CHARTS[1].vars()
+    p = x * y + 1
+    with pytest.raises(ChartMismatchError, match="different charts"):
+        p.substitute([CHARTS[0].var("x"), y])
+    with pytest.raises(ChartMismatchError, match="different charts"):
+        RatFunc(p, x + 2).substitute([CHARTS[0].var("x"), y])
+    with pytest.raises(ValueError, match="one image per chart variable"):
+        p.substitute([x])
 
 
 @given(_pair(max_degree=2))
