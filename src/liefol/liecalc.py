@@ -24,11 +24,12 @@ products v_j * dw_i/dx_j and -w_j * dv_i/dx_j; for rational ones it is
 v(w_i) - w(v_i).
 
 A polynomial bracket, and the flow series of a polynomial field applied
-to a polynomial or a polynomial field, run all their sums on one
-``poly._Box`` when ``_Box.dense`` finds them large (``_packed_iterates``):
-the box packs v once, keeps the running coefficient packed from one
-order to the next and unpacks each output coefficient once; this module
-never reads a key.  Smaller computations, larger boxes and rational
+to a polynomial or a polynomial field, are one engine (``_iterates``).
+When ``_Box.dense`` finds all its sums large, they run on one
+``poly._Box``, which packs v once, keeps the running coefficient packed
+from one order to the next and unpacks each output once; this module
+never reads a key.  Otherwise a series goes one order at a time, each
+order on a box of its own or in one ``_dot`` per component.  Rational
 inputs take one ``_dot`` per sum.
 
 Flow series are formal: ``exp(t v)`` applied to a function collects
@@ -36,8 +37,9 @@ Flow series are formal: ``exp(t v)`` applied to a function collects
 iterated Lie derivatives the same way.  No convergence claims are made
 or needed — truncations are compared coefficient-wise.
 
-For f = a/b in lowest terms the powers v^k(f) live over powers of q and
-b alone: v^k(f) = A_k / (q^e * b^m) with A_0 = a, e = 0, m = 1 and
+A rational f or a rational field takes a recurrence.  For f = a/b in
+lowest terms the powers v^k(f) live over powers of q and b alone:
+v^k(f) = A_k / (q^e * b^m) with A_0 = a, e = 0, m = 1 and
 
     e = 0:   A' = b * D(A) - m * A * D(b),                      e -> 1
     e >= 1:  A' = q*b * D(A) - A * (e * b * D(q) + m * q * D(b)),  e -> e + 2
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from . import _Frozen
 from .poly import (
@@ -167,48 +169,48 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """Coordinate Lie bracket of two fields on one chart."""
     if v.chart != w.chart:
         raise ChartMismatchError("bracket of fields on different charts")
-    chart = v.chart
-    if not (v.is_polynomial() and w.is_polynomial()):
-        qv, pv = _common_denominator(v.coefficients)
-        qw, pw = _common_denominator(w.coefficients)
-        return VectorField(
-            chart,
-            tuple(
-                _derive(qv, pv, wi) - _derive(qw, pw, vi)
-                for vi, wi in zip(v.coefficients, w.coefficients)
-            ),
-        )
-    # Polynomial fields: one sum of 2n products per component instead of
-    # two derivations and a subtraction, on keys packed once for all n
-    # sums when they are large enough
-    vs = v.polynomial_coefficients()
-    ws = w.polynomial_coefficients()
-    packed = _packed_iterates(vs, ws, 1, True)
-    if packed:
-        return VectorField(chart, packed[1])
-    neg_ws = [-wj for wj in ws]
-    out = []
-    for vi, wi in zip(vs, ws):
-        pairs = [(vj, wi.partial(j)) for j, vj in enumerate(vs) if vj]
-        pairs += [(wj, vi.partial(j)) for j, wj in enumerate(neg_ws) if wj]
-        out.append(_dot(chart, pairs))
-    return VectorField(chart, tuple(out))
+    if v.is_polynomial() and w.is_polynomial():
+        vs, ws = v.polynomial_coefficients(), w.polynomial_coefficients()
+        return VectorField(v.chart, _iterates(vs, ws, 1, True)[1])
+    qv, pv = _common_denominator(v.coefficients)
+    qw, pw = _common_denominator(w.coefficients)
+    return VectorField(
+        v.chart,
+        tuple(
+            _derive(qv, pv, wi) - _derive(qw, pw, vi)
+            for vi, wi in zip(v.coefficients, w.coefficients)
+        ),
+    )
 
 
-def _packed_iterates(
+def _iterates(
     vs: Sequence[Poly], base: Sequence[Poly], order: int, bracket: bool
-) -> Optional[List[Tuple[Poly, ...]]]:
+) -> List[Tuple[Poly, ...]]:
     """h_k / k! for k = 0..order, where h_0 = ``base`` and h_(k+1) is
     v(h_k) on each function of ``base``, or [v, h_k] when ``bracket`` (and
-    ``base`` is a field), for the polynomial field v = ``vs``; None when
-    ``poly._series_box`` gives no box.
+    ``base`` is a field), for the polynomial field v = ``vs``.
 
-    Every sum and partial runs on that box.  The numerators are integers:
-    v over the lcm d_v of its denominators and ``base`` over d_b, so h_k
-    is over d_b * d_v^k and h_k / k! over d_b * d_v^k * k!."""
+    When ``poly._series_box`` gives a box for the whole computation, every
+    sum and partial runs on it, over integers: v over the lcm d_v of its
+    denominators and ``base`` over d_b, so h_k / k! is over
+    d_b * d_v^k * k!.  Otherwise a series goes one order at a time, each a
+    call at order 1 on the unscaled h_k, and an order with no box takes
+    one ``_dot`` per component."""
     box = _series_box(vs, base, order)
+    if box is None and order != 1:
+        out, h = [tuple(base)], base
+        for k in range(1, order + 1):
+            h = _iterates(vs, h, 1, bracket)[1]
+            out.append(tuple(hi * Fraction(1, factorial(k)) for hi in h))
+        return out
     if box is None:
-        return None
+        neg = [-hj for hj in base] if bracket else []
+        h = []
+        for i, hi in enumerate(base):
+            pairs = [(vj, hi.partial(j)) for j, vj in enumerate(vs) if vj]
+            pairs += [(hj, vs[i].partial(j)) for j, hj in enumerate(neg) if hj]
+            h.append(_dot(hi.chart, pairs))
+        return [tuple(base), tuple(h)]
     vp, dv = box.pack_all(vs)
     h, den = box.pack_all(base)
     if bracket:
@@ -277,12 +279,9 @@ def flow_series_function(v: VectorField, f: Union[RatFunc, Poly], order: int) ->
     q, coeffs_v = _common_denominator(v.coefficients)
     c = _as_ratfunc(chart, f)
     if q.is_one() and c.den.is_one():
-        packed = _packed_iterates(coeffs_v, (c.num,), order, False)
-        if packed:
-            one = Poly.one(chart)
-            return FlowSeries(
-                "function", order, tuple(RatFunc._trusted(h, one) for (h,) in packed)
-            )
+        one = Poly.one(chart)
+        hs = _iterates(coeffs_v, (c.num,), order, False)
+        return FlowSeries("function", order, tuple(RatFunc._trusted(h, one) for (h,) in hs))
     dq = _along(coeffs_v, q)
     coeffs = []
     for k in range(order + 1):
@@ -292,7 +291,7 @@ def flow_series_function(v: VectorField, f: Union[RatFunc, Poly], order: int) ->
             # (re)start the recurrence from c = a/b in lowest terms
             b, num, den, e, m = c.den, c.num, c.den, 0, 1
             db, qb = _along(coeffs_v, b), q * b
-            coprime = q.is_one() and (b.is_one() or gcd(b, db).is_constant())
+            coprime = q.is_one() and gcd(b, db).is_constant()
         coeffs.append(c * Fraction(1, factorial(k)))
         if k == order:
             break
@@ -317,12 +316,8 @@ def flow_series_field(v: VectorField, w: VectorField, order: int) -> FlowSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     if v.is_polynomial() and w.is_polynomial():
-        packed = _packed_iterates(
-            v.polynomial_coefficients(), w.polynomial_coefficients(), order, True
-        )
-        if packed:
-            chart = v.chart
-            return FlowSeries("field", order, tuple(VectorField(chart, h) for h in packed))
+        hs = _iterates(v.polynomial_coefficients(), w.polynomial_coefficients(), order, True)
+        return FlowSeries("field", order, tuple(VectorField(v.chart, h) for h in hs))
     coeffs = []
     current = w
     for k in range(order + 1):

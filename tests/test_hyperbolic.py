@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,28 @@ class TestFlow:
         assert crossings(s, Fraction(1, 2)) == 1
         assert crossings(s, 7) == 7
         assert crossings(s, -1) == -1
+
+    def test_flow_matches_the_unreduced_matrix(self):
+        # suspension_flow reduces CAT^k mod the common denominator of x and y
+        rng = random.Random(76)
+        for _ in range(150):
+            exact = rand_state(rng)
+            binary = SuspensionState(rng.random(), rng.random(), rng.random())
+            t = rng.choice((rand_time(rng), rng.uniform(-60, 60)))
+            for s in (exact, binary):
+                k = crossings(s, t)
+                m = cat_power(k)
+                x = m[0][0] * s.x + m[0][1] * s.y
+                y = m[1][0] * s.x + m[1][1] * s.y
+                assert suspension_flow(s, t) == SuspensionState(x, y, s.roof + Fraction(t) - k)
+
+    def test_millions_of_crossings_answer_at_once(self):
+        s = SuspensionState(Fraction(1, 3), Fraction(2, 7), Fraction(1, 2))
+        start = time.perf_counter()
+        out = suspension_flow(s, 3 * 10**6 + 3)
+        assert time.perf_counter() - start < 1.0
+        # the orbit of (1/3, 2/7) under CAT mod 1 has period 8
+        assert out == suspension_flow(s, 3) != s
 
     def test_integer_times_cross_the_roof_t_times(self):
         # the per-time rates of verify_anosov_bounds rely on this from any state
@@ -257,25 +280,14 @@ class TestAnosovBounds:
                 assert getattr(one, name) == pytest.approx(getattr(many, name), abs=1e-12)
             assert one.passed == many.passed == (not swap)
 
-    def test_builds_only_the_states_it_reads(self, monkeypatch):
-        built = []
-
-        def counting_state(*coords):
-            built.append(coords)
-            return SuspensionState(*coords)
-
-        monkeypatch.setattr(hyperbolic, "SuspensionState", counting_state)
-        for samples, expected in ((3, 3), (8, 8), (200, 8)):
-            built.clear()
-            verify_anosov_bounds(samples=samples, t_max=20, seed=1)
-            assert len(built) == expected
-        # the states drawn do not depend on how many samples were asked for
-        built.clear()
-        verify_anosov_bounds(samples=8, t_max=20, seed=1)
-        first = list(built)
-        built.clear()
-        verify_anosov_bounds(samples=200, t_max=20, seed=1)
-        assert built == first
+    def test_samples_and_seed_are_only_echoed(self):
+        # the fit runs once, so no result reads the sample count or the seed
+        for swap in (False, True):
+            base = verify_anosov_bounds(samples=1, t_max=40, seed=0, swap_bundles=swap)
+            for samples, seed in ((1, 5), (50, 0), (50, 123456), (3, 7)):
+                report = verify_anosov_bounds(samples, 40, seed, swap)
+                assert (report.samples, report.seed) == (samples, seed)
+                assert report._replace(samples=1, seed=0) == base
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -294,6 +306,16 @@ class TestInvariantLines:
         assert eigs[0] == pytest.approx(LAMBDA_S, abs=1e-9)
         assert eigs[1] == pytest.approx(1.0, abs=1e-12)
         assert eigs[2] == pytest.approx(LAMBDA_U, abs=1e-9)
+
+    def test_crossings_beyond_the_bound_rejected(self):
+        # lambda_s^k underflows at k = 738 and lambda_u^k overflows by 800;
+        # the bound is differential_flow's
+        bound = hyperbolic._MAX_CROSSINGS
+        assert classify_invariant_lines(fixed_point(), bound)[0].eigenvalue > 0
+        for k in (bound + 1, 738, 800, -800):
+            for classify in (classify_invariant_lines, classify_invariant_planes):
+                with pytest.raises(ValueError, match=f"refuse beyond {bound}"):
+                    classify(fixed_point(), k)
 
     def test_period_two_squares_eigenvalues(self):
         s = SuspensionState(Fraction(4, 5), Fraction(3, 5), Fraction(0))

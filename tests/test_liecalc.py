@@ -6,8 +6,9 @@ series of linear fields are checked against exact truncated matrix
 exponentials in test_acceptance.  The derivation, the bracket and both
 flow series, which sum their products in one packed kernel over a common
 denominator, are also checked against the term-by-term `RatFunc` loops
-they replaced, kept here as the reference, on both the per-order path
-and the path that keeps one box of packed keys for a whole computation.
+they replaced, kept here as the reference, on all three tiers of the
+polynomial engine: one box of packed keys for a whole computation, one
+order at a time, and one `_dot` per component.
 """
 
 from __future__ import annotations
@@ -148,18 +149,21 @@ def _dense_fields(rng, chart=XYZ):
 
 
 def _paths(monkeypatch):
-    """The paths that polynomial brackets and flow series take while the
-    test runs: "packed" (one box of packed keys for the whole computation)
-    or "per order" (`_dot` for each sum)."""
+    """The tiers that polynomial brackets and flow series take while the
+    test runs, as `liecalc._iterates` asks `_series_box` for a box: "box"
+    (one box for a whole computation, or for one order of a series),
+    "per order" (no box for a series, which then takes one order at a
+    time) or "dot" (no box for one order: one `_dot` per component)."""
     taken = set()
-    real = liecalc_module._packed_iterates
+    real = liecalc_module._series_box
 
-    def spy(*args):
-        out = real(*args)
-        taken.add("per order" if out is None else "packed")
-        return out
+    def spy(vs, base, order):
+        box = real(vs, base, order)
+        if order:
+            taken.add("box" if box is not None else "per order" if order > 1 else "dot")
+        return box
 
-    monkeypatch.setattr(liecalc_module, "_packed_iterates", spy)
+    monkeypatch.setattr(liecalc_module, "_series_box", spy)
     return taken
 
 
@@ -201,8 +205,9 @@ class TestAgainstReference:
                         assert apply_derivation(v, f).is_zero()
 
     def test_brackets_match(self, monkeypatch):
-        """Sparse and rational fields, and dense cubic fields on XYZ with
-        fractions and a zero component, which take the packed path."""
+        """Sparse and rational fields, whose polynomial brackets take one
+        `_dot` per component, and dense cubic fields on XYZ with fractions
+        and a zero component, which take one box."""
         paths = _paths(monkeypatch)
         rng = random.Random(42)
         for chart in (XY, XYZ):
@@ -219,7 +224,7 @@ class TestAgainstReference:
             sparse = random_field(rng, XYZ, max_degree=2, coeff_bound=5)
             for a, b in itertools.permutations([*dense, sparse], 2):
                 assert lie_bracket(a, b) == _reference_lie_bracket(a, b)
-        assert paths == {"packed", "per order"}
+        assert paths == {"box", "dot"}
 
     def test_one_reduction_per_rational_derivation(self, monkeypatch):
         """v(a/b) is put over one denominator and reduced once, where the
@@ -248,8 +253,10 @@ class TestAgainstReference:
         loop of derivations.  Rational fields stop at order 2: past it the
         reference's gcds reach the PRS fallback and take seconds.  So do
         rational functions under dense cubic fields, which stay on XY.
-        Dense cubic fields on XYZ, with fractions and a zero component,
-        take the packed path on dense polynomials from some order on."""
+        Polynomial series take all three tiers: sparse ones go one order
+        at a time, and dense cubic fields on XYZ, with fractions and a
+        zero component, take one box on dense polynomials from some order
+        on."""
         paths = _paths(monkeypatch)
         rng = random.Random(44)
         zero = VectorField.zero(XY)
@@ -266,13 +273,13 @@ class TestAgainstReference:
                 for order in range(5):
                     got = flow_series_function(v, f, order).coefficients
                     assert got == expected[: order + 1]
-        assert paths == {"packed", "per order"}
+        assert paths == {"box", "per order", "dot"}
 
     def test_flow_series_field_matches(self, monkeypatch):
         """Iterated brackets against the loop of `_reference_lie_bracket`:
-        sparse and rational fields on the per-order path (rational ones up
-        to order 2, as above), dense cubic fields on XYZ, with fractions
-        and a zero component, on the packed path from some order on."""
+        sparse polynomial fields one order at a time, rational ones up to
+        order 2, as above, and dense cubic fields on XYZ, with fractions
+        and a zero component, on one box from some order on."""
         paths = _paths(monkeypatch)
         rng = random.Random(45)
         for chart in (XY, XYZ):
@@ -289,7 +296,7 @@ class TestAgainstReference:
             expected = _reference_flow_series_field(a, b, 4)
             for order in range(5):
                 assert flow_series_field(a, b, order).coefficients == expected[: order + 1]
-        assert paths == {"packed", "per order"}
+        assert paths == {"box", "per order", "dot"}
 
     def test_field_series_packs_each_coefficient_once(self, monkeypatch):
         """A polynomial flow series packs each coefficient of v and w once
@@ -324,6 +331,51 @@ class TestAgainstReference:
         assert 30 * (terms - len(f)) * len(f) > poly_module._SMALL_SUM_PRODUCTS
         assert (1 + 30 * 3 + 1) ** 3 > poly_module._DENSE_SLOTS_PER_TERM * terms == 128 * 9
         assert poly_module._series_box(v, (f,), 30) is None
+
+    def test_series_over_the_bound_take_one_box_per_order(self, monkeypatch):
+        """Item 4's field at order 6, where neither series gets a box for
+        the whole computation: each takes one order at a time, its first
+        order (on the small f or w) in `_dot` and every later one on a
+        box of its own.  Both equal the reference and a run with every
+        box refused, which takes `_dot` for every order."""
+        x, y, z = XYZ.vars()
+        v = VectorField(XYZ, (x**3 * y + z**2 - 1, y**3 * z + x, z**3 * x - y))
+        w = VectorField(XYZ, (y * z, x - z, x * y + 1))
+        f = RatFunc(x * y * z + 1)
+        order = 6
+        cases = [
+            (flow_series_function, f, _reference_flow_series_function(v, f, order)),
+            (flow_series_field, w, _reference_flow_series_field(v, w, order)),
+        ]
+        taken = []
+        real = liecalc_module._series_box
+
+        def spy(vs, base, k):
+            box = real(vs, base, k)
+            taken.append((k, box is not None))
+            return box
+
+        monkeypatch.setattr(liecalc_module, "_series_box", spy)
+        for series, base, expected in cases:
+            taken.clear()
+            assert series(v, base, order).coefficients == expected
+            assert taken == [(order, False), (1, False)] + [(1, True)] * (order - 1)
+        monkeypatch.setattr(liecalc_module, "_series_box", lambda *args: None)
+        for series, base, expected in cases:
+            assert series(v, base, order).coefficients == expected
+
+    def test_order_zero_computes_nothing(self, monkeypatch):
+        """Order 0 returns the base: no sum of products is formed."""
+        rng = random.Random(47)
+        v, w = _dense_fields(rng)[:2]
+        f = _dense_poly(rng, XYZ)
+        def no_dot(*args):
+            raise AssertionError("a sum of products at order 0")
+
+        monkeypatch.setattr(liecalc_module, "_dot", no_dot)
+        monkeypatch.setattr(poly_module, "_dot", no_dot)
+        assert flow_series_function(v, f, 0).coefficients == (RatFunc(f),)
+        assert flow_series_field(v, w, 0).coefficients == (w,)
 
     def test_flow_series_function_special_denominators(self):
         """Square factors in b, and factors of b that are invariant curves
