@@ -49,7 +49,7 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen, linalg
-from .liecalc import VectorField, _along, _derive, lie_bracket
+from .liecalc import VectorField, _along, _derive, _derive_numerator, lie_bracket
 from .poly import (
     Chart,
     ChartMismatchError,
@@ -216,10 +216,13 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
     span = fol.span
     if isinstance(span, _MapKernel):
         qv, pv = _common_denominator(v.coefficients)
-        images = [_derive(qv, pv, f) for f in span.components]
+        # a zero h_i is annihilated by every generator: only the others are tested
+        images = [h for f in span.components if (h := _derive(qv, pv, f))]
         for g in fol.generators:
-            qg, pg = _common_denominator(g.coefficients)
-            if any(_derive(qg, pg, h) for h in images):
+            # generators are stored polynomial; g(h) = 0 exactly when its
+            # numerator is, so no quotient is formed
+            pg = [c.num for c in g.coefficients]
+            if any(_derive_numerator(pg, h) for h in images):
                 return InvarianceResult(False, lie_bracket(v, g))
         return InvarianceResult(True, None)
     for g in fol.generators:
@@ -291,7 +294,10 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     minor that swaps pivot p_i for f.  So the common content of the
     minors divides each content ``span.contents`` holds, and when one of
     them is 1 the common content is 1 without a gcd.  No minor is divided
-    by a common content of 1.
+    by a common content of 1.  The minors with at most one column off the
+    pivots are the nonzero entries of the reduced form, so when one of
+    those entries is constant the ideal holds a unit: the locus is (1),
+    and no minor is formed.
     """
     p = len(fol.generators)
     span = fol.span
@@ -299,12 +305,20 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
     if span.rank < p:
         raise ValueError("generators are dependent at the generic point")
     n = fol.chart.size
+    tangent = isinstance(span, _MapKernel)
+    space = span.space if tangent else span
+    # each nonzero entry of the reduced form is ± a maximal minor: a
+    # constant one is a unit of the ideal, and the locus is empty
+    if any(q and q.is_constant() for row in space.rows for q in row):
+        return SingularIdeal(fol.chart, (Poly.one(fol.chart),))
     contents: Sequence[Poly] = ()
-    if isinstance(span, _MapKernel):
-        matrix, space, contents = span.rows, span.space, span.contents
-        blocks = (tuple(c for c in range(n) if c not in s) for s in combinations(range(n), p))
+    if tangent:
+        matrix, contents = span.rows, span.contents
+        # the complements of the p-sets, in the order of the p-sets: the
+        # (n - p)-sets in reverse lexicographic order
+        blocks = reversed(list(combinations(range(n), n - p)))
     else:
-        matrix, space = [g.polynomial_coefficients() for g in fol.generators], span
+        matrix = [g.polynomial_coefficients() for g in fol.generators]
         blocks = combinations(range(n), p)
     minors: List[Poly] = []
     for cols in blocks:
@@ -319,7 +333,7 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
             reduced.append(q)
     if any(q.is_constant() for q in reduced):
         reduced = [Poly.one(fol.chart)]
-    reduced.sort(key=lambda q: glex_key(q.leading_term()[0]), reverse=True)
+    reduced.sort(key=lambda q: glex_key(q._leading_exponents()), reverse=True)
     return SingularIdeal(fol.chart, tuple(reduced))
 
 

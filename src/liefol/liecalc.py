@@ -156,13 +156,20 @@ def _along(coeffs: Sequence[Poly], h: Poly) -> Poly:
     return _dot(h.chart, [(p, h.partial(k)) for k, p in enumerate(coeffs) if p])
 
 
-def _derive(q: Poly, coeffs: Sequence[Poly], f: RatFunc) -> RatFunc:
-    """v(f) for the field v = coeffs / q: one reduction to lowest terms."""
+def _derive_numerator(coeffs: Sequence[Poly], f: RatFunc) -> Poly:
+    """For D = sum_k coeffs[k] * d/dx_k and f = a / b, the numerator
+    b * D(a) - a * D(b) of D(f) over b^2, or D(a) when b is 1."""
     a, b = f.num, f.den
     da = _along(coeffs, a)
     if b.is_one():
-        return RatFunc(da, q)
-    return RatFunc(_dot(q.chart, [(b, da), (-a, _along(coeffs, b))]), q * b * b)
+        return da
+    return _dot(a.chart, [(b, da), (-a, _along(coeffs, b))])
+
+
+def _derive(q: Poly, coeffs: Sequence[Poly], f: RatFunc) -> RatFunc:
+    """v(f) for the field v = coeffs / q: one reduction to lowest terms."""
+    b = f.den
+    return RatFunc(_derive_numerator(coeffs, f), q if b.is_one() else q * b * b)
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:

@@ -129,9 +129,9 @@ def _kernel(
         g = content([p for p in vec if not p.is_zero()])
         if not g.is_one():
             vec = [divexact(p, g) for p in vec]
-        unit = _normalizer(vec[f])
-        if unit != 1:
-            vec = [p * unit for p in vec]
+        a, b = _normalizer(vec[f])
+        if a != b:
+            vec = [p._scaled(a, b) for p in vec]
         basis.append(tuple(vec))
         contents.append(g)
     return basis, space, contents

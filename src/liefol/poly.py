@@ -18,6 +18,13 @@ used elsewhere in the package are fixed here:
 * rational functions are reduced pairs whose denominator carries that
   same normalization.
 
+The normal forms run on integers: ``_normalizer`` returns the unit that
+normalizes a polynomial as a pair of ints (a, b), and ``Poly._scaled``
+multiplies by a / b, so no ``Fraction`` is built.  Each chart holds one
+shared constant polynomial 1 (``Poly.one``), and a polynomial rational
+function keeps it as its denominator: ``RatFunc`` of a polynomial, or
+over a denominator equal to 1, stores the pair without a gcd.
+
 The two hot loops, multiplication and exact division, pack each
 exponent tuple into one int while they run (packed exponent vectors,
 after Monagan and Pearce), except in sums of few products or with a
@@ -104,9 +111,13 @@ class ExactDivisionError(ValueError):
 
 
 class Chart(_Frozen):
-    """An ordered tuple of affine coordinate names, e.g. ``Chart(("x", "y"))``."""
+    """An ordered tuple of affine coordinate names, e.g. ``Chart(("x", "y"))``.
 
-    __slots__ = ("variables",)
+    The memo slot ``_one`` holds the chart's one shared constant
+    polynomial 1, built by the first ``Poly.one`` call on the chart.
+    """
+
+    __slots__ = ("variables", "_one")
 
     def __init__(self, variables: Tuple[str, ...]) -> None:
         if isinstance(variables, list):
@@ -122,6 +133,7 @@ class Chart(_Frozen):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names in chart")
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "_one", None)
 
     @property
     def size(self) -> int:
@@ -171,9 +183,12 @@ class Poly:
     common denominator ``_den > 0``, in lowest terms:
     ``gcd(_den, *_num.values()) == 1``, and the zero polynomial has
     ``_den == 1``.  The form is canonical, so equality and hashing
-    compare it directly.  Instances are immutable by convention: the
-    numerator dict is never mutated after construction (polynomials may
-    share one), so polynomials can be shared, compared and hashed freely.
+    compare it directly; a constant polynomial equals its value as an
+    int or ``Fraction`` and hashes as that value.  Instances are
+    immutable by convention: the numerator dict is never mutated after
+    construction (polynomials may share one), so polynomials can be
+    shared, compared and hashed freely.  ``Poly.one(chart)`` is one
+    instance per chart, kept in the chart's memo slot ``_one``.
     """
 
     __slots__ = ("chart", "_num", "_den")
@@ -240,7 +255,12 @@ class Poly:
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
-        return cls._trusted(chart, {chart.zero_exponents(): 1})
+        """The constant 1 on ``chart``: one shared instance per chart."""
+        one = chart._one
+        if one is None:
+            one = cls._trusted(chart, {chart.zero_exponents(): 1})
+            object.__setattr__(chart, "_one", one)
+        return one
 
     @classmethod
     def constant(cls, chart: Chart, value: Coeff) -> "Poly":
@@ -292,9 +312,11 @@ class Poly:
         return max((e[k] for e in self._num), default=-1)
 
     def _leading_exponents(self) -> Exponents:
-        if not self._num:
+        num = self._num
+        if not num:
             raise ValueError("the zero polynomial has no leading term")
-        return max(self._num, key=glex_key)
+        # max by glex_key, without a Python call per term
+        return max(zip(map(sum, num), num))[1]
 
     def leading_term(self) -> Tuple[Exponents, Fraction]:
         """Largest term in graded lexicographic order."""
@@ -421,6 +443,9 @@ class Poly:
         )
 
     def __hash__(self) -> int:
+        # a constant equals its value, so it hashes as that value does
+        if self.is_constant():
+            return hash(self.coefficient(self.chart.zero_exponents()))
         return hash((self.chart, self._den, frozenset(self._num.items())))
 
     # -- calculus and evaluation ------------------------------------------
@@ -561,20 +586,23 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _normalizer(p: Poly) -> Fraction:
-    """The rational r making p * r integer-primitive with a positive
-    leading coefficient (p nonzero)."""
+def _normalizer(p: Poly) -> Tuple[int, int]:
+    """The integers a and b > 0, in lowest terms, for which p * a / b is
+    integer-primitive with a positive leading coefficient (p nonzero);
+    a == b exactly when p is already so."""
     c = math.gcd(*p._num.values())
+    # the numerators' content is prime to the denominator: a / b is reduced
     if p._num[p._leading_exponents()] < 0:
-        c = -c
-    return Fraction(p._den, c)
+        return -p._den, c
+    return p._den, c
 
 
 def normalize(p: Poly) -> Poly:
     """Scale to integer coefficients, content 1, positive leading coefficient."""
     if p.is_zero():
         return p
-    return p * _normalizer(p)
+    a, b = _normalizer(p)
+    return p if a == b else p._scaled(a, b)
 
 
 def _coeff_in(p: Poly, k: int, d: int) -> Poly:
@@ -968,7 +996,7 @@ def divexact(f: Poly, g: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.is_constant():
         (n,) = g._num.values()
-        return f * Fraction(g._den, n)
+        return f._scaled(g._den, n) if n > 0 else f._scaled(-g._den, -n)
     if not f._num:
         return f
     # g = (c / d) * G with G integer-primitive.  If G divides f's integer
@@ -1106,16 +1134,14 @@ def _unit_normalized(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     """Scale a coprime pair by a rational unit so that the denominator is
     integer-primitive with positive leading coefficient, and exactly 1
     when it is constant or the numerator is zero."""
-    if num.is_zero():
+    if num.is_zero() or den.is_one():
         return num, Poly.one(num.chart)
-    if den.is_one():
-        return num, den
-    r = _normalizer(den)
+    a, b = _normalizer(den)
     if den.is_constant():
-        return num * r, Poly.one(num.chart)
-    if r == 1:
+        return num._scaled(a, b), Poly.one(num.chart)
+    if a == b:
         return num, den
-    return num * r, den * r
+    return num._scaled(a, b), den._scaled(a, b)
 
 
 class RatFunc:
@@ -1124,16 +1150,27 @@ class RatFunc:
     Invariants: gcd(num, den) is constant, the denominator is
     integer-primitive with positive leading coefficient (so a
     polynomial is stored with denominator exactly 1), and the zero
-    function is 0/1.
+    function is 0/1.  The constructor stores a polynomial, given alone or
+    over a denominator equal to 1, with its chart's shared ``Poly.one``
+    and no gcd; both parts must be ``Poly``.  A polynomial function
+    equals its numerator and hashes as it.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Union[Poly, None] = None):
-        if den is None:
-            den = Poly.one(num.chart)
-        if num.chart != den.chart:
+        if not isinstance(num, Poly):
+            raise TypeError(f"a numerator must be a Poly, not {type(num).__name__}")
+        if den is not None and not isinstance(den, Poly):
+            raise TypeError(f"a denominator must be a Poly, not {type(den).__name__}")
+        chart = num.chart
+        if den is not None and den.chart is not chart and den.chart != chart:
             raise ChartMismatchError("numerator and denominator on different charts")
+        if den is None or den.is_one():
+            # a polynomial is already reduced and normalized
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", Poly.one(chart))
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero() and not den.is_constant():
@@ -1278,6 +1315,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a polynomial equals its numerator, so it hashes as that does
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- calculus -----------------------------------------------------------
@@ -1285,7 +1325,7 @@ class RatFunc:
     def partial(self, var: Union[str, int]) -> "RatFunc":
         """Partial derivative (quotient rule)."""
         if self.den.is_one():
-            return RatFunc(self.num.partial(var))
+            return RatFunc._trusted(self.num.partial(var), self.den)
         dn = self.num.partial(var)
         dd = self.den.partial(var)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)

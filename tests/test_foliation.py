@@ -227,6 +227,16 @@ class TestSingularLocus:
         assert [str(g) for g in ideal.generators] == ["1"]
         assert ideal.generators == (Poly.one(XY),)
 
+    def test_a_constant_entry_of_the_reduced_form_forms_no_minor(self, monkeypatch):
+        """A constant entry of the reduced form is ± a maximal minor, a unit:
+        the locus is (1) and no minor is formed, for a tangent foliation
+        (a linear map) and for a declared one (the map's kernel)."""
+        monkeypatch.setattr(foliation_module, "_minor", None)  # calling it fails
+        fol = tangent_foliation((2 * X3 - Y3 + 1, 3 * X3 + Z3), XYZ)
+        twin = FoliationGens(XYZ, fol.generators)
+        for f in (fol, twin):
+            assert singular_locus(f).generators == (ONE3,)
+
     def test_rotation_and_vertical_z_axis(self):
         fol = FoliationGens(XYZ, (vf3(-Y3, X3, ZERO3), vf3(ZERO3, ZERO3, ONE3)))
         ideal = singular_locus(fol)
@@ -539,6 +549,40 @@ class TestTangentFoliation:
                 assert apply_derivation(g, f).is_zero()
 
 
+    def test_polynomial_map_constructs_no_fraction(self, monkeypatch):
+        """On a polynomial map the tangent foliation and its singular locus
+        run on integer numerators alone: the normal forms, the units of the
+        kernel vectors and the division by a constant construct no
+        ``Fraction``.  The loci are those of the generators."""
+        maps = [
+            ((X**2 * Y,), XY),  # a kernel content of x
+            ((X3**2 + Y3 * Z3, X3 * Y3 - 2 * Z3**2), XYZ),
+            ((-3 * X3**2 + 6 * Y3 * Z3 + 9,), XYZ),
+            ((2 * X3 - Y3, 3 * X3 + Z3), XYZ),
+        ]
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        if "_from_coprime_ints" in vars(Fraction):  # Python 3.12 arithmetic
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(
+                Fraction,
+                "_from_coprime_ints",
+                classmethod(lambda cls, n, d: made.append((n, d)) or coprime(n, d)),
+            )
+        results = [singular_locus(tangent_foliation(comps, chart)) for comps, chart in maps]
+        monkeypatch.undo()
+        assert made == []
+        for (comps, chart), ideal in zip(maps, results):
+            fol = tangent_foliation(comps, chart)
+            assert ideal == _reference_singular_locus(FoliationGens(chart, fol.generators))
+
+
 class TestMorphismInvariance:
     """Tangent foliations of flow morphisms are invariant under the flow."""
 
@@ -557,9 +601,9 @@ class TestMorphismInvariance:
 
     def test_denominators_cleared_once_per_field(self, monkeypatch):
         """A tangent foliation's invariance test clears the denominators of
-        v once and those of each generator once, not once per component of
-        φ; the verdicts are those of the foliation built from the same
-        generators."""
+        v once, not once per component of φ, and those of no generator,
+        which are stored polynomial; the verdicts are those of the
+        foliation built from the same generators."""
         calls = []
         real = foliation_module._common_denominator
         monkeypatch.setattr(
@@ -576,7 +620,7 @@ class TestMorphismInvariance:
             assert len(fol.span.components) == 2
             del calls[:]
             assert is_invariant_subsheaf(fol, v).ok
-            assert len(calls) == 1 + len(fol.generators)
+            assert len(calls) == 1
             assert is_invariant_subsheaf(FoliationGens(fol.chart, fol.generators), v).ok
 
     def test_first_integral_level_sets(self):

@@ -6,7 +6,9 @@ inputs; printed forms are frozen strings computed by hand.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -101,6 +103,20 @@ class TestChart:
         other = Chart(("u",))
         with pytest.raises(ChartMismatchError):
             X + other.var("u")
+
+    def test_one_is_shared_per_chart(self):
+        """``Poly.one`` returns one instance per chart, kept in the memo slot
+        ``_one``; the repr does not show it, and a copied or unpickled chart
+        is equal, hashes alike and builds its own."""
+        chart = Chart(("x", "y"))
+        one = Poly.one(chart)
+        assert Poly.one(chart) is one and one.chart is chart and one.is_one()
+        assert repr(chart) == "Chart(variables=('x', 'y'))"
+        for clone in (copy.copy(chart), copy.deepcopy(chart), pickle.loads(pickle.dumps(chart))):
+            assert clone is not chart and clone == chart and hash(clone) == hash(chart)
+            own = Poly.one(clone)
+            assert own is not one and own.chart is clone and Poly.one(clone) is own
+            assert own == one and repr(clone) == repr(chart)
 
 
 class TestArithmetic:
@@ -498,6 +514,53 @@ class TestRatFunc:
     def test_copy_and_pickle_round_trip(self):
         for f in (RatFunc.zero(XY), RatFunc(X, 2 * Y), RatFunc(X**2 * Fraction(1, 3) - Y, X * Y + 1)):
             assert_round_trips(f)
+
+    def test_a_polynomial_keeps_the_shared_one(self):
+        """Every polynomial the constructor stores, given as one or reduced
+        to one, takes the chart's shared 1 as its denominator."""
+        p = X**2 * Fraction(1, 3) - Y
+        one = Poly.one(XY)
+        for f in (
+            RatFunc(p),
+            RatFunc(p, one),
+            RatFunc(p, Poly.constant(XY, 1)),
+            RatFunc(p * X, X),
+            RatFunc(p, Poly.constant(XY, Fraction(-2, 3))),
+            RatFunc(Poly.zero(XY), X),
+            RatFunc(p).partial(0),
+            RatFunc.constant(XY, 7),
+        ):
+            assert f.den is one
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((3,), "int"), (("x",), "str"), ((X, 2), "int"), ((X, Fraction(1, 2)), "Fraction")],
+    )
+    def test_parts_that_are_not_polynomials_raise_type_error(self, args, name):
+        with pytest.raises(TypeError, match=f"must be a Poly, not {name}$"):
+            RatFunc(*args)
+
+    def test_hash_agrees_with_equality(self):
+        """A constant polynomial equals its value and hashes as it; a
+        polynomial function equals its numerator and hashes as it."""
+        one, half = Poly.one(XY), Poly.constant(XY, Fraction(1, 2))
+        assert one == 1 and hash(one) == hash(1) and len({one, 1}) == 1
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert Poly.zero(XY) == 0 and hash(Poly.zero(XY)) == hash(0)
+        assert RatFunc(X) == X and hash(RatFunc(X)) == hash(X) and len({RatFunc(X), X}) == 1
+        assert RatFunc.constant(XY, 3) == 3 and hash(RatFunc.constant(XY, 3)) == hash(3)
+        # any other polynomial hashes over its chart, denominator and terms
+        p = X * Fraction(2, 3) + Y
+        assert hash(p) == hash((XY, p._den, frozenset(p._num.items())))
+
+    @given(poly_strategy(XY), st.one_of(st.integers(-3, 3), fraction_strategy()))
+    def test_equal_values_hash_alike(self, p, c):
+        f = RatFunc(p)
+        assert f == p and hash(f) == hash(p)
+        q = p * c
+        if q.is_constant():
+            value = q.coefficient((0, 0))
+            assert q == value and hash(q) == hash(value) == hash(RatFunc(q))
 
     def test_reduction(self):
         f = RatFunc(X**2 - Y**2, X - Y)

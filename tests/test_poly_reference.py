@@ -227,6 +227,55 @@ def test_divexact_raises_exactly_when_the_reference_does(data):
         assert_matches(divexact(f, g), expected)
 
 
+@given(_pair())
+def test_normalize_matches_the_fraction_formula(pair):
+    """normalize(p) = p * (d / c), with d the least common denominator of
+    the coefficients and c the gcd of the integers coefficient * d, negated
+    when the leading coefficient in graded-lex order is negative.
+    ``_normalizer`` gives d / c as a pair of integers in lowest terms with
+    a positive second one, equal exactly when p is already normalized, and
+    ``_scaled`` by that pair is ``normalize``."""
+    p, _ = pair
+    terms = dict(p.terms)
+    if not terms:
+        assert poly.normalize(p).is_zero()
+        return
+    d = math.lcm(*(v.denominator for v in terms.values()))
+    c = math.gcd(*(int(v * d) for v in terms.values()))
+    if terms[max(terms, key=poly.glex_key)] < 0:
+        c = -c
+    normal = poly.normalize(p)
+    assert_matches(normal, RefPoly.of(p) * Fraction(d, c))
+    a, b = poly._normalizer(p)
+    assert type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1
+    assert Fraction(a, b) == Fraction(d, c)
+    assert (a == b) == (normal == p)
+    assert_matches(p._scaled(a, b), RefPoly.of(normal))
+
+
+def _any_poly():
+    """A polynomial on a chart of one to three variables: up to five terms,
+    one term, or a constant."""
+    return st.sampled_from(CHARTS).flatmap(
+        lambda chart: st.one_of(
+            _polys(chart),
+            _polys(chart, max_terms=1),
+            _rationals().map(lambda r: Poly.constant(chart, r)),
+        )
+    )
+
+
+@given(_any_poly())
+def test_leading_exponents_are_the_graded_lex_maximum(p):
+    if not p:
+        with pytest.raises(ValueError, match="no leading term"):
+            p._leading_exponents()
+        return
+    lead = p._leading_exponents()
+    assert lead == max(p._num, key=poly.glex_key)
+    assert p.leading_term() == (lead, p.terms[lead])
+
+
 WIDE_CHARTS = [Chart(tuple("xyzwv"[:n])) for n in range(1, 6)]
 EDGES = (7, 8, 15, 16, 31, 32)
 
