@@ -7,7 +7,7 @@ leaf-density table contrasting the irrational stable direction with a
 rational control slope.
 
 Usage:
-    python3 scripts/anosov_sweep.py [--samples N] [--seed S]
+    python3 scripts/anosov_sweep.py
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ LAMBDA_U = (3.0 + math.sqrt(5.0)) / 2.0
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     print(f"exact rates: stable {LAMBDA_S:.12f}, unstable {LAMBDA_U:.12f}")
     print()
     print(f"{'t_max':>6} {'stable est':>16} {'err':>10} {'unstable est':>16} {'err':>10}")
     for t_max in (5, 10, 20, 50, 100, 200):
-        report = hyperbolic.verify_anosov_bounds(
-            samples=args.samples, t_max=t_max, seed=args.seed
-        )
+        report = hyperbolic.verify_anosov_bounds(t_max=t_max)
         err_s = abs(report.lambda_stable_est - LAMBDA_S)
         err_u = abs(report.lambda_unstable_est - LAMBDA_U)
         flag = "" if report.passed else "  (FAILED)"

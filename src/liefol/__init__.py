@@ -54,13 +54,13 @@ _EXPORTS = {
     "liecalc": (
         "FlowSeries",
         "VectorField",
+        "Verdict",
         "apply_derivation",
         "flow_series_field",
         "flow_series_function",
         "lie_bracket",
     ),
     "dmod": (
-        "DMorphismResult",
         "MorphismPreconditionError",
         "PolyMap",
         "check_dmorphism",
@@ -68,8 +68,6 @@ _EXPORTS = {
     "linalg": (),
     "foliation": (
         "FoliationGens",
-        "InvarianceResult",
-        "InvolutivityResult",
         "SingularIdeal",
         "generic_rank",
         "invariant_hypersurface",

@@ -35,7 +35,8 @@ carries a message starting with ``internal:``.  A malformed command line
 ``FLAG_RANGES`` is reported as an error before any work is done.  All
 symbolic values appear in the canonical text form, which re-parses to
 the same object; ``anosov`` floats are rounded to 12 significant digits
-so reports are byte-stable for a fixed seed.
+so reports are byte-stable, and its ``result`` is the same for every
+``--seed`` and ``--samples``, which ``inputs`` only echoes.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ _KINDS = ("field", "map", "foliation", "curve")
 
 # Accepted ranges of the numeric flags, checked before any work.  The
 # bounds keep every call within a few seconds: the Anosov bounds check
-# costs four exact rate walks of t_max steps and reads at most eight
-# sample states, and leaf density steps once per gridline crossing, at
-# most about 1.4 * arc_length / epsilon times.
+# costs four exact rate walks of t_max steps, and leaf density steps once
+# per gridline crossing, at most about 1.4 * arc_length / epsilon times.
+# ``anosov --samples`` (like ``--seed``) feeds no result and is only
+# echoed in ``inputs``; it keeps its range all the same.
 FLAG_RANGES: Dict[str, Tuple[float, float]] = {
     "order": (0, 30),
     "samples": (1, 200),
@@ -300,12 +302,7 @@ def _cmd_flow_series(args: argparse.Namespace, problem: ProblemFile) -> Report:
 
 
 def _cmd_anosov(args: argparse.Namespace, _: None) -> Report:
-    bounds = hyperbolic.verify_anosov_bounds(
-        samples=args.samples,
-        t_max=args.t_max,
-        seed=args.seed,
-        swap_bundles=args.swap_bundles,
-    )
+    bounds = hyperbolic.verify_anosov_bounds(t_max=args.t_max, swap_bundles=args.swap_bundles)
     state = hyperbolic.fixed_point()
     lines = hyperbolic.classify_invariant_lines(state, 1)
     planes = hyperbolic.classify_invariant_planes(state, 1)
@@ -424,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anosov", help="suspension bench: bounds, lines, planes, leaf density")
     p.add_argument("problem", nargs="?", help="ignored; present for interface uniformity")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="echoed in inputs; no result reads it")
+    p.add_argument("--samples", type=int, default=50, help="echoed in inputs; no result reads it")
     p.add_argument("--t-max", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--arc-length", type=float, default=2000.0)

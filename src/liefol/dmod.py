@@ -28,10 +28,10 @@ w as well, so the check does not test it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from . import _Frozen
-from .liecalc import VectorField, _derive
+from .liecalc import Verdict, VectorField, _derive
 from .poly import (
     Chart,
     ChartMismatchError,
@@ -85,14 +85,7 @@ class MorphismPreconditionError(ValueError):
         self.coordinate = coordinate
 
 
-class DMorphismResult(NamedTuple):
-    """The verdict of ``check_dmorphism``: ``(True, None)`` whenever it returns."""
-
-    ok: bool
-    witness: Optional[Tuple[int, int, RatFunc]]  # always None: a failure raises instead
-
-
-def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismResult:
+def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> Verdict:
     """Verify that phi is a morphism of flows: v(phi_j) = w_j o phi for every j.
 
     w is pulled back in one composition, each monomial image built once.
@@ -119,4 +112,4 @@ def check_dmorphism(phi: PolyMap, v: VectorField, w: VectorField) -> DMorphismRe
         rhs = RatFunc(num, den)
         if lhs != rhs:
             raise MorphismPreconditionError(j, phi.target.variables[j], lhs, rhs)
-    return DMorphismResult(True, None)
+    return Verdict(True, None)

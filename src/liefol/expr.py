@@ -270,9 +270,7 @@ class _Parser:
             idx = self.names.get(tok.text)
             if idx is None:
                 raise ParseError(f"unknown name {tok.text!r}", tok.pos)
-            exps = [0] * self.chart.size
-            exps[idx] = 1
-            return Poly(self.chart, {tuple(exps): 1})
+            return self.chart.var(idx)
         if tok.kind == "(":
             inner = _expand_sum(self.sum())
             self.expect(")")

@@ -46,10 +46,10 @@ degree than the p×n kernel generators A (n = p + m):
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from . import _Frozen, linalg
-from .liecalc import VectorField, _along, _derive, _derive_numerator, lie_bracket
+from .liecalc import Verdict, VectorField, _along, _derive, _derive_numerator, lie_bracket
 from .poly import (
     Chart,
     ChartMismatchError,
@@ -175,35 +175,25 @@ def generic_rank(fol: FoliationGens) -> int:
     return fol.span.rank
 
 
-class InvolutivityResult(NamedTuple):
-    ok: bool
-    witness: Optional[VectorField]  # a bracket outside the generic span
-
-
-def is_involutive(fol: FoliationGens) -> InvolutivityResult:
+def is_involutive(fol: FoliationGens) -> Verdict:
     """Are all pairwise brackets of generators inside the generic span?
 
-    A tangent foliation, ker dφ, is involutive by construction: for X, Y
-    in it, [X, Y](φ_i) = X(Y(φ_i)) − Y(X(φ_i)) = 0, so it takes no
-    bracket.
+    The witness is the first bracket that leaves the span.  A tangent
+    foliation, ker dφ, is involutive by construction: for X, Y in it,
+    [X, Y](φ_i) = X(Y(φ_i)) − Y(X(φ_i)) = 0, so it takes no bracket.
     """
     span = fol.span
     if isinstance(span, _MapKernel):
-        return InvolutivityResult(True, None)
+        return Verdict(True, None)
     for i, gi in enumerate(fol.generators):
         for gj in fol.generators[i + 1 :]:
             br = lie_bracket(gi, gj)
             if br.coefficients not in span:
-                return InvolutivityResult(False, br)
-    return InvolutivityResult(True, None)
+                return Verdict(False, br)
+    return Verdict(True, None)
 
 
-class InvarianceResult(NamedTuple):
-    ok: bool
-    witness: Optional[VectorField]
-
-
-def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResult:
+def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> Verdict:
     """Does bracketing with ``v`` preserve the generic span of the foliation?
 
     The witness is [v, g] for the first generator g whose bracket leaves
@@ -223,13 +213,13 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> InvarianceResul
             # numerator is, so no quotient is formed
             pg = [c.num for c in g.coefficients]
             if any(_derive_numerator(pg, h) for h in images):
-                return InvarianceResult(False, lie_bracket(v, g))
-        return InvarianceResult(True, None)
+                return Verdict(False, lie_bracket(v, g))
+        return Verdict(True, None)
     for g in fol.generators:
         br = lie_bracket(v, g)
         if br.coefficients not in span:
-            return InvarianceResult(False, br)
-    return InvarianceResult(True, None)
+            return Verdict(False, br)
+    return Verdict(True, None)
 
 
 class SingularIdeal(_Frozen):

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _Frozen
 from .poly import (
@@ -143,6 +143,16 @@ class VectorField(_Frozen):
                 continue
             pieces.append(name if coeff == 1 else f"({coeff})*{name}")
         return " + ".join(pieces) if pieces else "0"
+
+
+class Verdict(NamedTuple):
+    """The answer of a test of the paper: whether a foliation is
+    involutive, whether it is invariant under a field, whether a map is a
+    D-morphism.  ``ok`` is the answer; ``witness`` is None when it holds,
+    and otherwise the field that shows it fails, where the test has one."""
+
+    ok: bool
+    witness: Optional[VectorField]
 
 
 def apply_derivation(v: VectorField, f: Union[RatFunc, Poly]) -> RatFunc:

@@ -149,12 +149,15 @@ class Chart(_Frozen):
             return self.variables.index(var)
         raise KeyError(f"{var!r} is not a coordinate of {self}")
 
-    def var(self, name: str) -> "Poly":
-        """The coordinate ``name`` as a polynomial."""
-        return Poly.variable(self, name)
+    def var(self, var: Union[str, int]) -> "Poly":
+        """The coordinate ``var``, by name or by position (see ``index``),
+        as a polynomial."""
+        exps = [0] * self.size
+        exps[self.index(var)] = 1
+        return Poly._trusted(self, {tuple(exps): 1})
 
     def vars(self) -> Tuple["Poly", ...]:
-        return tuple(Poly.variable(self, v) for v in self.variables)
+        return tuple(map(self.var, range(self.size)))
 
     def zero_exponents(self) -> Exponents:
         return (0,) * len(self.variables)
@@ -268,12 +271,6 @@ class Poly:
         if not c:
             return cls._trusted(chart, {})
         return cls._trusted(chart, {chart.zero_exponents(): c.numerator}, c.denominator)
-
-    @classmethod
-    def variable(cls, chart: Chart, name: str) -> "Poly":
-        exps = [0] * chart.size
-        exps[chart.index(name)] = 1
-        return cls._trusted(chart, {tuple(exps): 1})
 
     # -- basic structure -------------------------------------------------
 
@@ -617,7 +614,7 @@ def _pseudo_rem(f: Poly, g: Poly, k: int) -> Poly:
     """Pseudo-remainder of f by g in the variable x_k (deg_k g >= 1)."""
     dg = g.degree_in(k)
     lcg = _coeff_in(g, k, dg)
-    xk = Poly.variable(f.chart, f.chart.variables[k])
+    xk = f.chart.var(k)
     r = f
     while not r.is_zero() and r.degree_in(k) >= dg:
         dr = r.degree_in(k)

@@ -556,6 +556,29 @@ class TestAnosov:
         assert result["leaf_density"]["coverage"] == 1.0
         assert result["leaf_density"]["control_coverage"] < 0.9
 
+    def test_samples_and_seed_are_only_echoed(self, capsys):
+        """No result reads ``--samples`` or ``--seed``: with ``--t-max 25``
+        every pair gives the golden's ``result``, and ``inputs`` that differ
+        in those two flags alone."""
+        reports = []
+        for samples, seed in (("1", "5"), ("200", "123456"), ("4", "0")):
+            argv = ("anosov", "--samples", samples, "--t-max", "25", "--seed", seed)
+            code, report = run(capsys, *argv)
+            assert code == 0
+            assert (report["inputs"]["samples"], report["inputs"]["seed"]) == (
+                int(samples),
+                int(seed),
+            )
+            reports.append(report)
+        golden = json.loads((GOLDEN / "anosov.json").read_text())
+        assert reports[-1] == golden
+        for report in reports:
+            assert report["result"] == golden["result"]
+            echoed = ("samples", "seed")
+            assert {k: v for k, v in report["inputs"].items() if k not in echoed} == {
+                k: v for k, v in golden["inputs"].items() if k not in echoed
+            }
+
     def test_swap_bundles_fails(self, capsys):
         code, report = run(capsys, "anosov", "--samples", "4", "--t-max", "20", "--swap-bundles")
         assert code == 0

@@ -20,6 +20,7 @@ from liefol import (
     Poly,
     RatFunc,
     VectorField,
+    Verdict,
     apply_derivation,
     check_dmorphism,
     generic_rank,
@@ -622,6 +623,29 @@ class TestMorphismInvariance:
             assert is_invariant_subsheaf(fol, v).ok
             assert len(calls) == 1
             assert is_invariant_subsheaf(FoliationGens(fol.chart, fol.generators), v).ok
+
+    def test_the_three_checks_return_one_verdict(self):
+        """Involutivity, invariance and the D-morphism check answer with the
+        one type ``Verdict``, on declared and tangent foliations alike, with
+        a witness or without."""
+        phi, v, w = product_morphism(random.Random(58))
+        tangent = tangent_foliation(phi.components, phi.source)
+        declared = FoliationGens(tangent.chart, tangent.generators)
+        heisenberg = FoliationGens(XYZ, (vf3(ONE3, ZERO3, ZERO3), vf3(ZERO3, ONE3, X3)))
+        shear = FoliationGens(XY, (vf2(ONE2, ZERO2),))
+        verdicts = [
+            check_dmorphism(phi, v, w),
+            is_involutive(tangent),
+            is_involutive(declared),
+            is_involutive(heisenberg),
+            is_invariant_subsheaf(tangent, v),
+            is_invariant_subsheaf(declared, v),
+            is_invariant_subsheaf(shear, vf2(ZERO2, X)),
+        ]
+        assert {type(r) for r in verdicts} == {Verdict}
+        assert [r.ok for r in verdicts] == [True] * 3 + [False, True, True, False]
+        assert verdicts[3].witness == vf3(ZERO3, ZERO3, ONE3)
+        assert verdicts[6] == Verdict(False, vf2(ZERO2, -ONE2))
 
     def test_first_integral_level_sets(self):
         # x*y is a first integral of x dx - y dy; its tangent foliation

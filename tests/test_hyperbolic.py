@@ -146,7 +146,7 @@ class TestValueTypes:
         frame = TangentFrame.cat_frame()
         assert frame._fields[-1] == "FLOW" and frame.FLOW == (0.0, 0.0, 1.0)
         assert TangentFrame(*frame[:4]) == frame
-        report = verify_anosov_bounds(samples=2, t_max=5, seed=0)
+        report = verify_anosov_bounds(t_max=5)
         assert report._fields[0] == "lambda_stable_est" and report.swapped is False
         assert AnosovReport(**report._asdict()) == report
         line = LabeledLine("flow", 1.0, (0.0, 0.0, 1.0))
@@ -243,7 +243,7 @@ class TestDifferential:
 
 class TestAnosovBounds:
     def test_bounds_hold(self):
-        report = verify_anosov_bounds(samples=10, t_max=40, seed=3)
+        report = verify_anosov_bounds(t_max=40)
         assert report.passed
         assert abs(report.lambda_stable_est - LAMBDA_S) < 1e-6
         assert abs(report.lambda_unstable_est - LAMBDA_U) < 1e-6
@@ -254,44 +254,22 @@ class TestAnosovBounds:
         assert report.flow_exponent == pytest.approx(0.0, abs=1e-9)
 
     def test_swapped_bundles_fail(self):
-        report = verify_anosov_bounds(samples=5, t_max=30, seed=3, swap_bundles=True)
+        report = verify_anosov_bounds(t_max=30, swap_bundles=True)
         assert not report.passed
 
-    def test_seed_reproducibility(self):
-        a = verify_anosov_bounds(samples=5, t_max=25, seed=9)
-        b = verify_anosov_bounds(samples=5, t_max=25, seed=9)
-        assert a == b
+    def test_reproducible(self):
+        assert verify_anosov_bounds(t_max=25) == verify_anosov_bounds(t_max=25)
 
-    def test_samples_do_not_change_the_rates(self):
-        # every sample state sees the same cocycle, so one state measures it
-        for swap in (False, True):
-            one = verify_anosov_bounds(samples=1, t_max=60, seed=4, swap_bundles=swap)
-            many = verify_anosov_bounds(samples=50, t_max=60, seed=4, swap_bundles=swap)
-            for name in (
-                "lambda_stable_est",
-                "lambda_unstable_est",
-                "lambda_stable_backward",
-                "lambda_unstable_backward",
-                "c_stable",
-                "c_unstable",
-                "c_stable_lower",
-                "flow_exponent",
-            ):
-                assert getattr(one, name) == pytest.approx(getattr(many, name), abs=1e-12)
-            assert one.passed == many.passed == (not swap)
-
-    def test_samples_and_seed_are_only_echoed(self):
-        # the fit runs once, so no result reads the sample count or the seed
-        for swap in (False, True):
-            base = verify_anosov_bounds(samples=1, t_max=40, seed=0, swap_bundles=swap)
-            for samples, seed in ((1, 5), (50, 0), (50, 123456), (3, 7)):
-                report = verify_anosov_bounds(samples, 40, seed, swap)
-                assert (report.samples, report.seed) == (samples, seed)
-                assert report._replace(samples=1, seed=0) == base
+    def test_draws_no_sample_states(self):
+        # the cocycle is the same at every state, so there is no sample
+        # count or seed to pass, and none in the report
+        with pytest.raises(TypeError):
+            verify_anosov_bounds(samples=1)
+        with pytest.raises(TypeError):
+            verify_anosov_bounds(seed=0)
+        assert not {"samples", "seed"} & set(AnosovReport._fields)
 
     def test_parameter_guards(self):
-        with pytest.raises(ValueError):
-            verify_anosov_bounds(samples=0)
         with pytest.raises(ValueError):
             verify_anosov_bounds(t_max=1)
         with pytest.raises(ValueError):

@@ -104,6 +104,16 @@ class TestChart:
         with pytest.raises(ChartMismatchError):
             X + other.var("u")
 
+    def test_var_by_name_and_by_index_is_the_parsed_variable(self):
+        chart = Chart(("x", "y", "z"))
+        for k, name in enumerate(chart.variables):
+            parsed = parse_polynomial(name, chart)
+            assert chart.var(name) == chart.var(k) == parsed == chart.vars()[k]
+            assert chart.var(k)._num == parsed._num and chart.var(k)._den == parsed._den == 1
+        for bad in ("w", 3, -1, 1.0):
+            with pytest.raises(KeyError):
+                chart.var(bad)
+
     def test_one_is_shared_per_chart(self):
         """``Poly.one`` returns one instance per chart, kept in the memo slot
         ``_one``; the repr does not show it, and a copied or unpickled chart
