@@ -59,6 +59,7 @@ _EXPORTS = {
         "flow_series_field",
         "flow_series_function",
         "lie_bracket",
+        "saturate_rank1",
     ),
     "dmod": (
         "MorphismPreconditionError",
@@ -73,7 +74,6 @@ _EXPORTS = {
         "invariant_hypersurface",
         "is_invariant_subsheaf",
         "is_involutive",
-        "saturate_rank1",
         "singular_locus",
         "tangent_foliation",
     ),

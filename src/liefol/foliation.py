@@ -17,10 +17,11 @@ of the Jacobian of a dominant rational map — and the invariance tests:
 a foliation is invariant under a field when all brackets of the field
 with generators stay inside the generic span; a squarefree hypersurface
 is invariant under a rank-one field exactly when its equation divides
-its own derivative along the saturated generator.  The kernel basis
-comes out of the Jacobian's elimination as content-one polynomial
-vectors, so a tangent foliation takes them as its generators as they
-are: the Jacobian's is its only elimination.
+its own derivative along the saturated generator
+(``liecalc.saturate_rank1``, which also stores each declared generator).
+The kernel basis comes out of the Jacobian's elimination as content-one
+polynomial vectors, so a tangent foliation takes them as its generators
+as they are: the Jacobian's is its only elimination.
 
 The span of a tangent foliation is ker J itself: the components
 φ_1..φ_m, the Jacobian J (m×n, rows cleared to polynomials) and J's
@@ -46,9 +47,9 @@ degree than the p×n kernel generators A (n = p + m):
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
-from . import _Frozen, linalg
+from . import _Frozen, liecalc, linalg
 from .liecalc import Verdict, VectorField, _along, _derive, _derive_numerator, lie_bracket
 from .poly import (
     Chart,
@@ -57,28 +58,14 @@ from .poly import (
     RatFunc,
     _as_ratfunc,
     _common_denominator,
+    _content_divided,
     clear_denominators,
-    content,
-    divexact,
     divides,
     glex_key,
     normalize,
     poly_det,
     squarefree_part,
 )
-
-
-def saturate_rank1(v: VectorField) -> VectorField:
-    """The content-one polynomial representative of the direction of v.
-
-    Denominators are multiplied out and the GCD of the resulting
-    coefficients divided away; the result generates the same rank-one
-    subsheaf saturated in the tangent sheaf.
-    """
-    if v.is_zero():
-        raise ValueError("the zero field spans no direction")
-    polys = linalg.clear_to_polynomials(v.coefficients)
-    return VectorField.from_coefficients(v.chart, polys)
 
 
 class _MapKernel(NamedTuple):
@@ -123,7 +110,7 @@ class FoliationGens(_Frozen):
                 raise ChartMismatchError("generator on a different chart")
             if g.is_zero():
                 raise ValueError("zero generator")
-            cleaned.append(saturate_rank1(g))
+            cleaned.append(liecalc.saturate_rank1(g))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "generators", tuple(cleaned))
         object.__setattr__(self, "_span", None)
@@ -175,6 +162,15 @@ def generic_rank(fol: FoliationGens) -> int:
     return fol.span.rank
 
 
+def _first_outside(span: linalg.RowSpace, brackets: Iterable[VectorField]) -> Verdict:
+    """The span's verdict on ``brackets``, taken in order: the first one
+    outside the span is the witness, and no bracket after it is taken."""
+    for br in brackets:
+        if br.coefficients not in span:
+            return Verdict(False, br)
+    return Verdict(True, None)
+
+
 def is_involutive(fol: FoliationGens) -> Verdict:
     """Are all pairwise brackets of generators inside the generic span?
 
@@ -185,12 +181,7 @@ def is_involutive(fol: FoliationGens) -> Verdict:
     span = fol.span
     if isinstance(span, _MapKernel):
         return Verdict(True, None)
-    for i, gi in enumerate(fol.generators):
-        for gj in fol.generators[i + 1 :]:
-            br = lie_bracket(gi, gj)
-            if br.coefficients not in span:
-                return Verdict(False, br)
-    return Verdict(True, None)
+    return _first_outside(span, (lie_bracket(gi, gj) for gi, gj in combinations(fol.generators, 2)))
 
 
 def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> Verdict:
@@ -215,11 +206,7 @@ def is_invariant_subsheaf(fol: FoliationGens, v: VectorField) -> Verdict:
             if any(_derive_numerator(pg, h) for h in images):
                 return Verdict(False, lie_bracket(v, g))
         return Verdict(True, None)
-    for g in fol.generators:
-        br = lie_bracket(v, g)
-        if br.coefficients not in span:
-            return Verdict(False, br)
-    return Verdict(True, None)
+    return _first_outside(span, (lie_bracket(v, g) for g in fol.generators))
 
 
 class SingularIdeal(_Frozen):
@@ -315,10 +302,11 @@ def singular_locus(fol: FoliationGens) -> SingularIdeal:
         minor = _minor(matrix, space, cols)
         if not minor.is_zero():
             minors.append(minor)
-    common = Poly.one(fol.chart) if any(g.is_one() for g in contents) else content(minors)
+    if not any(g.is_one() for g in contents):
+        minors = _content_divided(minors)[0]
     reduced = []
     for m in minors:
-        q = normalize(m if common.is_one() else divexact(m, common))
+        q = normalize(m)
         if q not in reduced:
             reduced.append(q)
     if any(q.is_constant() for q in reduced):
@@ -368,6 +356,6 @@ def invariant_hypersurface(f: Poly, v: VectorField) -> bool:
         raise ValueError("need a non-constant equation")
     if squarefree_part(f) != normalize(f):
         raise ValueError("equation must be squarefree")
-    w = saturate_rank1(v)
+    w = liecalc.saturate_rank1(v)
     derivative = _along(w.polynomial_coefficients(), f)
     return derivative.is_zero() or divides(f, derivative)

@@ -448,19 +448,16 @@ def classify_invariant_lines(state: SuspensionState, period) -> Tuple[LabeledLin
 def classify_invariant_planes(state: SuspensionState, period) -> Tuple[LabeledPlane, ...]:
     """The three invariant tangent planes along a closed orbit: the two
     center bundles (flow + stable / flow + unstable) and the strong span."""
-    lines = {line.label: line for line in classify_invariant_lines(state, period)}
-    pairs = (
-        ("stable", ("flow", "stable")),
-        ("unstable", ("flow", "unstable")),
-        ("strong", ("stable", "unstable")),
+    lines = {line.label: line.direction for line in classify_invariant_lines(state, period)}
+    # a span of two eigenlines of the return differential is invariant by construction
+    return tuple(
+        LabeledPlane(label=label, basis=(lines[first], lines[second]))
+        for label, first, second in (
+            ("stable", "flow", "stable"),
+            ("unstable", "flow", "unstable"),
+            ("strong", "stable", "unstable"),
+        )
     )
-    planes = []
-    for label, (first, second) in pairs:
-        basis = (lines[first].direction, lines[second].direction)
-        if not plane_is_invariant(state, period, basis[0], basis[1]):
-            raise AssertionError(f"eigenplane {label!r} failed its invariance check")
-        planes.append(LabeledPlane(label=label, basis=basis))
-    return tuple(planes)
 
 
 def plane_is_invariant(

@@ -9,6 +9,9 @@ formula
 
 which agrees with the commutator of the two derivations; the test
 suite checks that agreement through an independent composition oracle.
+A field's saturated generator (``saturate_rank1``), the content-one
+polynomial field in its direction, is how a foliation stores its
+generators and where a planar field starts.
 
 Both are computed over one common denominator.  Write the field as
 v = P/q, with q the lcm of its coefficients' denominators and P the
@@ -71,6 +74,7 @@ from .poly import (
     _common_denominator,
     _dot,
     _series_box,
+    clear_to_polynomials,
     gcd,
 )
 
@@ -143,6 +147,15 @@ class VectorField(_Frozen):
                 continue
             pieces.append(name if coeff == 1 else f"({coeff})*{name}")
         return " + ".join(pieces) if pieces else "0"
+
+
+def saturate_rank1(v: VectorField) -> VectorField:
+    """The content-one polynomial representative of the direction of v
+    (``poly.clear_to_polynomials``): it generates the rank-one subsheaf
+    that v spans, saturated in the tangent sheaf."""
+    if v.is_zero():
+        raise ValueError("the zero field spans no direction")
+    return VectorField(v.chart, clear_to_polynomials(v.coefficients))
 
 
 class Verdict(NamedTuple):

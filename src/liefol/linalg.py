@@ -19,24 +19,21 @@ back the content it divided out of each vector, and divides only by a
 content that is not 1.  Every nonzero kernel entry is a maximal minor of
 the Jacobian, so these contents are multiples of the common content of
 the singular locus, and one content of 1 settles it.
+The division is ``poly._content_divided``, as in ``poly``'s normal form
+of a rational vector, ``clear_to_polynomials``, whose name is bound here.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .poly import (
-    Poly,
-    RatFunc,
-    _dot,
-    _normalizer,
-    bareiss,
-    clear_denominators,
-    content,
-    divexact,
-)
+from . import poly
+from .poly import Poly, RatFunc, _content_divided, _dot, _normalizer, bareiss, clear_denominators
 
 Matrix = Sequence[Sequence[RatFunc]]
+
+# bound here too, under the name that ``benchmark/tracing.py`` wraps
+clear_to_polynomials = poly.clear_to_polynomials
 
 
 def _cleared(rows: Matrix) -> List[Tuple[Poly, ...]]:
@@ -109,10 +106,10 @@ def _kernel(
 
     The vector of a non-pivot column f has d at f and −R[i][f] at pivot
     p_i, and ``contents`` holds the normalized gcd g of those nonzero
-    entries, one per vector.  The entries are divided by g only when g is
-    not 1, and then scaled by the one rational unit that normalizes the
-    entry at f, only when that unit is not 1: a content of 1 costs no
-    division.
+    entries, one per vector.  The entries are divided by g
+    (``poly._content_divided``, which divides only when g is not 1), and
+    then scaled by the one rational unit that normalizes the entry at f,
+    only when that unit is not 1: a content of 1 costs no division.
     """
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous; pass at least one row")
@@ -126,23 +123,10 @@ def _kernel(
         vec[f] = den
         for row, col in zip(m, pivots):
             vec[col] = -row[f]
-        g = content([p for p in vec if not p.is_zero()])
-        if not g.is_one():
-            vec = [divexact(p, g) for p in vec]
-        a, b = _normalizer(vec[f])
+        primitive, g = _content_divided(vec)
+        a, b = _normalizer(primitive[f])
         if a != b:
-            vec = [p._scaled(a, b) for p in vec]
-        basis.append(tuple(vec))
+            primitive = tuple(p._scaled(a, b) for p in primitive)
+        basis.append(primitive)
         contents.append(g)
     return basis, space, contents
-
-
-def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:
-    """Scale a nonzero rational vector to polynomial entries with content 1:
-    multiply out the common denominator, then divide away the entries' GCD."""
-    vec = tuple(vector)
-    if all(v.is_zero() for v in vec):
-        raise ValueError("cannot normalize the zero vector")
-    polys = clear_denominators(vec)
-    g = content([p for p in polys if not p.is_zero()])
-    return tuple(p if p.is_zero() else divexact(p, g) for p in polys)

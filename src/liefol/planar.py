@@ -45,8 +45,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _Frozen
-from .liecalc import VectorField
-from .foliation import saturate_rank1
+from .liecalc import VectorField, saturate_rank1
 from .poly import (
     Chart,
     ChartMismatchError,

@@ -16,7 +16,9 @@ used elsewhere in the package are fixed here:
   coefficients with trivial integer content and a positive leading
   coefficient,
 * rational functions are reduced pairs whose denominator carries that
-  same normalization.
+  same normalization,
+* a rational vector clears to polynomials by its common denominator and
+  then by the content of its entries (``clear_to_polynomials``).
 
 The normal forms run on integers: ``_normalizer`` returns the unit that
 normalizes a polynomial as a pair of ints (a, b), and ``Poly._scaled``
@@ -636,19 +638,13 @@ _HEU_ATTEMPTS = 6
 _HEU_MAX_BITS = 1 << 16
 
 
-def _integer_terms(p: Poly) -> Dict[Exponents, int]:
-    """The numerators of p's coefficients over their common denominator,
-    divided by their gcd: coprime integers."""
-    unit = math.gcd(*p._num.values())
-    return p._num if unit == 1 else {e: n // unit for e, n in p._num.items()}
-
-
 def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     """Normalized gcd of two non-constant polynomials by GCDHEU, or None.
 
     Heuristic gcd of Char, Geddes and Gonnet (1989).  Both inputs are
-    scaled to integer-primitive form f, g and evaluated one variable at a
-    time: x_1 = xi_1, then x_2 = xi_2, and so on, each xi_k above
+    taken in their normal form f, g (``normalize``: integer-primitive;
+    the sign it fixes changes no integer gcd) and evaluated one variable
+    at a time: x_1 = xi_1, then x_2 = xi_2, and so on, each xi_k above
     xi_(k-1) and at least 2 * |f| + 29 for the smaller nonzero sup-norm
     |f| of the two partly evaluated polynomials.  The integer gcd of
     f(xi) and g(xi), read back in symmetric base-xi_k digits from the
@@ -667,7 +663,7 @@ def _heu_gcd(p: Poly, q: Poly) -> Optional[Poly]:
     no constant term, so their Kronecker images share a power of X that
     no common factor explains, and every candidate would fail.
     """
-    f, g = _integer_terms(p), _integer_terms(q)
+    f, g = normalize(p)._num, normalize(q)._num
     bounds = [max(a, b) + 1 for a, b in zip(_degree_vector(p), _degree_vector(q))]
     floor = 0
     for _ in range(_HEU_ATTEMPTS):
@@ -982,7 +978,7 @@ def content(polys: Iterable[Poly]) -> Poly:
         acc = gcd(acc, p)
         if acc.is_one():
             break
-    return normalize(acc) if not acc.is_zero() else acc
+    return normalize(acc)
 
 
 def divexact(f: Poly, g: Poly) -> Poly:
@@ -1380,3 +1376,21 @@ def clear_denominators(fs: Iterable[RatFunc]) -> Tuple[Poly, ...]:
     """Scale a family of rational functions to polynomials by their common
     denominator, returning the numerators of f * lcm(dens)."""
     return _common_denominator(fs)[1]
+
+
+def _content_divided(polys: Sequence[Poly]) -> Tuple[Tuple[Poly, ...], Poly]:
+    """A polynomial vector, not all zero, divided by the normalized gcd g
+    of its nonzero entries, and g.  A content of 1 costs no division."""
+    g = content([p for p in polys if not p.is_zero()])
+    if g.is_one():
+        return tuple(polys), g
+    return tuple(divexact(p, g) for p in polys), g
+
+
+def clear_to_polynomials(vector: Sequence[RatFunc]) -> Tuple[Poly, ...]:
+    """Scale a nonzero rational vector to polynomial entries with content 1:
+    multiply out the common denominator, then divide away the entries' GCD."""
+    vec = tuple(vector)
+    if all(v.is_zero() for v in vec):
+        raise ValueError("cannot normalize the zero vector")
+    return _content_divided(clear_denominators(vec))[0]

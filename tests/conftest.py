@@ -19,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from liefol import Chart, Poly, RatFunc, VectorField
+from liefol import poly as poly_module
 
 # exact rational arithmetic is deterministic but not fast; a wall-clock
 # deadline only adds flakiness here.  HYPOTHESIS_PROFILE=thorough draws ten
@@ -102,6 +103,31 @@ def assert_value_type(value, same, other) -> None:
     assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
     assert all(f"{name}=" not in repr(value) for name in type(value).__slots__ if name[0] == "_")
     assert_round_trips(value)
+
+
+def record_content_divisions(monkeypatch) -> list:
+    """Patch ``poly.divexact`` to record the divisor of each call made
+    outside ``poly.content``, whose gcds make trial divisions of their
+    own, and return the list it fills."""
+    divisors: list = []
+    depth: list = []
+    real_content, real_divexact = poly_module.content, poly_module.divexact
+
+    def content(polys):
+        depth.append(1)
+        try:
+            return real_content(polys)
+        finally:
+            depth.pop()
+
+    def divexact(f, g):
+        if not depth:
+            divisors.append(g)
+        return real_divexact(f, g)
+
+    monkeypatch.setattr(poly_module, "content", content)
+    monkeypatch.setattr(poly_module, "divexact", divexact)
+    return divisors
 
 
 def assert_round_trips(value) -> None:

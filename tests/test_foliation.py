@@ -190,6 +190,32 @@ class TestInvolutivity:
         assert not result.ok
         assert result.witness == vf3(ZERO3, ZERO3, ONE3)
 
+    def test_the_first_bracket_outside_the_span_ends_the_test(self, monkeypatch):
+        """A declared foliation takes brackets in order and stops at the
+        first one outside its span, which is the witness."""
+        four = Chart(("x", "y", "z", "w"))
+        x = four.var("x")
+        one, zero = Poly.one(four), Poly.zero(four)
+
+        def field(*coefficients):
+            return VectorField(four, coefficients)
+
+        # d/dx, d/dy + x d/dw, d/dz: only the first bracket, d/dw, leaves the span
+        generators = (field(one, zero, zero, zero), field(zero, one, zero, x))
+        fol = FoliationGens(four, (*generators, field(zero, zero, one, zero)))
+        brackets = []
+        real = foliation_module.lie_bracket
+        monkeypatch.setattr(
+            foliation_module, "lie_bracket", lambda v, g: brackets.append(1) or real(v, g)
+        )
+        assert is_involutive(fol) == Verdict(False, field(zero, zero, zero, one))
+        assert len(brackets) == 1
+        brackets.clear()
+        assert is_invariant_subsheaf(fol, field(zero, x, zero, zero)) == Verdict(
+            False, field(zero, -one, zero, zero)
+        )
+        assert len(brackets) == 1
+
     def test_rank_one_always_involutive(self):
         rng = random.Random(52)
         for _ in range(10):

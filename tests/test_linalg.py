@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import XY, XYZ, random_poly, random_ratfunc
+from conftest import XY, XYZ, random_poly, random_ratfunc, record_content_divisions
 from liefol import (
     Chart,
     FoliationGens,
@@ -441,9 +441,7 @@ def test_kernel_matches_the_three_division_normalization(seed):
 
 def test_kernel_content_of_one_costs_no_division(monkeypatch):
     x, y, z = XYZ.vars()
-    calls = []
-    real = linalg.divexact
-    monkeypatch.setattr(linalg, "divexact", lambda f, g: calls.append(g) or real(f, g))
+    calls = record_content_divisions(monkeypatch)
     expected = [
         (-3 * y * Fraction(1, 2), x, Poly.zero(XYZ)),
         (Poly.constant(XYZ, -1), Poly.zero(XYZ), x),

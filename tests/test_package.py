@@ -83,7 +83,7 @@ def test_import_registers_but_runs_no_submodule():
         ),
         (
             ["planar", "tests/golden/planar_hyperbolic.txt", "--curve", "C"],
-            {"poly", "expr", "liecalc", "linalg", "foliation", "planar"},
+            {"poly", "expr", "liecalc", "planar"},
         ),
         (
             ["invariance", "tests/golden/spatial.txt", "--field", "rot", "--foliation", "F"],
@@ -107,6 +107,44 @@ def test_cli_runs_only_what_the_subcommand_uses(argv, ran):
         assert heavy == set(HEAVY)
     else:
         assert heavy == set()
+
+
+# Run in a fresh interpreter: import liefol, load benchmark/tracing.py from
+# its file, and print each TRACED entry that does not resolve the way
+# Tracer.install reads it, then whether linalg binds poly's function.
+_TRACED_PROBE = """
+import importlib.util, sys
+import liefol
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+for _, module, attr in tracing.TRACED:
+    owner = sys.modules[module]
+    if "." in attr:
+        cls, meth = attr.split(".")
+        found = meth in vars(getattr(owner, cls))
+    else:
+        found = hasattr(owner, attr)
+    if not found:
+        print(module, attr)
+clear = sys.modules["liefol.poly"].clear_to_polynomials
+print(sys.modules["liefol.linalg"].clear_to_polynomials is clear, clear.__module__)
+"""
+
+
+def test_traced_names_resolve():
+    """Every function ``benchmark/tracing.py`` wraps is found where it
+    looks, so moving a function between modules cannot silently break
+    ``run.py --trace 1``; ``linalg.clear_to_polynomials`` is ``poly``'s."""
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_PROBE, str(ROOT / "benchmark" / "tracing.py")],
+        cwd=ROOT,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["True liefol.poly"]
 
 
 def test_public_names_are_the_defining_modules_objects():

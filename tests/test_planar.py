@@ -69,7 +69,7 @@ class TestPlanarField:
     def test_from_vector_field_takes_one_gcd(self, monkeypatch):
         """Saturation takes the content of (a, b) once.  The pair it
         returns is coprime by construction, so no second gcd checks it."""
-        from liefol import linalg, poly
+        from liefol import poly
 
         gcds, contents = [], []
 
@@ -81,7 +81,7 @@ class TestPlanarField:
             return wrapper
 
         monkeypatch.setattr(poly, "gcd", counted(gcds, poly.gcd))
-        for module in (linalg, planar):
+        for module in (poly, planar):
             monkeypatch.setattr(module, "content", counted(contents, module.content))
         common = (X + Y + 1) ** 3
         v = VectorField.from_coefficients(XY, (common * X, common * (Y - 2)))

@@ -25,6 +25,7 @@ from conftest import (
     fraction_strategy,
     poly_strategy,
     random_poly,
+    record_content_divisions,
 )
 from liefol import (
     Chart,
@@ -45,7 +46,7 @@ from liefol import (
 )
 from liefol import poly as poly_module
 from liefol.expr import parse_polynomial
-from liefol.poly import _as_ratfunc
+from liefol.poly import _as_ratfunc, clear_to_polynomials
 
 X, Y = XY.vars()
 CHARTS = [Chart(tuple("xyzw"[:n])) for n in range(1, 5)]
@@ -260,6 +261,17 @@ class TestNormalization:
     @given(poly_strategy(XY))
     def test_normalize_idempotent(self, p):
         assert normalize(normalize(p)) == normalize(p)
+
+    def test_clearing_divides_only_by_a_content_that_is_not_one(self, monkeypatch):
+        """``clear_to_polynomials`` divides a vector of content 1 by
+        nothing, and otherwise each entry once, by the content."""
+        calls = record_content_divisions(monkeypatch)
+        vec = (RatFunc(Y**2 - 1), RatFunc(X * Fraction(1, 2)), RatFunc.zero(XY))
+        cleared = (Y**2 - 1, X * Fraction(1, 2), Poly.zero(XY))
+        assert clear_to_polynomials(vec) == cleared and calls == []
+        h = X + 3 * Y
+        assert clear_to_polynomials([f * h for f in vec]) == cleared
+        assert calls == [h] * 3
 
 
 class TestGcd:
